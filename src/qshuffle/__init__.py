@@ -7,7 +7,7 @@ multi-controlled X synthesis), and a dense statevector simulator used to
 verify every construction against its defining equations.
 """
 
-from .builders import BuildSpec, build, build_with_checkpoints, init_identity_word, iteration_checkpoints
+from .builders import BuildSpec, build, build_with_checkpoints, init_identity_word
 from .circuit import (
     Circuit,
     Control,
@@ -17,7 +17,6 @@ from .circuit import (
     Register,
     count_primitives,
     emit_value_controlled,
-    new_circuit,
     primitive_class,
     primitive_multiset,
     schedule_asap,

@@ -158,7 +158,3 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
 
 def build(spec: BuildSpec) -> Circuit:
     return build_with_checkpoints(spec)[0]
-
-
-def iteration_checkpoints(spec: BuildSpec) -> tuple[int, ...]:
-    return build_with_checkpoints(spec)[1]

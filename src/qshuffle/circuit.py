@@ -60,10 +60,6 @@ class Gate:
         return replace(self, controls=self.controls + tuple(extra))
 
 
-def qref(reg: str, sub: int, bit: int) -> QubitRef:
-    return QubitRef(reg, sub, bit)
-
-
 def ctrl(qubit: QubitRef, value: int = 1) -> Control:
     return Control(qubit, value)
 
@@ -193,10 +189,6 @@ class Circuit:
         return len(self.gates)
 
 
-def new_circuit(registers, metadata: dict | None = None) -> Circuit:
-    return Circuit(registers, metadata)
-
-
 def emit_value_controlled(
     circuit: Circuit, gate: Gate, reg: str, sub: int, value: int, width: int
 ) -> Circuit:
@@ -240,35 +232,46 @@ def schedule_asap(circuit: Circuit) -> LayeredCircuit:
     return LayeredCircuit(tuple(tuple(layer) for layer in layers))
 
 
-def primitive_class(gate: Gate) -> str:
-    """Cost class of a gate in the counting alphabet.
+# cost class of each (primitive, number of controls) pair below two controls
+_COST_CLASS = {("X", 0): "x", ("X", 1): "cx", ("H", 0): "h", ("H", 1): "ch",
+               ("RY", 0): "ry", ("RY", 1): "cry", ("RZ", 0): "rz"}
 
-    Classes: X, CX, C{m}X (m >= 2), H, CH, RY, CRY, RZ.  Controlled SWAPs,
-    bare SWAPs, controlled RZ and multiply-controlled H/RY have no class and
-    must be decomposed before counting.
+
+def cost_class(primitive: str, num_controls: int) -> str:
+    """Cost class of a gate in the counting alphabet, as a ``CostProfile``
+    field name: x, cx, h, ch, ry, cry, rz, or mcx for X with m >= 2 controls.
+
+    (Controlled) SWAPs, controlled RZ and multiply-controlled H/RY have no
+    class and must be decomposed before counting.
     """
-    m = len(gate.controls)
-    p = gate.primitive
-    if p == "X":
-        if m == 0:
-            return "X"
-        if m == 1:
-            return "CX"
-        return f"C{m}X"
-    if p == "SWAP":
-        raise ValueError("SWAP has no cost class; lower controlled swaps first")
-    if m == 0:
-        return p
-    if m == 1 and p in ("H", "RY"):
-        return "C" + p
-    raise ValueError(f"no cost class for {p} with {m} controls")
+    cls = _COST_CLASS.get((primitive, num_controls))
+    if cls is None:
+        if primitive != "X" or num_controls < 2:
+            raise ValueError(f"no cost class for {primitive} with {num_controls} controls; "
+                             "lower it first")
+        cls = "mcx"
+    return cls
+
+
+def _class_name(primitive: str, m: int) -> str:
+    cls = cost_class(primitive, m)
+    return f"C{m}X" if cls == "mcx" else cls.upper()
+
+
+def primitive_class(gate: Gate) -> str:
+    """Class name of a gate: X, CX, C{m}X (m >= 2), H, CH, RY, CRY, RZ."""
+    return _class_name(gate.primitive, len(gate.controls))
+
+
+def _arity_counts(circuit: Circuit) -> Counter:
+    return Counter((g.primitive, len(g.controls)) for g in circuit.gates)
 
 
 def primitive_multiset(circuit: Circuit) -> Counter:
     """Multiset of counting-alphabet classes over the gate list."""
-    return Counter(primitive_class(g) for g in circuit.gates)
+    return Counter({_class_name(p, m): k for (p, m), k in _arity_counts(circuit).items()})
 
 
 def count_primitives(circuit: Circuit, profile) -> int | float:
     """Total weighted gate count: sum of profile costs per (primitive, arity) class."""
-    return sum(profile.cost(g.primitive, len(g.controls)) for g in circuit.gates)
+    return sum(k * profile.cost(p, m) for (p, m), k in _arity_counts(circuit).items())

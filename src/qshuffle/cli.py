@@ -10,177 +10,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from math import factorial, sqrt
 
 import numpy as np
 
 from . import simulator
-from .builders import ENCODINGS, VARIANTS, BuildSpec, build, build_with_checkpoints
+from .builders import ENCODINGS, VARIANTS, BuildSpec, build
 from .lowering import lower_circuit
-from .permutations import enumerate_sn, replay_reversed_fisher_yates, sample_fisher_yates
+from .permutations import sample_fisher_yates
 from .prep import build_u, build_v
 from .resources import CostProfile, resource_report, scaling_table
 from .serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
 from .simulator import SimulationCapExceeded
+from .verify import DEFAULT_SEED, DEFAULT_TOL, verify_spec
 
 EX_OK, EX_FAIL, EX_CAP = 0, 1, 2
 EX_USAGE, EX_IOERR = 64, 74
-
-DEFAULT_SEED = 0
-DEFAULT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    metric: float
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "metric": self.metric, "tolerance": self.tolerance}
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    spec: dict
-    seed: int
-    checks: tuple[Check, ...]
-    overall: bool
-
-    def to_dict(self) -> dict:
-        return {"spec": self.spec, "seed": self.seed,
-                "checks": [c.to_dict() for c in self.checks], "overall": self.overall}
-
-
-def _data_inputs(spec: BuildSpec) -> list[int]:
-    return [k % (1 << spec.m) for k in range(spec.n)]
-
-
-def decode_draws(spec: BuildSpec, registers: dict) -> list[int]:
-    """Read the draw record of an entangling variant's branch from its ancilla."""
-    draws = []
-    for i in range(1, spec.n):
-        value = registers[f"anc{i}"][0]
-        if spec.encoding == "binary":
-            draws.append(value)
-        elif value == 0:
-            draws.append(i)
-        else:
-            if value & (value - 1):
-                raise ValueError(f"one-hot ancilla {i} holds non-one-hot value {value}")
-            draws.append(value.bit_length() - 1)
-    return draws
-
-
-def _expected_xi_branches(spec: BuildSpec, i: int, inputs: list[int] | None):
-    """Branch table before iteration i of a disentangling build: the first i
-    subregisters carry a uniform superposition over S_i, the rest are untouched."""
-    n = spec.n
-    expected = {}
-    for word in enumerate_sn(i):
-        perm = list(word) + list(range(i, n))
-        key = ["perm"] + perm
-        if spec.has_data:
-            data = [inputs[word[k]] for k in range(i)] + [inputs[k] for k in range(i, n)]
-            key += ["data"] + data
-        expected[tuple(key)] = 1.0 / sqrt(factorial(i))
-    return expected
-
-
-def _xi_branch_key(spec: BuildSpec, registers: dict):
-    key = ["perm"] + list(registers["perm"])
-    if spec.has_data:
-        key += ["data"] + list(registers["data"])
-    return tuple(key)
-
-
-def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> VerifyReport:
-    """Run the full invariant suite for one build and collect pass/fail checks."""
-    circuit, checkpoints = build_with_checkpoints(spec)
-    if circuit.num_qubits > simulator.QUBIT_CAP:
-        raise SimulationCapExceeded(
-            f"{circuit.num_qubits} qubits exceeds the simulation cap of {simulator.QUBIT_CAP}")
-    n = spec.n
-    inputs = _data_inputs(spec) if spec.has_data else None
-    initial = {"data": inputs} if spec.has_data else None
-    state = simulator.run(circuit, initial)
-    branches = simulator.branch_table(state, circuit)
-    checks: list[Check] = []
-
-    checks.append(Check("branch_count", len(branches) == factorial(n), float(len(branches)),
-                        float(factorial(n))))
-    target = 1.0 / sqrt(factorial(n))
-    amp_dev = max(abs(abs(a) - target) for _, a in branches) if branches else 1.0
-    checks.append(Check("amplitude_uniformity", amp_dev < tol, amp_dev, tol))
-
-    if spec.disentangling:
-        leak = 0.0
-        ok = True
-        for name in (r.name for r in circuit.registers if r.name.startswith("anc")):
-            good, amount = simulator.assert_register_disentangled(state, circuit, name, tol)
-            ok = ok and good
-            leak = max(leak, amount)
-        checks.append(Check("ancilla_disentangled", ok, leak, tol))
-    else:
-        ok = True
-        for registers, _ in branches:
-            try:
-                word = replay_reversed_fisher_yates(n, decode_draws(spec, registers))
-            except ValueError:
-                ok = False
-                break
-            if spec.has_perm and tuple(registers["perm"]) != word:
-                ok = False
-            if spec.has_data and registers["data"] != [inputs[word[k]] for k in range(n)]:
-                ok = False
-        checks.append(Check("replay_consistent", ok, 0.0 if ok else 1.0, 0.0))
-
-    if spec.has_perm:
-        words = {tuple(registers["perm"]) for registers, _ in branches}
-        complete = words == set(enumerate_sn(n))
-        checks.append(Check("words_complete", complete, float(len(words)), float(factorial(n))))
-
-    if spec.variant == "B":
-        ok = all(registers["data"] == [inputs[w] for w in registers["perm"]]
-                 for registers, _ in branches)
-        checks.append(Check("data_matches_word", ok, 0.0 if ok else 1.0, 0.0))
-
-    if spec.disentangling:
-        worst = 0.0
-        for i in range(1, n):
-            prefix = simulator.run(circuit, initial, upto=checkpoints[i - 1])
-            expected = _expected_xi_branches(spec, i, inputs)
-            table = simulator.branch_table(prefix, circuit)
-            if len(table) != len(expected):
-                worst = 1.0
-                break
-            for registers, amp in table:
-                if any(v != 0 for v in registers["anc"]):
-                    worst = 1.0
-                    break
-                want = expected.get(_xi_branch_key(spec, registers))
-                if want is None:
-                    worst = 1.0
-                    break
-                worst = max(worst, abs(amp - want))
-        checks.append(Check("iteration_states", worst < tol, worst, tol))
-
-    report = resource_report(spec)
-    checks.append(Check("gate_count_formula", report.gates_consistent,
-                        float(report.gates_measured), float(report.gates_formula)))
-    if n > 1:
-        # n = 1 is degenerate: the closed forms give 0 qubits while the
-        # builder pads registers to width 1 to avoid zero-width registers
-        checks.append(Check("qubit_count_formula", report.qubits_measured == report.qubits_formula,
-                            float(report.qubits_measured), float(report.qubits_formula)))
-    checks.append(Check("depth_within_cycle_bound", report.depth_bounded,
-                        float(report.depth_measured), float(report.cycles_formula)))
-
-    spec_dict = {"variant": spec.variant, "n": spec.n, "m": spec.m, "encoding": spec.encoding}
-    return VerifyReport(spec_dict, seed, tuple(checks), all(c.passed for c in checks))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,11 +58,14 @@ def _write_output(text: str, path: str | None):
             handle.write(text)
 
 
-def _load_profile(path: str | None) -> CostProfile:
+def _load_profile(parser, path: str | None) -> CostProfile:
     if path is None:
         return CostProfile.unit()
     with open(path, encoding="utf-8") as handle:
-        return CostProfile.from_dict(json.load(handle))
+        try:
+            return CostProfile.from_dict(json.load(handle))
+        except ValueError as exc:
+            parser.exit(EX_USAGE, f"{parser.prog}: bad cost profile {path}: {exc}\n")
 
 
 def _emit_circuit(circuit, fmt: str, out: str | None):
@@ -289,14 +136,14 @@ def cmd_verify(parser, args) -> int:
 
 def cmd_count(parser, args) -> int:
     spec = _make_spec(parser, args)
-    profile = _load_profile(args.profile)
+    profile = _load_profile(parser, args.profile)
     report = resource_report(spec, profile)
     _write_output(json.dumps(report.to_dict(), indent=2), args.out)
     return EX_OK
 
 
 def cmd_table(parser, args) -> int:
-    profile = _load_profile(args.profile)
+    profile = _load_profile(parser, args.profile)
     if args.n_max < 2:
         parser.error("--n-max must be >= 2")
     try:

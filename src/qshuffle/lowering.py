@@ -8,11 +8,11 @@ Two levels:
   are stated.  Mixed-polarity controls stay as they are; the count classes
   do not distinguish polarity.
 
-* "full" additionally rewrites every multiply-controlled X: negative
-  controls are X-conjugated away, X with m >= 3 controls becomes a Toffoli
-  ladder (clean or borrowed-qubit mode), and every Toffoli becomes the
-  ancilla-free 6-CX + 9-single-qubit network (equal to the Toffoli up to
-  global phase).
+* "full" additionally X-conjugates the negative controls of every gate
+  away and rewrites every multiply-controlled X: X with m >= 3 controls
+  becomes a Toffoli ladder (clean or borrowed-qubit mode), and every
+  Toffoli becomes the ancilla-free 6-CX + 9-single-qubit network (equal to
+  the Toffoli up to global phase).
 
 Borrowed-qubit mode uses a toggle ladder of 4(m-2) Toffolis that restores
 the m-2 helper qubits for *any* initial helper state.  Clean mode assumes
@@ -48,6 +48,8 @@ def lower_controlled_swap(gate: Gate) -> list[Gate]:
 def eliminate_negative_controls(gate: Gate) -> list[Gate]:
     """X-conjugate away 0-valued controls, leaving an all-positive gate."""
     flips = [gate_x(c.qubit) for c in gate.controls if c.value == 0]
+    if not flips:
+        return [gate]
     positive = replace(gate, controls=tuple(Control(c.qubit, 1) for c in gate.controls))
     return flips + [positive] + list(reversed(flips))
 
@@ -162,19 +164,13 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
 
 
 def _lower_full(out: Circuit, gate: Gate, mode: str) -> None:
-    if gate.primitive != "X" or len(gate.controls) < 2:
-        out.append(gate)
-        return
-    if any(c.value == 0 for c in gate.controls):
-        flips = [gate_x(c.qubit) for c in gate.controls if c.value == 0]
-        out.extend(flips)
-        _lower_full(out, replace(gate, controls=tuple(Control(c.qubit, 1) for c in gate.controls)), mode)
-        out.extend(reversed(flips))
-        return
-    if len(gate.controls) == 2:
-        out.extend(lower_toffoli(gate))
-        return
-    support = set(out.gate_qubits(gate))
-    idle = [out.ref_of(q) for q in range(out.num_qubits) if q not in support]
-    for toffoli in lower_mcx(gate, mode, idle):
-        out.extend(lower_toffoli(toffoli))
+    for g in eliminate_negative_controls(gate):
+        if g.primitive != "X" or len(g.controls) < 2:
+            out.append(g)
+        elif len(g.controls) == 2:
+            out.extend(lower_toffoli(g))
+        else:
+            support = set(out.gate_qubits(g))
+            idle = [out.ref_of(q) for q in range(out.num_qubits) if q not in support]
+            for toffoli in lower_mcx(g, mode, idle):
+                out.extend(lower_toffoli(toffoli))

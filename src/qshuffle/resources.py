@@ -8,27 +8,37 @@ bookkeeping used for formula/measured equality checks) or the derived rule
   cost(C^m X) = 4 (m-2) (6 cx + 7 rz + 2 h)       (borrowed-qubit ladder).
 
 The gate/qubit formulas are exact for the builders in this package: under
-unit costs and counting-level lowering the formula equals the measured gate
-count integer-for-integer.  Cycle formulas are upper bounds: they serialise
-iterations and subroutines (only the permutation-register initialisation
-and, for entangling variants, the per-iteration preparations parallelise),
-so measured ASAP depth must never exceed them.
+every profile and counting-level lowering the formula equals the measured
+gate count integer-for-integer.  Cycle formulas are upper bounds: they
+serialise iterations and subroutines (only the permutation-register
+initialisation and, for entangling variants, the per-iteration
+preparations parallelise), so the measured weighted depth never exceeds
+them.
 
 Notation: b(i) = bitlen(i) ancilla bits carry iteration i's draw,
 hamming(k) counts set bits (the X-cascade writing or clearing |k>), and
-w = ceil(log2 n) is the permutation subregister width.  Every controlled
-subregister swap costs width * (2 cx + one X with b(i)+1 controls); the
-one-hot encoding replaces b(i)+1 ancilla-plus-partner controls by 2.
-The per-iteration uncompute costs sum(hamming(j), j <= i) X gates with b(i)
-controls in binary, or i such gates in one-hot.
+w = ceil(log2 n) is the permutation subregister width.
+
+The four formulas and ``scaling_table`` read one sweep over the builders'
+iterations i = 1..n-1, which keeps running sums of the per-iteration terms
+  init         hamming(i) X gates writing i into perm subregister i,
+  prep_gates   gates of the uniform prep over 0..i (U binary, V one-hot),
+  prep_cycles  its cycles (summed; entangling variants take the maximum),
+  swap         i (2 cx + one X with b(i)+1 controls, 2 in one-hot), per
+               qubit of swapped width,
+  uncompute    sum(hamming(j), j <= i) X gates with b(i) controls in
+               binary, i such gates in one-hot (disentangling variants),
+  ancilla      b(i) qubits in binary, i in one-hot (entangling variants).
+The row at n reads the sums after iteration n-1, with swapped width
+w (permutation register) + m (data register).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .builders import BuildSpec
-from .circuit import Circuit, count_primitives, schedule_asap
+from .builders import BuildSpec, build
+from .circuit import Circuit, cost_class, count_primitives
 
 
 def hamming(k: int) -> int:
@@ -54,9 +64,10 @@ class CostProfile:
     mcx_rule: str = "unit"  # "unit" | "derived"
 
     def __post_init__(self):
-        for name in ("x", "h", "ry", "rz", "cx", "ch", "cry"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"cost {name} must be nonnegative")
+        costs = [(name, getattr(self, name)) for name in ("x", "h", "ry", "rz", "cx", "ch", "cry")]
+        for name, cost in costs + [(f"mcx[{m}]", cost) for m, cost in self.mcx.items()]:
+            if isinstance(cost, bool) or not isinstance(cost, int) or cost < 0:
+                raise ValueError(f"cost {name} must be a nonnegative integer, got {cost!r}")
         if self.mcx_rule not in ("unit", "derived"):
             raise ValueError(f"unknown mcx rule {self.mcx_rule!r}")
 
@@ -71,28 +82,8 @@ class CostProfile:
         return toffoli if m == 2 else 4 * (m - 2) * toffoli
 
     def cost(self, primitive: str, num_controls: int) -> int:
-        if primitive == "X":
-            if num_controls == 0:
-                return self.x
-            if num_controls == 1:
-                return self.cx
-            return self.mcx_cost(num_controls)
-        if primitive == "H":
-            if num_controls == 0:
-                return self.h
-            if num_controls == 1:
-                return self.ch
-        elif primitive == "RY":
-            if num_controls == 0:
-                return self.ry
-            if num_controls == 1:
-                return self.cry
-        elif primitive == "RZ":
-            if num_controls == 0:
-                return self.rz
-        elif primitive == "SWAP":
-            raise ValueError("SWAP has no cost class; lower controlled swaps first")
-        raise ValueError(f"no cost assigned to {primitive} with {num_controls} controls")
+        cls = cost_class(primitive, num_controls)
+        return self.mcx_cost(num_controls) if cls == "mcx" else getattr(self, cls)
 
     @classmethod
     def unit(cls) -> "CostProfile":
@@ -100,39 +91,42 @@ class CostProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CostProfile":
+        """Profile from its JSON form: class names X..CRY, ``mcx`` and ``mcx_rule``."""
         known = {"X": "x", "H": "h", "RY": "ry", "RZ": "rz", "CX": "cx", "CH": "ch", "CRY": "cry"}
+        if not isinstance(data, dict):
+            raise ValueError("a cost profile is an object of class costs")
+        unknown = sorted(set(data) - set(known) - {"mcx", "mcx_rule"})
+        if unknown:
+            raise ValueError(f"unknown cost profile keys {unknown}")
         kwargs = {attr: data[key] for key, attr in known.items() if key in data}
         if "mcx" in data:
+            if not isinstance(data["mcx"], dict):
+                raise ValueError("mcx must map arities to costs")
             kwargs["mcx"] = {int(k): v for k, v in data["mcx"].items()}
         if "mcx_rule" in data:
             kwargs["mcx_rule"] = data["mcx_rule"]
         return cls(**kwargs)
 
 
-def _bit_positions(m: int) -> list[int]:
-    return [bit for bit in range(m.bit_length()) if (m >> bit) & 1]
+def _u_counts(i: int, profile: CostProfile | None) -> tuple[int, int]:
+    """(gates, cycles) of the binary uniform prep over 0..i; its H prefix is one layer."""
+    p = profile or CostProfile.unit()
+    m = i + 1
+    s = [bit for bit in range(m.bit_length()) if (m >> bit) & 1]
+    if len(s) == 1:  # m = 2^s0: an H on each of the s0 bits
+        return s[0] * p.h, p.h
+    rest = p.ry + (len(s) - 1) * p.cry + (s[-1] - s[0]) * p.ch
+    return s[0] * p.h + rest, min(1, s[0]) * p.h + rest
 
 
 def u_gate_count_formula(i: int, profile: CostProfile | None = None) -> int:
     """Gate count of the binary uniform prep over 0..i."""
-    p = profile or CostProfile.unit()
-    m = i + 1
-    if m & (m - 1) == 0:
-        return i.bit_length() * p.h
-    s = _bit_positions(m)
-    k = len(s)
-    return s[0] * p.h + p.ry + (k - 1) * p.cry + (s[-1] - s[0]) * p.ch
+    return _u_counts(i, profile)[0]
 
 
 def u_cycle_count_formula(i: int, profile: CostProfile | None = None) -> int:
     """Cycle count of the binary uniform prep: only the H prefix parallelises."""
-    p = profile or CostProfile.unit()
-    m = i + 1
-    if m & (m - 1) == 0:
-        return p.h
-    s = _bit_positions(m)
-    k = len(s)
-    return min(1, s[0]) * p.h + p.ry + (k - 1) * p.cry + (s[-1] - s[0]) * p.ch
+    return _u_counts(i, profile)[1]
 
 
 def v_gate_count_formula(i: int, profile: CostProfile | None = None) -> int:
@@ -142,85 +136,71 @@ def v_gate_count_formula(i: int, profile: CostProfile | None = None) -> int:
 
 
 def v_cycle_count_formula(i: int, profile: CostProfile | None = None) -> int:
-    """The one-hot prep chain is fully sequential."""
+    """The one-hot prep chain is fully sequential: its depth is its gate count."""
+    return v_gate_count_formula(i, profile)
+
+
+def _sweep(variant: str, n_values, m: int | None, encoding: str,
+           profile: CostProfile | None):
+    """Yield (n, qubits, gates, cycles) for each requested n, ascending."""
     p = profile or CostProfile.unit()
-    return p.ry + (i - 1) * (p.cry + p.cx)
+    wanted = sorted(set(int(n) for n in n_values))
+    if not wanted:
+        return
+    if wanted[0] < 1:
+        raise ValueError("n must be >= 1")
+    spec = BuildSpec(variant, wanted[-1], m, encoding)
+    binary = encoding == "binary"
+    prep_gate = u_gate_count_formula if binary else v_gate_count_formula
+    prep_cycle = u_cycle_count_formula if binary else v_cycle_count_formula
+    init = prep_gates = prep_cycles = prep_cycles_max = swap = uncompute = ancilla = 0
+    cum_hamming = 0  # sum hamming(j), j <= i
+    done = 1         # iterations 1..done-1 are in the sums
+    for n in wanted:
+        for i in range(done, n):
+            init += hamming(i) * p.x
+            prep_gates += prep_gate(i, p)
+            c = prep_cycle(i, p)
+            prep_cycles += c
+            prep_cycles_max = max(prep_cycles_max, c)
+            swap += i * (2 * p.cx + p.cost("X", i.bit_length() + 1 if binary else 2))
+            cum_hamming += hamming(i)
+            uncompute += (cum_hamming if binary else i) * p.cost("X", i.bit_length())
+            ancilla += i.bit_length() if binary else i
+        done = n
+        w = ceil_log2(n)
+        width = (w if spec.has_perm else 0) + (m if spec.has_data else 0)
+        gates = prep_gates + width * swap
+        cycles = width * swap
+        if spec.disentangling:
+            qubits = w if binary else n - 1
+            gates += uncompute
+            cycles += prep_cycles + uncompute
+        else:
+            qubits = ancilla
+            cycles += prep_cycles_max
+        if spec.has_perm:
+            qubits += n * w
+            gates += init
+            if n > 1:
+                cycles += p.x  # one layer initialises the whole register
+        if spec.has_data:
+            qubits += m * n
+        yield n, qubits, gates, cycles
 
 
 def qubit_count_formula(variant: str, n: int, m: int | None = None, encoding: str = "binary") -> int:
-    spec = BuildSpec(variant, n, m, encoding)
-    w = ceil_log2(n)
-    if encoding == "binary":
-        ancilla = w if spec.disentangling else sum(i.bit_length() for i in range(1, n))
-    else:
-        ancilla = (n - 1) if spec.disentangling else n * (n - 1) // 2
-    total = ancilla
-    if spec.has_perm:
-        total += n * w
-    if spec.has_data:
-        total += m * n
-    return total
-
-
-def _swap_width(spec: BuildSpec) -> int:
-    width = 0
-    if spec.has_perm:
-        width += ceil_log2(spec.n)
-    if spec.has_data:
-        width += spec.m
-    return width
-
-
-def _swap_mcx_arity(spec: BuildSpec, i: int) -> int:
-    # ancilla controls plus the swap partner qubit
-    return (i.bit_length() + 1) if spec.encoding == "binary" else 2
+    return next(_sweep(variant, [n], m, encoding, None))[1]
 
 
 def gate_count_formula(variant: str, n: int, m: int | None = None, encoding: str = "binary",
                        profile: CostProfile | None = None) -> int:
-    spec = BuildSpec(variant, n, m, encoding)
-    p = profile or CostProfile.unit()
-    if n == 1:
-        return 0
-    prep = u_gate_count_formula if encoding == "binary" else v_gate_count_formula
-    sw = _swap_width(spec)
-    total = 0
-    for i in range(1, n):
-        if spec.has_perm:
-            total += hamming(i) * p.x
-        total += prep(i, p)
-        total += i * sw * (2 * p.cx + p.cost("X", _swap_mcx_arity(spec, i)))
-        if spec.disentangling:
-            uncompute_arity = p.cost("X", i.bit_length())
-            if encoding == "binary":
-                total += sum(hamming(j) for j in range(1, i + 1)) * uncompute_arity
-            else:
-                total += i * uncompute_arity
-    return total
+    return next(_sweep(variant, [n], m, encoding, profile))[2]
 
 
 def cycle_count_formula(variant: str, n: int, m: int | None = None, encoding: str = "binary",
                         profile: CostProfile | None = None) -> int:
-    spec = BuildSpec(variant, n, m, encoding)
-    p = profile or CostProfile.unit()
-    if n == 1:
-        return 0
-    prep = u_cycle_count_formula if encoding == "binary" else v_cycle_count_formula
-    sw = _swap_width(spec)
-    total = p.x if spec.has_perm else 0  # one layer initialises the whole register
-    if not spec.disentangling:
-        total += max(prep(i, p) for i in range(1, n))  # fresh subregisters run in parallel
-    for i in range(1, n):
-        if spec.disentangling:
-            total += prep(i, p)
-        total += i * sw * (2 * p.cx + p.cost("X", _swap_mcx_arity(spec, i)))
-        if spec.disentangling:
-            uncompute_arity = p.cost("X", i.bit_length())
-            if encoding == "binary":
-                total += sum(hamming(j) for j in range(1, i + 1)) * uncompute_arity
-            else:
-                total += i * uncompute_arity
-    return total
+    return next(_sweep(variant, [n], m, encoding, profile))[3]
 
 
 @dataclass(frozen=True)
@@ -231,22 +211,28 @@ class MeasuredResources:
 
 
 def weighted_depth(circuit: Circuit, profile: CostProfile) -> int:
-    """ASAP depth where each layer lasts as long as its most expensive gate."""
-    layered = schedule_asap(circuit)
-    total = 0
-    for layer in layered.layers:
-        total += max(profile.cost(circuit.gates[k].primitive, len(circuit.gates[k].controls))
-                     for k in layer)
-    return total
+    """Weighted critical path: every gate starts as soon as its qubits are
+    free and lasts its cost.  Under unit costs this is the ASAP layer count."""
+    finish: dict[int, int] = {}
+    costs: dict[tuple[str, int], int] = {}
+    for gate in circuit.gates:
+        qubits = circuit.gate_qubits(gate)
+        key = (gate.primitive, len(gate.controls))
+        if key not in costs:
+            costs[key] = profile.cost(*key)
+        end = max(finish.get(q, 0) for q in qubits) + costs[key]
+        for q in qubits:
+            finish[q] = end
+    return max(finish.values(), default=0)
 
 
 def measure_circuit(circuit: Circuit, profile: CostProfile | None = None) -> MeasuredResources:
-    """Weighted gate count, weighted ASAP depth and qubit total of a
+    """Weighted gate count, weighted depth and qubit total of a
     counting-level circuit."""
     p = profile or CostProfile.unit()
     return MeasuredResources(
         gates=count_primitives(circuit, p),
-        depth=weighted_depth(circuit, p) if circuit.gates else 0,
+        depth=weighted_depth(circuit, p),
         qubits=circuit.num_qubits,
     )
 
@@ -273,26 +259,12 @@ class ResourceReport:
         return self.depth_measured <= self.cycles_formula
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n": self.n,
-            "m": self.m,
-            "encoding": self.encoding,
-            "qubits_formula": self.qubits_formula,
-            "gates_formula": self.gates_formula,
-            "cycles_formula": self.cycles_formula,
-            "qubits_measured": self.qubits_measured,
-            "gates_measured": self.gates_measured,
-            "depth_measured": self.depth_measured,
-            "gates_consistent": self.gates_consistent,
-            "depth_bounded": self.depth_bounded,
-        }
+        return asdict(self) | {"gates_consistent": self.gates_consistent,
+                               "depth_bounded": self.depth_bounded}
 
 
 def resource_report(spec: BuildSpec, profile: CostProfile | None = None,
                     circuit: Circuit | None = None) -> ResourceReport:
-    from .builders import build
-
     p = profile or CostProfile.unit()
     measured = measure_circuit(circuit if circuit is not None else build(spec), p)
     return ResourceReport(
@@ -311,56 +283,8 @@ def resource_report(spec: BuildSpec, profile: CostProfile | None = None,
 
 def scaling_table(variant: str, n_values, encoding: str = "binary", m: int | None = None,
                   profile: CostProfile | None = None) -> list[tuple[int, int, int, int]]:
-    """Rows (n, qubits, gates, cycles) from the formulas alone.
+    """Rows (n, qubits, gates, cycles) from the formulas alone, ascending in n.
 
-    A single incremental sweep keeps the per-iteration sums, so a full table
-    up to n = 10^4 stays O(n) overall.
+    The rows come from one sweep, so a full table up to n = 10^4 stays O(n).
     """
-    p = profile or CostProfile.unit()
-    wanted = sorted(set(int(n) for n in n_values))
-    if not wanted:
-        return []
-    if wanted[0] < 1:
-        raise ValueError("n must be >= 1")
-    spec_probe = BuildSpec(variant, max(wanted[-1], 2), m, encoding)
-    prep_gate = u_gate_count_formula if encoding == "binary" else v_gate_count_formula
-    prep_cycle = u_cycle_count_formula if encoding == "binary" else v_cycle_count_formula
-    rows: dict[int, tuple[int, int, int, int]] = {}
-    if 1 in wanted:
-        rows[1] = (1, qubit_count_formula(variant, 1, m, encoding), 0, 0)
-    wanted_set = set(wanted)
-    # running sums over iterations i = 1..n-1
-    init_x = 0          # sum hamming(i) * x
-    prep_g = 0          # sum prep gate counts
-    prep_c = 0          # sum prep cycle counts
-    prep_c_max = 0      # max prep cycle count
-    swaps = 0           # sum i * (2 cx + mcx(arity_i)), per unit of swapped width
-    uncompute = 0       # sum of per-iteration uncompute costs
-    cum_hamming = 0     # sum hamming(j), j <= i
-    for n in range(2, wanted[-1] + 1):
-        i = n - 1
-        init_x += hamming(i) * p.x
-        prep_g += prep_gate(i, p)
-        c = prep_cycle(i, p)
-        prep_c += c
-        prep_c_max = max(prep_c_max, c)
-        swaps += i * (2 * p.cx + p.cost("X", _swap_mcx_arity(spec_probe, i)))
-        cum_hamming += hamming(i)
-        unc = p.cost("X", i.bit_length())
-        uncompute += (cum_hamming if encoding == "binary" else i) * unc
-        if n in wanted_set:
-            spec = BuildSpec(variant, n, m, encoding)
-            w = ceil_log2(n)
-            sw = (w if spec.has_perm else 0) + (m if spec.has_data else 0)
-            gates = prep_g + sw * swaps
-            cycles = sw * swaps
-            if spec.has_perm:
-                gates += init_x
-                cycles += p.x
-            if spec.disentangling:
-                gates += uncompute
-                cycles += prep_c + uncompute
-            else:
-                cycles += prep_c_max
-            rows[n] = (n, qubit_count_formula(variant, n, m, encoding), gates, cycles)
-    return [rows[n] for n in wanted]
+    return list(_sweep(variant, n_values, m, encoding, profile))

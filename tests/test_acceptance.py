@@ -14,7 +14,7 @@ from scipy.stats import chi2
 
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints
 from qshuffle.circuit import Circuit, Control, Gate, QubitRef, primitive_multiset
-from qshuffle.cli import decode_draws
+from qshuffle.verify import decode_draws
 from qshuffle.lowering import lower_circuit, lower_mcx, lower_toffoli
 from qshuffle.permutations import (
     enumerate_sn,

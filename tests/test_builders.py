@@ -7,7 +7,7 @@ import pytest
 
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints, init_identity_word, register_layout
 from qshuffle.circuit import Circuit, primitive_multiset, schedule_asap
-from qshuffle.cli import decode_draws
+from qshuffle.verify import decode_draws
 from qshuffle.permutations import enumerate_sn, replay_reversed_fisher_yates
 from qshuffle.simulator import assert_register_disentangled, branch_table, marginal_probabilities, run
 

@@ -15,7 +15,6 @@ from qshuffle.circuit import (
     gate_h,
     gate_swap,
     gate_x,
-    new_circuit,
     primitive_class,
     primitive_multiset,
     schedule_asap,
@@ -25,7 +24,7 @@ from qshuffle.resources import CostProfile
 
 
 def test_global_numbering_order():
-    c = new_circuit([("p", 2, 1), ("a", 1, 1)])
+    c = Circuit([("p", 2, 1), ("a", 1, 1)])
     assert c.num_qubits == 3
     assert c.qubit_index(QubitRef("p", 0, 0)) == 0
     assert c.qubit_index(QubitRef("p", 1, 0)) == 1
@@ -33,52 +32,52 @@ def test_global_numbering_order():
 
 
 def test_numbering_counts_qubits():
-    assert new_circuit([("p", 4, 2)]).num_qubits == 8
+    assert Circuit([("p", 4, 2)]).num_qubits == 8
 
 
 def test_zero_width_register_rejected():
     with pytest.raises(ValueError):
-        new_circuit([("p", 1, 0)])
+        Circuit([("p", 1, 0)])
 
 
 def test_duplicate_register_name_rejected():
     with pytest.raises(ValueError):
-        new_circuit([("p", 1, 1), ("p", 2, 1)])
+        Circuit([("p", 1, 1), ("p", 2, 1)])
 
 
 def test_numbering_is_pure_function_of_table():
     table = [("d", 2, 2), ("p", 3, 1)]
-    a, b = new_circuit(table), new_circuit(table)
+    a, b = Circuit(table), Circuit(table)
     refs = [QubitRef(r.name, s, k) for r in a.registers for s in range(r.count) for k in range(r.width)]
     assert [a.qubit_index(q) for q in refs] == [b.qubit_index(q) for q in refs]
 
 
 def test_ref_of_inverts_qubit_index():
-    c = new_circuit([("d", 2, 3), ("a", 1, 2)])
+    c = Circuit([("d", 2, 3), ("a", 1, 2)])
     for q in range(c.num_qubits):
         assert c.qubit_index(c.ref_of(q)) == q
 
 
 def test_append_x():
-    c = new_circuit([("p", 2, 1)])
+    c = Circuit([("p", 2, 1)])
     c.append(gate_x(QubitRef("p", 1, 0)))
     assert len(c.gates) == 1
 
 
 def test_append_duplicate_swap_target_rejected():
-    c = new_circuit([("p", 1, 2)])
+    c = Circuit([("p", 1, 2)])
     with pytest.raises(ValueError, match="overlap"):
         c.append(gate_swap(QubitRef("p", 0, 0), QubitRef("p", 0, 0)))
 
 
 def test_append_target_control_overlap_rejected():
-    c = new_circuit([("a", 1, 1)])
+    c = Circuit([("a", 1, 1)])
     with pytest.raises(ValueError, match="overlap"):
         c.append(gate_x(QubitRef("a", 0, 0), (ctrl(QubitRef("a", 0, 0)),)))
 
 
 def test_append_unresolvable_ref_rejected():
-    c = new_circuit([("a", 1, 1)])
+    c = Circuit([("a", 1, 1)])
     with pytest.raises(ValueError):
         c.append(gate_x(QubitRef("b", 0, 0)))
     with pytest.raises(ValueError):
@@ -86,7 +85,7 @@ def test_append_unresolvable_ref_rejected():
 
 
 def test_angle_presence_enforced():
-    c = new_circuit([("a", 1, 1)])
+    c = Circuit([("a", 1, 1)])
     with pytest.raises(ValueError):
         c.append(Gate("X", 0.5, (QubitRef("a", 0, 0),)))
     with pytest.raises(ValueError):
@@ -94,19 +93,19 @@ def test_angle_presence_enforced():
 
 
 def test_none_subregister_means_zero():
-    c = new_circuit([("a", 2, 1)])
+    c = Circuit([("a", 2, 1)])
     assert c.qubit_index(QubitRef("a", None, 0)) == 0
 
 
 def test_emit_value_controlled_single_positive():
-    c = new_circuit([("p", 2, 1), ("a", 1, 1)])
+    c = Circuit([("p", 2, 1), ("a", 1, 1)])
     emit_value_controlled(c, gate_x(QubitRef("a", 0, 0)), "p", 1, 1, 1)
     (gate,) = c.gates
     assert gate.controls == (Control(QubitRef("p", 1, 0), 1),)
 
 
 def test_emit_value_controlled_binary_of_two():
-    c = new_circuit([("d", 2, 1), ("a", 1, 2)])
+    c = Circuit([("d", 2, 1), ("a", 1, 2)])
     emit_value_controlled(c, gate_swap(QubitRef("d", 0, 0), QubitRef("d", 1, 0)), "a", 0, 2, 2)
     (gate,) = c.gates
     assert gate.controls == (
@@ -116,7 +115,7 @@ def test_emit_value_controlled_binary_of_two():
 
 
 def test_emit_value_controlled_value_too_large():
-    c = new_circuit([("d", 1, 1), ("a", 1, 2)])
+    c = Circuit([("d", 1, 1), ("a", 1, 2)])
     with pytest.raises(ValueError):
         emit_value_controlled(c, gate_x(QubitRef("d", 0, 0)), "a", 0, 4, 2)
 
@@ -130,27 +129,27 @@ def test_value_controls_lsb_first():
 
 
 def test_schedule_parallel_x_layer():
-    c = new_circuit([("p", 5, 1)])
+    c = Circuit([("p", 5, 1)])
     for k in range(1, 5):
         c.append(gate_x(QubitRef("p", k, 0)))
     assert schedule_asap(c).depth == 1
 
 
 def test_schedule_serial_on_shared_qubit():
-    c = new_circuit([("q", 1, 1)])
+    c = Circuit([("q", 1, 1)])
     c.append(gate_x(QubitRef("q", 0, 0)))
     c.append(gate_h(QubitRef("q", 0, 0)))
     assert schedule_asap(c).depth == 2
 
 
 def test_schedule_empty_circuit():
-    assert schedule_asap(new_circuit([("q", 1, 1)])).depth == 0
+    assert schedule_asap(Circuit([("q", 1, 1)])).depth == 0
 
 
 @st.composite
 def random_circuits(draw):
     widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    c = new_circuit([(f"r{k}", 1, w) for k, w in enumerate(widths)])
+    c = Circuit([(f"r{k}", 1, w) for k, w in enumerate(widths)])
     n = c.num_qubits
     num_gates = draw(st.integers(0, 12))
     for _ in range(num_gates):
@@ -196,7 +195,7 @@ def test_schedule_depth_bounded_by_gate_count(c):
 
 
 def test_depth_equals_gate_count_when_sharing_one_qubit():
-    c = new_circuit([("q", 1, 4)])
+    c = Circuit([("q", 1, 4)])
     shared = QubitRef("q", 0, 0)
     c.append(gate_h(shared))
     c.append(gate_x(QubitRef("q", 0, 1), (ctrl(shared),)))
@@ -205,7 +204,7 @@ def test_depth_equals_gate_count_when_sharing_one_qubit():
 
 
 def test_count_primitives_unit():
-    c = new_circuit([("q", 1, 3)])
+    c = Circuit([("q", 1, 3)])
     c.append(gate_x(QubitRef("q", 0, 0)))
     c.append(gate_h(QubitRef("q", 0, 1)))
     c.append(gate_x(QubitRef("q", 0, 2), (ctrl(QubitRef("q", 0, 0)),)))
@@ -213,7 +212,7 @@ def test_count_primitives_unit():
 
 
 def test_count_primitives_weighted_cx():
-    c = new_circuit([("q", 1, 3)])
+    c = Circuit([("q", 1, 3)])
     c.append(gate_x(QubitRef("q", 0, 0)))
     c.append(gate_h(QubitRef("q", 0, 1)))
     c.append(gate_x(QubitRef("q", 0, 2), (ctrl(QubitRef("q", 0, 0)),)))
@@ -221,7 +220,7 @@ def test_count_primitives_weighted_cx():
 
 
 def test_count_primitives_rejects_controlled_swap():
-    c = new_circuit([("q", 1, 3)])
+    c = Circuit([("q", 1, 3)])
     c.append(gate_swap(QubitRef("q", 0, 0), QubitRef("q", 0, 1), (ctrl(QubitRef("q", 0, 2)),)))
     with pytest.raises(ValueError):
         count_primitives(c, CostProfile.unit())
@@ -238,7 +237,7 @@ def test_primitive_classes():
 
 
 def test_primitive_multiset():
-    c = new_circuit([("q", 1, 3)])
+    c = Circuit([("q", 1, 3)])
     c.append(gate_x(QubitRef("q", 0, 0)))
     c.append(gate_x(QubitRef("q", 0, 0)))
     c.append(gate_h(QubitRef("q", 0, 1)))

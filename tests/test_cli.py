@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qshuffle.cli import main, verify_spec
+from qshuffle.cli import main
+from qshuffle.verify import verify_spec
 from qshuffle.builders import BuildSpec, build
 from qshuffle.serialize import circuit_from_json
 from qshuffle.simulator import SimulationCapExceeded, branch_table, run
@@ -143,6 +144,20 @@ def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("nonsense")
     assert err.value.code == 64
+
+
+@pytest.mark.parametrize("command", [("count", "--variant", "A", "--n", "3"),
+                                     ("table", "--variant", "A", "--n-max", "4")])
+@pytest.mark.parametrize("profile", [{"CNOT": 39}, {"mcx": {"3": -1}}, {"mcx": {"3": 2.5}},
+                                     {"mcx": {"3": "7"}}, [1, 2]])
+def test_bad_profile_exits_64(tmp_path, capsys, command, profile):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(profile))
+    with pytest.raises(SystemExit) as err:
+        run_cli(*command, "--profile", str(path))
+    assert err.value.code == 64
+    message = capsys.readouterr().err
+    assert message.count("\n") == 1 and "bad cost profile" in message
 
 
 def test_io_error_exit_74(capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qshuffle.builders import BuildSpec, build
 from qshuffle.circuit import (
     Circuit,
     Control,
@@ -209,11 +210,15 @@ def test_lower_circuit_full_equivalence_with_negatives():
     c.append(gate_h(q(1)))
     c.append(gate_h(q(2)))
     c.append(mcx_gate(3, 3, [0, 1, 2], [1, 0, 1]))
-    for mode in ("borrowed", "clean"):
-        lowered = lower_circuit(c, "full", mode)
-        assert all(primitive_class(g) in ("X", "CX", "H", "CH", "RY", "CRY", "RZ")
-                   for g in lowered.gates)
-        assert states_equal_up_to_phase(run(c), run(lowered), 1e-10)
+    # the CH fills of the uniform prep carry single negative controls
+    shuffle = build(BuildSpec("A", 4))
+    for circuit in (c, shuffle):
+        for mode in ("borrowed", "clean"):
+            lowered = lower_circuit(circuit, "full", mode)
+            assert all(primitive_class(g) in ("X", "CX", "H", "CH", "RY", "CRY", "RZ")
+                       for g in lowered.gates)
+            assert all(ctl.value == 1 for g in lowered.gates for ctl in g.controls)
+            assert states_equal_up_to_phase(run(circuit), run(lowered), 1e-10)
 
 
 def test_lower_circuit_rejects_unknown_level():

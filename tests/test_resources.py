@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qshuffle.builders import BuildSpec, build
+from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
 from qshuffle.resources import (
     CostProfile,
     cycle_count_formula,
@@ -175,3 +177,26 @@ def test_formula_rejects_bad_spec():
         gate_count_formula("B", 3)  # missing m
     with pytest.raises(ValueError):
         qubit_count_formula("Z", 3)
+
+
+costs = st.integers(min_value=0, max_value=50)
+profiles = st.builds(
+    CostProfile, x=costs, h=costs, ry=costs, rz=costs, cx=costs, ch=costs, cry=costs,
+    mcx=st.dictionaries(st.integers(min_value=2, max_value=8), costs, max_size=4),
+    mcx_rule=st.sampled_from(["unit", "derived"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=profiles, n=st.integers(min_value=1, max_value=7), m=st.integers(1, 3))
+# a costly prep gate and a free swap gate can share an ASAP layer; the weighted
+# depth must charge the cost to the prep's path only
+@example(profile=CostProfile(x=0, h=1, ry=0, rz=0, cx=0, ch=0, cry=1), n=3, m=1)
+def test_formulas_match_measured_over_random_profiles(profile, n, m):
+    for variant in VARIANTS:
+        for encoding in ENCODINGS:
+            spec = BuildSpec(variant, n, m if variant in ("B", "Bt", "C") else None, encoding)
+            r = resource_report(spec, profile)
+            assert r.gates_formula == r.gates_measured, spec
+            assert r.depth_measured <= r.cycles_formula, spec
+            row = (n, r.qubits_formula, r.gates_formula, r.cycles_formula)
+            assert scaling_table(variant, [n], encoding, spec.m, profile) == [row], spec
