@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from math import isfinite
 
 PRIMITIVES = ("X", "H", "RY", "RZ", "SWAP")
 ROTATIONS = ("RY", "RZ")
@@ -102,12 +103,12 @@ class Circuit:
         regs = []
         for r in registers:
             regs.append(r if isinstance(r, Register) else Register(*r))
-        names = [r.name for r in regs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate register name in {names}")
+        self._by_name: dict[str, Register] = {r.name: r for r in regs}
+        if len(self._by_name) != len(regs):
+            raise ValueError(f"duplicate register name in {[r.name for r in regs]}")
         for r in regs:
-            if r.count < 1 or r.width < 1:
-                raise ValueError(f"register {r.name!r} must have count >= 1 and width >= 1")
+            if type(r.count) is not int or type(r.width) is not int or min(r.count, r.width) < 1:
+                raise ValueError(f"register {r.name!r} must have integer count >= 1 and width >= 1")
         self.registers: tuple[Register, ...] = tuple(regs)
         self.metadata: dict = dict(metadata or {})
         self.gates: list[Gate] = []
@@ -119,10 +120,10 @@ class Circuit:
         self.num_qubits: int = offset
 
     def register(self, name: str) -> Register:
-        for r in self.registers:
-            if r.name == name:
-                return r
-        raise ValueError(f"unknown register {name!r}")
+        reg = self._by_name.get(name)
+        if reg is None:
+            raise ValueError(f"unknown register {name!r}")
+        return reg
 
     def qubit_index(self, ref: QubitRef) -> int:
         reg = self.register(ref.reg)
@@ -168,6 +169,12 @@ class Circuit:
             raise ValueError(f"{gate.primitive} takes {want} target(s), got {len(gate.targets)}")
         if (gate.angle is not None) != (gate.primitive in ROTATIONS):
             raise ValueError(f"angle must be present iff primitive is a rotation ({gate.primitive})")
+        try:
+            finite = gate.angle is None or isfinite(gate.angle)
+        except TypeError:  # not a real number
+            finite = False
+        if not finite:
+            raise ValueError(f"rotation angle must be a finite real number, got {gate.angle!r}")
         for c in gate.controls:
             if c.value not in (0, 1):
                 raise ValueError(f"control value must be 0 or 1, got {c.value}")

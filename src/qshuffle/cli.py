@@ -2,7 +2,7 @@
 
 Subcommands: build, simulate, verify, count, table, sample, prep.
 Exit codes: 0 success, 1 verification failure, 2 simulation size cap,
-64 usage error, 74 I/O error.
+64 usage error, 74 I/O error or malformed circuit file.
 """
 
 from __future__ import annotations
@@ -91,11 +91,13 @@ def cmd_prep(parser, args) -> int:
 
 
 def cmd_simulate(parser, args) -> int:
+    if args.shots < 0:
+        parser.error("--shots must be >= 0")
     with open(args.circuit, encoding="utf-8") as handle:
         text = handle.read()
     try:
         circuit = circuit_from_json(text)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"cannot read circuit {args.circuit}: {exc}\n")
         return EX_IOERR
     state = simulator.run(circuit)

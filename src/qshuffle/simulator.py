@@ -5,12 +5,16 @@ is the least significant bit), matching the circuit's register numbering.
 Multi-controlled gates are applied exactly, without lowering: the gate's
 2x2 (or SWAP) action is restricted to the subspace where every control
 qubit matches its required value.
+
+``evolve`` is the one gate loop: it yields the start state, then the state
+after each gate, as one live array that the next gate updates in place (copy
+it to keep it).  ``run`` returns the last state ``evolve`` yields.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 
@@ -111,35 +115,26 @@ def _apply_inplace(state: np.ndarray, n: int, gate: Gate, targets: tuple[int, ..
 
 def apply(state: np.ndarray, gate: Gate, circuit: Circuit) -> np.ndarray:
     """Apply one gate; returns a new statevector, the input is untouched."""
-    n = circuit.num_qubits
-    if state.shape != (1 << n,):
-        raise ValueError("statevector dimension mismatch")
-    out = state.copy()
-    targets = tuple(circuit.qubit_index(t) for t in gate.targets)
-    controls = tuple((circuit.qubit_index(c.qubit), c.value) for c in gate.controls)
-    touched = targets + tuple(q for q, _ in controls)
-    if len(set(touched)) != len(touched):
-        raise ValueError(f"gate targets/controls overlap: {gate}")
-    _apply_inplace(out, n, gate, targets, controls)
-    return out
+    return run(circuit.copy_empty().append(gate), state)
 
 
-def run(circuit: Circuit, initial=None, upto: int | None = None, check_norm: bool = False) -> np.ndarray:
-    """Fold the gate list (optionally only the first ``upto`` gates) over the start state."""
+def evolve(circuit: Circuit, initial=None):
+    """Yield the start state, then the same array after each gate in turn."""
     n = circuit.num_qubits
     if n > QUBIT_CAP:
         raise SimulationCapExceeded(f"{n} qubits exceeds the dense simulation cap of {QUBIT_CAP}")
     state = initial_state(circuit, initial)
-    gates = circuit.gates if upto is None else circuit.gates[:upto]
-    for gate in gates:
+    yield state
+    for gate in circuit.gates:
         targets = tuple(circuit.qubit_index(t) for t in gate.targets)
         controls = tuple((circuit.qubit_index(c.qubit), c.value) for c in gate.controls)
         _apply_inplace(state, n, gate, targets, controls)
-        if check_norm:
-            drift = abs(norm_squared(state) - 1.0)
-            if drift >= AMPLITUDE_TOL:
-                raise AssertionError(f"norm drifted by {drift} after {gate}")
-    return state
+        yield state
+
+
+def run(circuit: Circuit, initial=None) -> np.ndarray:
+    """Fold the gate list over the start state: the last state ``evolve`` yields."""
+    return deque(evolve(circuit, initial), maxlen=1)[0]
 
 
 def norm_squared(state: np.ndarray) -> float:
@@ -148,18 +143,14 @@ def norm_squared(state: np.ndarray) -> float:
     return math.fsum(mags.tolist())
 
 
-def subregister_value(index: int, circuit: Circuit, name: str, sub: int) -> int:
-    reg = circuit.register(name)
-    base = circuit.subregister_qubits(name, sub)[0]
-    return (index >> base) & ((1 << reg.width) - 1)
-
-
 def decode_registers(index: int, circuit: Circuit, registers=None) -> dict[str, list[int]]:
+    """Subregister values of one basis-state index, per register name."""
     names = registers if registers is not None else [r.name for r in circuit.registers]
     out = {}
     for name in names:
-        reg = circuit.register(name)
-        out[name] = [subregister_value(index, circuit, name, sub) for sub in range(reg.count)]
+        width = circuit.register(name).width
+        mask = (1 << width) - 1
+        out[name] = [(index >> q) & mask for q in circuit.register_qubits(name)[::width]]
     return out
 
 
@@ -213,18 +204,12 @@ def sample(state: np.ndarray, shots: int, seed: int, circuit: Circuit, register:
     probs = state.real * state.real + state.imag * state.imag
     probs = probs / probs.sum()
     draws = rng.choice(len(state), size=shots, p=probs)
-    if register is None:
-        names = [r.name for r in circuit.registers]
-    else:
-        names = [register]
-    keys = []
-    for index in draws:
-        parts = []
-        for name in names:
-            reg = circuit.register(name)
-            parts.extend(subregister_value(int(index), circuit, name, sub) for sub in range(reg.count))
-        keys.append(tuple(parts))
-    return Counter(keys)
+    names = None if register is None else [register]
+    histogram = Counter()
+    for index, count in zip(*np.unique(draws, return_counts=True)):
+        values = decode_registers(int(index), circuit, names).values()
+        histogram[tuple(v for subs in values for v in subs)] += int(count)
+    return histogram
 
 
 def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = AMPLITUDE_TOL) -> bool:

@@ -9,7 +9,6 @@ from . import simulator
 from .builders import BuildSpec, build_with_checkpoints
 from .permutations import enumerate_sn, replay_reversed_fisher_yates
 from .resources import resource_report
-from .simulator import SimulationCapExceeded
 
 DEFAULT_SEED = 0
 DEFAULT_TOL = 1e-10
@@ -82,13 +81,16 @@ def _xi_branch_key(spec: BuildSpec, registers: dict):
 def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run the full invariant suite for one build and collect pass/fail checks."""
     circuit, checkpoints = build_with_checkpoints(spec)
-    if circuit.num_qubits > simulator.QUBIT_CAP:
-        raise SimulationCapExceeded(
-            f"{circuit.num_qubits} qubits exceeds the simulation cap of {simulator.QUBIT_CAP}")
     n = spec.n
     inputs = _data_inputs(spec) if spec.has_data else None
     initial = {"data": inputs} if spec.has_data else None
-    state = simulator.run(circuit, initial)
+    # one pass: branch tables of the states before iterations 1..n-1 of a
+    # disentangling build are taken on the way to the final state
+    marks = set(checkpoints[:-1]) if spec.disentangling else set()
+    prefix_tables = {}
+    for k, state in enumerate(simulator.evolve(circuit, initial)):
+        if k in marks:
+            prefix_tables[k] = simulator.branch_table(state, circuit)
     branches = simulator.branch_table(state, circuit)
     checks: list[Check] = []
 
@@ -133,9 +135,8 @@ def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_S
     if spec.disentangling:
         worst = 0.0
         for i in range(1, n):
-            prefix = simulator.run(circuit, initial, upto=checkpoints[i - 1])
             expected = _expected_xi_branches(spec, i, inputs)
-            table = simulator.branch_table(prefix, circuit)
+            table = prefix_tables[checkpoints[i - 1]]
             if len(table) != len(expected):
                 worst = 1.0
                 break
@@ -150,7 +151,7 @@ def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_S
                 worst = max(worst, abs(amp - want))
         checks.append(Check("iteration_states", worst < tol, worst, tol))
 
-    report = resource_report(spec)
+    report = resource_report(spec, circuit=circuit)
     checks.append(Check("gate_count_formula", report.gates_consistent,
                         float(report.gates_measured), float(report.gates_formula)))
     if n > 1:

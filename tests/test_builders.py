@@ -9,7 +9,8 @@ from qshuffle.builders import BuildSpec, build, build_with_checkpoints, init_ide
 from qshuffle.circuit import Circuit, primitive_multiset, schedule_asap
 from qshuffle.verify import decode_draws
 from qshuffle.permutations import enumerate_sn, replay_reversed_fisher_yates
-from qshuffle.simulator import assert_register_disentangled, branch_table, marginal_probabilities, run
+from qshuffle.simulator import (assert_register_disentangled, branch_table, evolve,
+                                marginal_probabilities, run)
 
 TOL = 1e-10
 
@@ -152,9 +153,12 @@ def test_xi_invariant_at_checkpoints(variant, n, m):
     c, checkpoints = build_with_checkpoints(spec)
     inputs = [k % (1 << m) for k in range(n)] if m else None
     initial = {"data": inputs} if m else None
+    tables = {}
+    for k, state in enumerate(evolve(c, initial)):
+        if k in checkpoints:
+            tables[k] = branch_table(state, c)
     for i in range(1, n):
-        state = run(c, initial, upto=checkpoints[i - 1])
-        branches = branch_table(state, c)
+        branches = tables[checkpoints[i - 1]]
         assert len(branches) == factorial(i)
         seen = set()
         for regs, amp in branches:

@@ -1,9 +1,11 @@
 """CLI subcommands, exit codes, and file round-trips (all in-process)."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from qshuffle import resources, simulator, verify
 from qshuffle.cli import main
 from qshuffle.verify import verify_spec
 from qshuffle.builders import BuildSpec, build
@@ -65,8 +67,22 @@ def test_simulate_matches_in_process(tmp_path, capsys):
     assert payload["seed"] == 3
 
 
-def test_verify_pass_and_report(tmp_path, capsys):
+def test_verify_pass_and_report(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(verify, "build_with_checkpoints",
+                        counted("builds", verify.build_with_checkpoints))
+    monkeypatch.setattr(resources, "build", counted("builds", resources.build))
+    monkeypatch.setattr(simulator, "_apply_inplace", counted("gates", simulator._apply_inplace))
     assert run_cli("verify", "--variant", "A", "--n", "4") == 0
+    # one build and one simulation pass that applies each gate once
+    assert calls == {"builds": 1, "gates": len(build(BuildSpec("A", 4)))}
     report = json.loads(capsys.readouterr().out)
     assert report["overall"] is True
     names = [c["name"] for c in report["checks"]]
@@ -158,6 +174,32 @@ def test_bad_profile_exits_64(tmp_path, capsys, command, profile):
     assert err.value.code == 64
     message = capsys.readouterr().err
     assert message.count("\n") == 1 and "bad cost profile" in message
+
+
+_ONE_QUBIT = '{"registers": [{"name": "q", "count": %s, "width": 1}], "gates": [%s]}'
+_RY = '{"primitive": "RY", "angle": %s, "targets": [{"reg": "q", "sub": 0, "bit": 0}]}'
+
+
+@pytest.mark.parametrize("text,shots,code", [
+    (_ONE_QUBIT % ('"1"', ""), "0", 74),
+    (_ONE_QUBIT % ("1", _RY % '"0.5"'), "0", 74),
+    ("[]", "0", 74),
+    (_ONE_QUBIT % ("1", _RY % "NaN"), "0", 74),
+    (_ONE_QUBIT % ("1", _RY % "0.5"), "-5", 64),  # the file itself is valid
+], ids=["string-count", "string-angle", "top-level-list", "nan-angle", "negative-shots"])
+def test_simulate_bad_input_exit_codes(tmp_path, capsys, text, shots, code):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    try:
+        got = run_cli("simulate", "--circuit", str(path), "--shots", shots)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    message = capsys.readouterr().err
+    if code == 74:
+        assert message.count("\n") == 1 and message.startswith("cannot read circuit")
+    else:
+        assert "--shots must be >= 0" in message
 
 
 def test_io_error_exit_74(capsys):
