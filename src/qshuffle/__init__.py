@@ -12,14 +12,12 @@ from .circuit import (
     Circuit,
     Control,
     Gate,
-    LayeredCircuit,
     QubitRef,
     Register,
     count_primitives,
     emit_value_controlled,
     primitive_class,
     primitive_multiset,
-    schedule_asap,
     value_controls,
 )
 from .lowering import (
@@ -55,7 +53,6 @@ from .resources import (
 from .serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
 from .simulator import (
     SimulationCapExceeded,
-    apply,
     assert_register_disentangled,
     branch_table,
     marginal_probabilities,

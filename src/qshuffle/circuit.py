@@ -7,8 +7,8 @@ significant bit of the integer it stores.  Gates are primitives from
 which requires a qubit to be 0 or 1 (negative controls are first-class, so
 value-controlled gates need no X-conjugation until full lowering).
 
-Also provides greedy ASAP layer scheduling (circuit depth under the
-"disjoint gates run in parallel" convention) and weighted primitive counting.
+Also provides the cost classes of the counting alphabet and weighted
+primitive counting.
 """
 
 from __future__ import annotations
@@ -128,10 +128,10 @@ class Circuit:
     def qubit_index(self, ref: QubitRef) -> int:
         reg = self.register(ref.reg)
         sub = 0 if ref.sub is None else ref.sub
-        if not 0 <= sub < reg.count:
-            raise ValueError(f"subregister {ref.reg}:{sub} out of range (count {reg.count})")
-        if not 0 <= ref.bit < reg.width:
-            raise ValueError(f"bit {ref.bit} out of range for register {ref.reg} (width {reg.width})")
+        if type(sub) is not int or not 0 <= sub < reg.count:
+            raise ValueError(f"subregister {ref.reg}:{sub!r} not an int in range (count {reg.count})")
+        if type(ref.bit) is not int or not 0 <= ref.bit < reg.width:
+            raise ValueError(f"bit {ref.bit!r} not an int in range for {ref.reg} (width {reg.width})")
         return self._offsets[ref.reg] + sub * reg.width + ref.bit
 
     def ref_of(self, index: int) -> QubitRef:
@@ -171,13 +171,13 @@ class Circuit:
             raise ValueError(f"angle must be present iff primitive is a rotation ({gate.primitive})")
         try:
             finite = gate.angle is None or isfinite(gate.angle)
-        except TypeError:  # not a real number
+        except (TypeError, OverflowError):  # not a real number, or an int beyond float range
             finite = False
         if not finite:
             raise ValueError(f"rotation angle must be a finite real number, got {gate.angle!r}")
         for c in gate.controls:
-            if c.value not in (0, 1):
-                raise ValueError(f"control value must be 0 or 1, got {c.value}")
+            if type(c.value) is not int or c.value not in (0, 1):
+                raise ValueError(f"control value must be the int 0 or 1, got {c.value!r}")
         touched = self.gate_qubits(gate)
         if len(set(touched)) != len(touched):
             raise ValueError(f"gate targets/controls overlap: {gate}")
@@ -207,36 +207,6 @@ def emit_value_controlled(
     if width > circuit.register(reg).width:
         raise ValueError(f"control width {width} exceeds register {reg!r} width")
     return circuit.append(gate.with_controls(value_controls(reg, sub, value, width)))
-
-
-@dataclass(frozen=True)
-class LayeredCircuit:
-    """ASAP layering: gates within one layer touch pairwise disjoint qubits."""
-
-    layers: tuple[tuple[int, ...], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-
-def schedule_asap(circuit: Circuit) -> LayeredCircuit:
-    """Greedy as-soon-as-possible layering, deterministic in gate-list order.
-
-    Each gate lands in the earliest layer after the last layer touching any
-    of its qubits (targets and controls alike).
-    """
-    layers: list[list[int]] = []
-    busy: dict[int, int] = {}
-    for idx, gate in enumerate(circuit.gates):
-        qubits = circuit.gate_qubits(gate)
-        layer = 1 + max((busy.get(q, -1) for q in qubits), default=-1)
-        if layer == len(layers):
-            layers.append([])
-        layers[layer].append(idx)
-        for q in qubits:
-            busy[q] = layer
-    return LayeredCircuit(tuple(tuple(layer) for layer in layers))
 
 
 # cost class of each (primitive, number of controls) pair below two controls

@@ -18,6 +18,11 @@ Borrowed-qubit mode uses a toggle ladder of 4(m-2) Toffolis that restores
 the m-2 helper qubits for *any* initial helper state.  Clean mode assumes
 m-2 helpers in |0>: an AND chain of m-3 Toffolis feeds a 4-Toffoli toggle
 block on the last helper, then uncomputes, for 2(m-1) Toffolis total.
+
+Full lowering hands either mode the first qubits the gate does not touch,
+without checking their state.  Borrowed mode is therefore exact; clean mode
+is wrong for m >= 4 when a helper of its AND chain is not |0> (a fully
+lowered A n=5 in clean mode is one such circuit).
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 
 Amplitude indexing: bit g of a basis-state index is global qubit g (qubit 0
 is the least significant bit), matching the circuit's register numbering.
-Multi-controlled gates are applied exactly, without lowering: the gate's
-2x2 (or SWAP) action is restricted to the subspace where every control
-qubit matches its required value.
+
+One kernel applies every gate exactly, without lowering.  Length-1 slices
+fix each control qubit at its required value and pick the two half-states
+the gate acts on: target bit 0 and 1, or for SWAP its targets' |01> and |10>.
+The gate's 2x2 matrix on that pair then either exchanges the two (X, SWAP),
+scales each by a phase (RZ, diagonal) or mixes them with one temporary (H, RY).
 
 ``evolve`` is the one gate loop: it yields the start state, then the state
 after each gate, as one live array that the next gate updates in place (copy
@@ -30,92 +33,76 @@ class SimulationCapExceeded(ValueError):
     """Raised when a circuit is too wide for dense simulation."""
 
 
-def zero_state(num_qubits: int) -> np.ndarray:
-    state = np.zeros(1 << num_qubits, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
-def basis_state(num_qubits: int, index: int) -> np.ndarray:
-    state = np.zeros(1 << num_qubits, dtype=complex)
-    state[index] = 1.0
-    return state
-
-
 def initial_state(circuit: Circuit, initial=None) -> np.ndarray:
-    """Build the start state: None (all zeros), a basis index, or a mapping
-    register name -> list of per-subregister values."""
+    """Build the start state: None (all zeros), a basis index, a statevector
+    (copied), or a mapping register name -> list of per-subregister values."""
     n = circuit.num_qubits
-    if initial is None:
-        return zero_state(n)
-    if isinstance(initial, (int, np.integer)):
-        if not 0 <= initial < (1 << n):
-            raise ValueError(f"basis index {initial} out of range for {n} qubits")
-        return basis_state(n, int(initial))
     if isinstance(initial, np.ndarray):
         if initial.shape != (1 << n,):
             raise ValueError("statevector dimension mismatch")
         return initial.astype(complex)
     index = 0
-    for name, values in initial.items():
-        reg = circuit.register(name)
-        values = list(values)
-        if len(values) != reg.count:
-            raise ValueError(f"register {name!r} has {reg.count} subregisters, got {len(values)} values")
-        for sub, value in enumerate(values):
-            if not 0 <= value < (1 << reg.width):
-                raise ValueError(f"value {value} does not fit register {name!r} width {reg.width}")
-            index |= value << circuit.qubit_index(QubitRef(name, sub, 0))
-    return basis_state(n, index)
+    if isinstance(initial, (int, np.integer)):
+        if not 0 <= initial < (1 << n):
+            raise ValueError(f"basis index {initial} out of range for {n} qubits")
+        index = int(initial)
+    elif initial is not None:
+        for name, values in initial.items():
+            reg = circuit.register(name)
+            values = list(values)
+            if len(values) != reg.count:
+                raise ValueError(f"register {name!r} has {reg.count} subregisters, got {len(values)} values")
+            for sub, value in enumerate(values):
+                if not 0 <= value < (1 << reg.width):
+                    raise ValueError(f"value {value} does not fit register {name!r} width {reg.width}")
+                index |= value << circuit.qubit_index(QubitRef(name, sub, 0))
+    state = np.zeros(1 << n, dtype=complex)
+    state[index] = 1.0
+    return state
+
+
+_R = 1.0 / math.sqrt(2.0)
+_EXCHANGE = ((0.0, 1.0), (1.0, 0.0))
+_FIXED = {"X": _EXCHANGE, "SWAP": _EXCHANGE, "H": ((_R, _R), (_R, -_R))}
+_BIT = (slice(0, 1), slice(1, 2))  # length-1 slices keep every index a view
+
+
+def _matrix(gate: Gate) -> tuple:
+    """The gate's 2x2 matrix over the two half-states it acts on: target bit
+    0/1, or for SWAP the |01>/|10> pair of its targets."""
+    if gate.primitive in _FIXED:
+        return _FIXED[gate.primitive]
+    if gate.primitive == "RY":
+        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+        return ((c, -s), (s, c))
+    if gate.primitive == "RZ":
+        return ((np.exp(-0.5j * gate.angle), 0.0), (0.0, np.exp(0.5j * gate.angle)))
+    raise ValueError(f"unknown primitive {gate.primitive!r}")
 
 
 def _apply_inplace(state: np.ndarray, n: int, gate: Gate, targets: tuple[int, ...], controls) -> None:
-    view = state.reshape((2,) * n)
-    slicer = [slice(None)] * n
+    index = [slice(None)] * n
     for q, v in controls:
-        slicer[n - 1 - q] = slice(v, v + 1)
-    sub = view[tuple(slicer)]
-    p = gate.primitive
-    if p == "SWAP":
-        a0, a1 = n - 1 - targets[0], n - 1 - targets[1]
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[a0], lo[a1] = 0, 1
-        hi[a0], hi[a1] = 1, 0
-        lo, hi = tuple(lo), tuple(hi)
-        tmp = sub[lo].copy()
-        sub[lo] = sub[hi]
-        sub[hi] = tmp
-        return
-    axis = n - 1 - targets[0]
-    i0 = [slice(None)] * n
-    i1 = [slice(None)] * n
-    i0[axis], i1[axis] = 0, 1
-    i0, i1 = tuple(i0), tuple(i1)
-    if p == "X":
-        tmp = sub[i0].copy()
-        sub[i0] = sub[i1]
-        sub[i1] = tmp
-    elif p == "H":
-        a, b = sub[i0].copy(), sub[i1].copy()
-        r = 1.0 / math.sqrt(2.0)
-        sub[i0] = (a + b) * r
-        sub[i1] = (a - b) * r
-    elif p == "RY":
-        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        a, b = sub[i0].copy(), sub[i1].copy()
-        sub[i0] = c * a - s * b
-        sub[i1] = s * a + c * b
-    elif p == "RZ":
-        sub[i0] = sub[i0] * np.exp(-0.5j * gate.angle)
-        sub[i1] = sub[i1] * np.exp(0.5j * gate.angle)
-    else:
-        raise ValueError(f"unknown primitive {p!r}")
-
-
-def apply(state: np.ndarray, gate: Gate, circuit: Circuit) -> np.ndarray:
-    """Apply one gate; returns a new statevector, the input is untouched."""
-    return run(circuit.copy_empty().append(gate), state)
+        index[n - 1 - q] = _BIT[v]
+    lo, hi = list(index), list(index)
+    for k, q in enumerate(targets):  # lo: bit 0 (SWAP: 0 then 1), hi: the flip of each
+        lo[n - 1 - q], hi[n - 1 - q] = _BIT[k], _BIT[1 - k]
+    view = state.reshape((2,) * n)
+    s0, s1 = view[tuple(lo)], view[tuple(hi)]
+    (a, b), (c, d) = m = _matrix(gate)
+    if m is _EXCHANGE:  # X, SWAP
+        t = s0.copy()
+        s0[...] = s1
+        s1[...] = t
+    elif b == c == 0.0:  # diagonal (RZ): a phase on each half
+        s0 *= a
+        s1 *= d
+    else:  # H, RY
+        t = s0 * c
+        s0 *= a
+        s0 += s1 * b
+        s1 *= d
+        s1 += t
 
 
 def evolve(circuit: Circuit, initial=None):

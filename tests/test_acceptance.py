@@ -23,7 +23,7 @@ from qshuffle.permutations import (
     sample_fisher_yates,
 )
 from qshuffle.prep import build_u
-from qshuffle.resources import resource_report, u_gate_count_formula
+from qshuffle.resources import measure_circuit, resource_report, u_gate_count_formula
 from qshuffle.simulator import (
     assert_register_disentangled,
     branch_table,
@@ -132,10 +132,8 @@ def test_criterion_05_uniform_prep_counts_and_states():
         circuit = build_u(i)
         ok &= sum(primitive_multiset(circuit).values()) == u_gate_count_formula(i)
         if (i + 1) & i == 0:
-            from qshuffle.circuit import schedule_asap
-
             ok &= primitive_multiset(circuit) == {"H": (i + 1).bit_length() - 1}
-            ok &= schedule_asap(circuit).depth == 1
+            ok &= measure_circuit(circuit).depth == 1
     for i in range(1, 32):
         state = run(build_u(i))
         want = np.zeros(len(state))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints, init_identity_word, register_layout
-from qshuffle.circuit import Circuit, primitive_multiset, schedule_asap
+from qshuffle.circuit import Circuit, primitive_multiset
 from qshuffle.verify import decode_draws
 from qshuffle.permutations import enumerate_sn, replay_reversed_fisher_yates
+from qshuffle.resources import measure_circuit
 from qshuffle.simulator import (assert_register_disentangled, branch_table, evolve,
                                 marginal_probabilities, run)
 
@@ -39,7 +40,7 @@ def test_init_identity_word_counts():
     c = Circuit([("perm", 4, 2)])
     init_identity_word(c, 4)
     assert primitive_multiset(c) == {"X": 4}  # hamming(1)+hamming(2)+hamming(3)
-    assert schedule_asap(c).depth == 1  # all on distinct qubits
+    assert measure_circuit(c).depth == 1  # all on distinct qubits
 
 
 def test_init_identity_word_state():

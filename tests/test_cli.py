@@ -1,9 +1,15 @@
 """CLI subcommands, exit codes, and file round-trips (all in-process)."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshuffle import resources, simulator, verify
 from qshuffle.cli import main
@@ -178,6 +184,10 @@ def test_bad_profile_exits_64(tmp_path, capsys, command, profile):
 
 _ONE_QUBIT = '{"registers": [{"name": "q", "count": %s, "width": 1}], "gates": [%s]}'
 _RY = '{"primitive": "RY", "angle": %s, "targets": [{"reg": "q", "sub": 0, "bit": 0}]}'
+_X = '{"primitive": "X", "angle": null, "targets": [{"reg": "q", "sub": %s, "bit": %s}]}'
+_CX = ('{"registers": [{"name": "q", "count": 1, "width": 2}], "gates": [{"primitive": "X", '
+       '"angle": null, "targets": [{"reg": "q", "sub": 0, "bit": 0}], '
+       '"controls": [{"reg": "q", "sub": 0, "bit": 1, "value": %s}]}]}')
 
 
 @pytest.mark.parametrize("text,shots,code", [
@@ -185,8 +195,13 @@ _RY = '{"primitive": "RY", "angle": %s, "targets": [{"reg": "q", "sub": 0, "bit"
     (_ONE_QUBIT % ("1", _RY % '"0.5"'), "0", 74),
     ("[]", "0", 74),
     (_ONE_QUBIT % ("1", _RY % "NaN"), "0", 74),
+    (_ONE_QUBIT % ("1", _X % ('0', '0.5')), "0", 74),
+    (_ONE_QUBIT % ("1", _X % ('0.0', '0')), "0", 74),
+    (_CX % "1.0", "0", 74),
+    (_ONE_QUBIT % ("1", _RY % ("1" + "0" * 400)), "0", 74),
     (_ONE_QUBIT % ("1", _RY % "0.5"), "-5", 64),  # the file itself is valid
-], ids=["string-count", "string-angle", "top-level-list", "nan-angle", "negative-shots"])
+], ids=["string-count", "string-angle", "top-level-list", "nan-angle", "float-bit", "float-sub",
+        "float-control-value", "huge-int-angle", "negative-shots"])
 def test_simulate_bad_input_exit_codes(tmp_path, capsys, text, shots, code):
     path = tmp_path / "c.json"
     path.write_text(text)
@@ -209,3 +224,59 @@ def test_io_error_exit_74(capsys):
 def test_verify_spec_cap_raises():
     with pytest.raises(SimulationCapExceeded):
         verify_spec(BuildSpec("A", 12))
+
+
+def _ref(reg, sub, bit, **value):
+    return {"reg": reg, "sub": sub, "bit": bit, **value}
+
+
+def _fuzz_base():
+    return {
+        "registers": [{"name": "a", "count": 2, "width": 1}, {"name": "b", "count": 1, "width": 2},
+                      {"name": "c", "count": 1, "width": 1}],
+        "gates": [
+            {"primitive": "H", "angle": None, "targets": [_ref("a", 0, 0)], "controls": []},
+            {"primitive": "RY", "angle": 0.5, "targets": [_ref("b", None, 1)],
+             "controls": [_ref("a", 0, 0, value=1)]},
+            {"primitive": "SWAP", "angle": None, "targets": [_ref("a", 1, 0), _ref("b", 0, 0)],
+             "controls": [_ref("a", 0, 0, value=0)]},
+        ],
+        "metadata": {"variant": "A"},
+    }
+
+
+_FUZZ_FIELDS = (
+    [("registers", r, key) for r in range(3) for key in ("name", "count", "width")]
+    + [("gates", g, key) for g in range(3) for key in ("primitive", "angle")]
+    + [("gates", g, "targets", 0, key) for g in range(3) for key in ("reg", "sub", "bit")]
+    + [("gates", 1, "controls", 0, key) for key in ("reg", "sub", "bit", "value")]
+    + [("metadata",)]
+)
+# ints stay <= 8 or reach 2**40, which exits 2 before allocating: no count or
+# width set from them allocates a large state
+_json_values = st.one_of(st.none(), st.booleans(), st.integers(-2, 8), st.just(2 ** 40),
+                         st.sampled_from((0.5, 1.0)), st.text(max_size=4),
+                         st.lists(st.integers(0, 3), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+
+
+@given(st.sampled_from(_FUZZ_FIELDS), _json_values)
+@settings(max_examples=200, deadline=None)
+def test_simulate_fuzzed_file_exit_codes(field, value):
+    # one field of a valid circuit file replaced by a random JSON value: the
+    # file simulates (0), is too wide (2) or is rejected with one line (74)
+    data = _fuzz_base()
+    owner = data
+    for key in field[:-1]:
+        owner = owner[key]
+    owner[field[-1]] = value
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli("simulate", "--circuit", path, "--shots", "3")
+    assert code in (0, 2, 74)
+    if code == 74:
+        assert stderr.getvalue().count("\n") == 1

@@ -221,6 +221,24 @@ def test_lower_circuit_full_equivalence_with_negatives():
             assert states_equal_up_to_phase(run(circuit), run(lowered), 1e-10)
 
 
+@pytest.mark.parametrize("m,mode", [
+    (3, "borrowed"), (3, "clean"), (4, "borrowed"),
+    pytest.param(4, "clean", marks=pytest.mark.xfail(
+        strict=True, reason="clean-mode MCX lowering borrows idle qubits that are not |0>")),
+])
+def test_lower_circuit_full_with_an_idle_qubit_in_one(m, mode):
+    # q0 is the first idle qubit, and an X leaves it in |1>; a clean C^mX
+    # helper must start in |0> once m >= 4 (for m = 3 its one toggle block
+    # works from any helper state)
+    c = Circuit([("q", 1, 7)])
+    c.append(gate_x(q(0)))
+    controls = range(6 - m, 6)
+    for b in controls:
+        c.append(gate_h(q(b)))
+    c.append(mcx_gate(m, 6, controls))
+    assert states_equal_up_to_phase(run(c), run(lower_circuit(c, "full", mode)), 1e-10)
+
+
 def test_lower_circuit_rejects_unknown_level():
     with pytest.raises(ValueError):
         lower_circuit(Circuit([("q", 1, 1)]), "half")

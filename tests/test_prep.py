@@ -5,9 +5,9 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from qshuffle.circuit import primitive_multiset, schedule_asap
+from qshuffle.circuit import primitive_multiset
 from qshuffle.prep import binary_width, build_u, build_v, u_gates, v_gates
-from qshuffle.resources import u_cycle_count_formula, u_gate_count_formula
+from qshuffle.resources import measure_circuit, u_cycle_count_formula, u_gate_count_formula
 from qshuffle.simulator import run
 
 TOL = 1e-10
@@ -89,7 +89,7 @@ def test_u_multiset_matches_closed_form(i):
     ms = primitive_multiset(build_u(i))
     if m & (m - 1) == 0:
         assert ms == {"H": binary_width(i)}
-        assert schedule_asap(build_u(i)).depth == 1
+        assert measure_circuit(build_u(i)).depth == 1
         return
     s = [b for b in range(m.bit_length()) if (m >> b) & 1]
     expected = {"RY": 1, "CRY": len(s) - 1, "CH": s[-1] - s[0]}
@@ -97,7 +97,7 @@ def test_u_multiset_matches_closed_form(i):
         expected["H"] = s[0]
     assert ms == {k: v for k, v in expected.items() if v}
     assert sum(ms.values()) == u_gate_count_formula(i)
-    assert schedule_asap(build_u(i)).depth <= u_cycle_count_formula(i)
+    assert measure_circuit(build_u(i)).depth <= u_cycle_count_formula(i)
 
 
 def test_u_rejects_nonpositive():
@@ -150,7 +150,7 @@ def test_v_linear_size_and_depth(i):
     # 2i - 1 gates in a serial chain: both counts stay below 2i
     c = build_v(i)
     assert len(c.gates) == 2 * i - 1 <= 2 * i
-    assert schedule_asap(c).depth == 2 * i - 1
+    assert measure_circuit(c).depth == 2 * i - 1
 
 
 def test_v_rejects_nonpositive():

@@ -1,18 +1,18 @@
 """Statevector simulator: gate action, determinism, decoding, sampling."""
 
+import cmath
 from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qshuffle.builders import BuildSpec, build
-from qshuffle.circuit import Circuit, Control, QubitRef, gate_h, gate_ry, gate_swap, gate_x
+from qshuffle.circuit import Circuit, Control, Gate, QubitRef, gate_h, gate_ry, gate_swap, gate_x
 from qshuffle.simulator import (
     QUBIT_CAP,
     SimulationCapExceeded,
-    apply,
     assert_register_disentangled,
     branch_table,
     evolve,
@@ -21,7 +21,6 @@ from qshuffle.simulator import (
     run,
     sample,
     states_equal_up_to_phase,
-    zero_state,
 )
 
 TOL = 1e-10
@@ -32,46 +31,41 @@ def q(bit):
 
 
 def test_apply_h_on_zero():
-    c = Circuit([("q", 1, 1)])
-    state = apply(zero_state(1), gate_h(q(0)), c)
+    state = run(Circuit([("q", 1, 1)]).append(gate_h(q(0))))
     assert np.allclose(state, [1 / sqrt(2), 1 / sqrt(2)])
 
 
 def test_apply_negative_control_fires_on_zero():
     # control q1 required 0, target q0: |00> -> |01>
-    c = Circuit([("q", 1, 2)])
-    state = apply(zero_state(2), gate_x(q(0), (Control(q(1), 0),)), c)
+    state = run(Circuit([("q", 1, 2)]).append(gate_x(q(0), (Control(q(1), 0),))))
     assert abs(state[0b01] - 1.0) < TOL
 
 
 def test_apply_positive_control_idle_on_zero():
-    c = Circuit([("q", 1, 2)])
-    state = apply(zero_state(2), gate_x(q(0), (Control(q(1), 1),)), c)
+    state = run(Circuit([("q", 1, 2)]).append(gate_x(q(0), (Control(q(1), 1),))))
     assert abs(state[0] - 1.0) < TOL
 
 
 def test_apply_ry_pi():
-    c = Circuit([("q", 1, 1)])
-    state = apply(zero_state(1), gate_ry(np.pi, q(0)), c)
+    state = run(Circuit([("q", 1, 1)]).append(gate_ry(np.pi, q(0))))
     assert abs(abs(state[1]) - 1.0) < TOL
 
 
 def test_apply_swap():
-    c = Circuit([("q", 1, 2)])
-    state = apply(initial_state(c, 0b01), gate_swap(q(0), q(1)), c)
+    state = run(Circuit([("q", 1, 2)]).append(gate_swap(q(0), q(1))), 0b01)
     assert abs(state[0b10] - 1.0) < TOL
 
 
 def test_apply_is_pure():
-    c = Circuit([("q", 1, 1)])
-    state = zero_state(1)
-    apply(state, gate_x(q(0)), c)
+    c = Circuit([("q", 1, 1)]).append(gate_x(q(0)))
+    state = initial_state(c)
+    run(c, state)
     assert state[0] == 1.0
 
 
 def test_run_empty_circuit():
     c = Circuit([("q", 1, 2)])
-    assert np.array_equal(run(c), zero_state(2))
+    assert np.array_equal(run(c), [1, 0, 0, 0])
 
 
 def test_run_a2_branches():
@@ -114,7 +108,7 @@ def test_entangled_register_reports_leakage():
 
 def test_branch_table_zero_state():
     c = Circuit([("q", 1, 2)])
-    rows = branch_table(zero_state(2), c)
+    rows = branch_table(initial_state(c), c)
     assert rows == [({"q": [0]}, 1 + 0j)]
 
 
@@ -208,3 +202,62 @@ def test_exact_multicontrol_matches_lowered_swap(basis, control_pattern):
     c2 = Circuit([("q", 1, 6)])
     c2.extend(lower_controlled_swap(gate_swap(q(0), q(1), controls)))
     assert states_equal_up_to_phase(run(c1, basis), run(c2, basis))
+
+
+def _reference_matrix(primitive, angle):
+    if primitive in ("X", "SWAP"):
+        return ((0, 1), (1, 0))
+    if primitive == "H":
+        return ((1 / sqrt(2), 1 / sqrt(2)), (1 / sqrt(2), -1 / sqrt(2)))
+    if primitive == "RY":
+        return ((cmath.cos(angle / 2), -cmath.sin(angle / 2)), (cmath.sin(angle / 2), cmath.cos(angle / 2)))
+    return ((cmath.exp(-0.5j * angle), 0), (0, cmath.exp(0.5j * angle)))  # RZ
+
+
+def _reference_apply(amps, primitive, angle, targets, controls):
+    """Per basis index: where every control holds its value, the index pairs
+    with the one its gate flips (target bit, or both SWAP bits when they
+    differ) and takes that row of the gate's 2x2 matrix."""
+    m = _reference_matrix(primitive, angle)
+    out = list(amps)
+    for i in range(len(amps)):
+        if any((i >> q) & 1 != v for q, v in controls):
+            continue
+        if primitive == "SWAP":
+            t0, t1 = targets
+            if (i >> t0) & 1 == (i >> t1) & 1:
+                continue
+            bit, partner = (i >> t0) & 1, i ^ (1 << t0) ^ (1 << t1)
+        else:
+            bit, partner = (i >> targets[0]) & 1, i ^ (1 << targets[0])
+        out[i] = m[bit][bit] * amps[i] + m[bit][1 - bit] * amps[partner]
+    return out
+
+
+@st.composite
+def one_gate_cases(draw):
+    n = draw(st.integers(1, 5))
+    primitive = draw(st.sampled_from(("X", "H", "RY", "RZ", "SWAP") if n >= 2 else ("X", "H", "RY", "RZ")))
+    width = 2 if primitive == "SWAP" else 1
+    qubits = draw(st.permutations(range(n)))
+    targets = tuple(qubits[:width])
+    num_controls = draw(st.integers(0, min(2, n - width)))
+    controls = tuple((q, draw(st.integers(0, 1))) for q in qubits[width:width + num_controls])
+    angle = draw(st.floats(-2 * np.pi, 2 * np.pi)) if primitive in ("RY", "RZ") else None
+    parts = draw(st.lists(st.floats(-1, 1), min_size=2 << n, max_size=2 << n))
+    amps = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+    norm = sqrt(sum(abs(a) ** 2 for a in amps))
+    assume(norm > 1e-3)
+    return n, primitive, angle, targets, controls, [a / norm for a in amps]
+
+
+@given(one_gate_cases())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_per_index_reference(case):
+    n, primitive, angle, targets, controls, amps = case
+    c = Circuit([("q", 1, n)])
+    refs = tuple(q(t) for t in targets)
+    c.append(Gate(primitive, angle, refs, tuple(Control(q(k), v) for k, v in controls)))
+    got = run(c, np.array(amps))
+    want = _reference_apply(amps, primitive, angle, targets, controls)
+    assert np.max(np.abs(got - np.array(want))) < 1e-12
