@@ -107,6 +107,8 @@ class Circuit:
         if len(self._by_name) != len(regs):
             raise ValueError(f"duplicate register name in {[r.name for r in regs]}")
         for r in regs:
+            if type(r.name) is not str:
+                raise ValueError(f"register name {r.name!r} is not a string")
             if type(r.count) is not int or type(r.width) is not int or min(r.count, r.width) < 1:
                 raise ValueError(f"register {r.name!r} must have integer count >= 1 and width >= 1")
         self.registers: tuple[Register, ...] = tuple(regs)
@@ -170,7 +172,7 @@ class Circuit:
         if (gate.angle is not None) != (gate.primitive in ROTATIONS):
             raise ValueError(f"angle must be present iff primitive is a rotation ({gate.primitive})")
         try:
-            finite = gate.angle is None or isfinite(gate.angle)
+            finite = gate.angle is None or (type(gate.angle) is not bool and isfinite(gate.angle))
         except (TypeError, OverflowError):  # not a real number, or an int beyond float range
             finite = False
         if not finite:

@@ -69,7 +69,7 @@ def _load_profile(parser, path: str | None) -> CostProfile:
 
 
 def _emit_circuit(circuit, fmt: str, out: str | None):
-    text = circuit_to_json(circuit, indent=2) if fmt == "json" else circuit_to_qasm(circuit)
+    text = circuit_to_json(circuit) if fmt == "json" else circuit_to_qasm(circuit)
     _write_output(text, out)
 
 

@@ -32,7 +32,6 @@ from math import pi
 
 from .circuit import Circuit, Control, Gate, QubitRef, ctrl, gate_h, gate_rz, gate_x
 
-MCX_MODES = ("abstract", "borrowed", "clean")
 LOWERING_LEVELS = ("counting", "full")
 
 

@@ -41,8 +41,8 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     }
 
 
-def circuit_to_json(circuit: Circuit, indent: int | None = None) -> str:
-    return json.dumps(circuit_to_dict(circuit), indent=indent)
+def circuit_to_json(circuit: Circuit) -> str:
+    return json.dumps(circuit_to_dict(circuit))
 
 
 def circuit_from_dict(data: dict) -> Circuit:

@@ -24,6 +24,7 @@ import numpy as np
 from .circuit import Circuit, Gate, QubitRef
 
 QUBIT_CAP = 26  # memory guard: refuse dense simulation above this
+MAX_BRANCHES = 10 ** 6  # branch_table refuses to decode more nonzero branches
 
 AMPLITUDE_TOL = 1e-10
 BRANCH_TOL = 1e-12
@@ -141,13 +142,12 @@ def decode_registers(index: int, circuit: Circuit, registers=None) -> dict[str, 
     return out
 
 
-def branch_table(state: np.ndarray, circuit: Circuit, registers=None, tol: float = BRANCH_TOL,
-                 max_branches: int = 10 ** 6):
-    """All basis states with |amplitude| > tol, decoded per register."""
-    nz = np.flatnonzero(np.abs(state) > tol)
-    if len(nz) > max_branches:
-        raise ValueError(f"{len(nz)} branches exceed the {max_branches} cap")
-    return [(decode_registers(int(i), circuit, registers), complex(state[i])) for i in nz]
+def branch_table(state: np.ndarray, circuit: Circuit):
+    """All basis states with |amplitude| > BRANCH_TOL, decoded per register."""
+    nz = np.flatnonzero(np.abs(state) > BRANCH_TOL)
+    if len(nz) > MAX_BRANCHES:
+        raise ValueError(f"{len(nz)} branches exceed the {MAX_BRANCHES} cap")
+    return [(decode_registers(int(i), circuit), complex(state[i])) for i in nz]
 
 
 def assert_register_disentangled(state: np.ndarray, circuit: Circuit, name: str,

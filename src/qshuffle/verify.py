@@ -1,4 +1,15 @@
-"""Invariant suite of one build: simulate it and check every defining equation."""
+"""Invariant suite of one build: simulate it and compare it with the classical
+Fisher-Yates replay model.
+
+Each draw j_i in 0..i of the classical shuffle becomes a uniform superposition,
+so before iteration i (i = n: the final state) a correct build holds one branch
+of amplitude +1/sqrt(i!) per draw sequence: the word the reversed Fisher-Yates
+shuffle replays from those draws (then the untouched tail i..n-1), the inputs
+moved by that word, and a zero ancilla (A, B) or ancilla k holding draw k for
+k < i (At, Bt, C).  Checks: branch_count; replay_consistent, the final state's
+deviation from the model; iteration_states (A, B), the worst deviation at the
+iteration starts, from the same simulation pass; the three resource checks.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +18,7 @@ from math import factorial, sqrt
 
 from . import simulator
 from .builders import BuildSpec, build_with_checkpoints
-from .permutations import enumerate_sn, replay_reversed_fisher_yates
+from .permutations import draw_sequences, replay_reversed_fisher_yates
 from .resources import resource_report
 
 DEFAULT_SEED = 0
@@ -21,9 +32,6 @@ class Check:
     metric: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -34,10 +42,6 @@ class VerifyReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _data_inputs(spec: BuildSpec) -> list[int]:
-    return [k % (1 << spec.m) for k in range(spec.n)]
 
 
 def decode_draws(spec: BuildSpec, registers: dict) -> list[int]:
@@ -56,33 +60,46 @@ def decode_draws(spec: BuildSpec, registers: dict) -> list[int]:
     return draws
 
 
-def _expected_xi_branches(spec: BuildSpec, i: int, inputs: list[int] | None):
-    """Branch table before iteration i of a disentangling build: the first i
-    subregisters carry a uniform superposition over S_i, the rest are untouched."""
+def _draw_value(spec: BuildSpec, i: int, j: int) -> int:
+    """Ancilla value of draw j in iteration i: j in binary; bit j in one-hot,
+    where draw i (no swap) is all zeros."""
+    if spec.encoding == "binary":
+        return j
+    return 0 if j == i else 1 << j
+
+
+def expected_branches(spec: BuildSpec, i: int, inputs: list[int] | None) -> dict:
+    """Branch table of a correct build before iteration i (i = n: the final
+    state): register values in register order -> amplitude."""
     n = spec.n
+    amplitude = 1.0 / sqrt(factorial(i))
     expected = {}
-    for word in enumerate_sn(i):
-        perm = list(word) + list(range(i, n))
-        key = ["perm"] + perm
-        if spec.has_data:
-            data = [inputs[word[k]] for k in range(i)] + [inputs[k] for k in range(i, n)]
-            key += ["data"] + data
-        expected[tuple(key)] = 1.0 / sqrt(factorial(i))
+    for draws in draw_sequences(i):
+        word = replay_reversed_fisher_yates(i, draws) + tuple(range(i, n))
+        key = [tuple(inputs[w] for w in word)] if spec.has_data else []
+        if spec.has_perm:
+            key.append(word)
+        if spec.disentangling:
+            key.append((0,))
+        else:
+            key += [(_draw_value(spec, k, draws[k - 1]) if k < i else 0,) for k in range(1, n)]
+        expected[tuple(key)] = amplitude
     return expected
 
 
-def _xi_branch_key(spec: BuildSpec, registers: dict):
-    key = ["perm"] + list(registers["perm"])
-    if spec.has_data:
-        key += ["data"] + list(registers["data"])
-    return tuple(key)
+def _deviation(branches, expected: dict) -> float:
+    """Largest |amplitude - expected| over both key sets: a missing branch
+    counts its expected amplitude, an extra branch its own."""
+    actual = {tuple(map(tuple, registers.values())): amp for registers, amp in branches}
+    return max(abs(actual.get(key, 0.0) - expected.get(key, 0.0))
+               for key in actual.keys() | expected.keys())
 
 
 def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run the full invariant suite for one build and collect pass/fail checks."""
     circuit, checkpoints = build_with_checkpoints(spec)
     n = spec.n
-    inputs = _data_inputs(spec) if spec.has_data else None
+    inputs = [k % (1 << spec.m) for k in range(n)] if spec.has_data else None
     initial = {"data": inputs} if spec.has_data else None
     # one pass: branch tables of the states before iterations 1..n-1 of a
     # disentangling build are taken on the way to the final state
@@ -92,63 +109,14 @@ def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_S
         if k in marks:
             prefix_tables[k] = simulator.branch_table(state, circuit)
     branches = simulator.branch_table(state, circuit)
-    checks: list[Check] = []
 
-    checks.append(Check("branch_count", len(branches) == factorial(n), float(len(branches)),
-                        float(factorial(n))))
-    target = 1.0 / sqrt(factorial(n))
-    amp_dev = max(abs(abs(a) - target) for _, a in branches) if branches else 1.0
-    checks.append(Check("amplitude_uniformity", amp_dev < tol, amp_dev, tol))
-
+    final = _deviation(branches, expected_branches(spec, n, inputs))
+    checks = [Check("branch_count", len(branches) == factorial(n), float(len(branches)),
+                    float(factorial(n))),
+              Check("replay_consistent", final < tol, final, tol)]
     if spec.disentangling:
-        leak = 0.0
-        ok = True
-        for name in (r.name for r in circuit.registers if r.name.startswith("anc")):
-            good, amount = simulator.assert_register_disentangled(state, circuit, name, tol)
-            ok = ok and good
-            leak = max(leak, amount)
-        checks.append(Check("ancilla_disentangled", ok, leak, tol))
-    else:
-        ok = True
-        for registers, _ in branches:
-            try:
-                word = replay_reversed_fisher_yates(n, decode_draws(spec, registers))
-            except ValueError:
-                ok = False
-                break
-            if spec.has_perm and tuple(registers["perm"]) != word:
-                ok = False
-            if spec.has_data and registers["data"] != [inputs[word[k]] for k in range(n)]:
-                ok = False
-        checks.append(Check("replay_consistent", ok, 0.0 if ok else 1.0, 0.0))
-
-    if spec.has_perm:
-        words = {tuple(registers["perm"]) for registers, _ in branches}
-        complete = words == set(enumerate_sn(n))
-        checks.append(Check("words_complete", complete, float(len(words)), float(factorial(n))))
-
-    if spec.variant == "B":
-        ok = all(registers["data"] == [inputs[w] for w in registers["perm"]]
-                 for registers, _ in branches)
-        checks.append(Check("data_matches_word", ok, 0.0 if ok else 1.0, 0.0))
-
-    if spec.disentangling:
-        worst = 0.0
-        for i in range(1, n):
-            expected = _expected_xi_branches(spec, i, inputs)
-            table = prefix_tables[checkpoints[i - 1]]
-            if len(table) != len(expected):
-                worst = 1.0
-                break
-            for registers, amp in table:
-                if any(v != 0 for v in registers["anc"]):
-                    worst = 1.0
-                    break
-                want = expected.get(_xi_branch_key(spec, registers))
-                if want is None:
-                    worst = 1.0
-                    break
-                worst = max(worst, abs(amp - want))
+        worst = max((_deviation(prefix_tables[checkpoints[i - 1]], expected_branches(spec, i, inputs))
+                     for i in range(1, n)), default=0.0)
         checks.append(Check("iteration_states", worst < tol, worst, tol))
 
     report = resource_report(spec, circuit=circuit)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qshuffle import resources, simulator, verify
 from qshuffle.cli import main
 from qshuffle.verify import verify_spec
-from qshuffle.builders import BuildSpec, build
+from qshuffle.builders import BuildSpec, build, build_with_checkpoints
 from qshuffle.serialize import circuit_from_json
 from qshuffle.simulator import SimulationCapExceeded, branch_table, run
 
@@ -103,6 +103,26 @@ def test_verify_bt_replay(capsys):
     assert any(c["name"] == "replay_consistent" and c["passed"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("argv,drop", [
+    (("--variant", "B", "--n", "3", "--m", "2"), 30),  # X perm[2].1 controlled on perm[0].1
+    (("--variant", "A", "--n", "4"), 52),  # the last ancilla uncompute X
+    (("--variant", "At", "--n", "4"), 35),  # the controlled X of a swap of perm[1] and perm[3]
+], ids=["B-n3-m2-gate30", "A-n4-uncompute", "At-n4-swap"])
+def test_verify_reports_a_broken_build(capsys, monkeypatch, argv, drop):
+    # a build missing one gate is a failed verification (exit 1), not a crash
+    def broken(spec):
+        circuit, checkpoints = build_with_checkpoints(spec)
+        del circuit.gates[drop]
+        return circuit, tuple(c - (c > drop) for c in checkpoints)
+
+    monkeypatch.setattr(verify, "build_with_checkpoints", broken)
+    assert run_cli("verify", *argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["overall"] is False
+    replay = next(c for c in report["checks"] if c["name"] == "replay_consistent")
+    assert replay["passed"] is False
+
+
 def test_verify_cap_exit_code(capsys):
     assert run_cli("verify", "--variant", "A", "--n", "12") == 2
 
@@ -188,6 +208,8 @@ _X = '{"primitive": "X", "angle": null, "targets": [{"reg": "q", "sub": %s, "bit
 _CX = ('{"registers": [{"name": "q", "count": 1, "width": 2}], "gates": [{"primitive": "X", '
        '"angle": null, "targets": [{"reg": "q", "sub": 0, "bit": 0}], '
        '"controls": [{"reg": "q", "sub": 0, "bit": 1, "value": %s}]}]}')
+_INT_NAME = ('{"registers": [{"name": 1, "count": 1, "width": 1}, '
+             '{"name": "1", "count": 1, "width": 1}], "gates": []}')
 
 
 @pytest.mark.parametrize("text,shots,code", [
@@ -199,9 +221,12 @@ _CX = ('{"registers": [{"name": "q", "count": 1, "width": 2}], "gates": [{"primi
     (_ONE_QUBIT % ("1", _X % ('0.0', '0')), "0", 74),
     (_CX % "1.0", "0", 74),
     (_ONE_QUBIT % ("1", _RY % ("1" + "0" * 400)), "0", 74),
+    (_ONE_QUBIT % ("1", _RY % "true"), "0", 74),
+    (_INT_NAME, "1", 74),
     (_ONE_QUBIT % ("1", _RY % "0.5"), "-5", 64),  # the file itself is valid
 ], ids=["string-count", "string-angle", "top-level-list", "nan-angle", "float-bit", "float-sub",
-        "float-control-value", "huge-int-angle", "negative-shots"])
+        "float-control-value", "huge-int-angle", "bool-angle", "int-register-name",
+        "negative-shots"])
 def test_simulate_bad_input_exit_codes(tmp_path, capsys, text, shots, code):
     path = tmp_path / "c.json"
     path.write_text(text)
