@@ -1,6 +1,7 @@
 """Statevector simulator: gate action, determinism, decoding, sampling."""
 
 import cmath
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qshuffle import simulator
 from qshuffle.builders import BuildSpec, build
-from qshuffle.circuit import Circuit, Control, Gate, QubitRef, gate_h, gate_ry, gate_swap, gate_x
+from qshuffle.circuit import Circuit, Control, Gate, QubitRef, gate_h, gate_ry, gate_rz, gate_swap, gate_x
 from qshuffle.simulator import (
     QUBIT_CAP,
     SimulationCapExceeded,
@@ -261,3 +263,45 @@ def test_kernel_matches_per_index_reference(case):
     got = run(c, np.array(amps))
     want = _reference_apply(amps, primitive, angle, targets, controls)
     assert np.max(np.abs(got - np.array(want))) < 1e-12
+
+
+@pytest.mark.parametrize("block_bits", [1, 3, simulator.BLOCK_BITS])
+def test_kernel_reuses_scratch_across_gate_sizes(monkeypatch, block_bits):
+    # every primitive with 0-2 controls in turn, so each gate's temporaries
+    # reuse scratch that a larger or smaller gate wrote just before; small
+    # blocks split the 8-qubit state the way 2^14-amplitude ones split a wide one
+    monkeypatch.setattr(simulator, "BLOCK_BITS", block_bits)
+    n = 8
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps /= np.linalg.norm(amps)
+    cases = [("H", None, (3,), ()), ("X", None, (0,), ((7, 1), (2, 0))), ("RY", 0.7, (7,), ((1, 1),)),
+             ("SWAP", None, (1, 6), ()), ("RZ", -1.3, (2,), ((0, 0),)), ("H", None, (5,), ((4, 1), (3, 1))),
+             ("X", None, (4,), ()), ("RY", 2.1, (0,), ()), ("SWAP", None, (2, 5), ((7, 0),))]
+    c = Circuit([("q", 1, n)])
+    for primitive, angle, targets, controls in cases:
+        c.append(Gate(primitive, angle, tuple(q(t) for t in targets),
+                      tuple(Control(q(k), v) for k, v in controls)))
+    states = evolve(c, amps)
+    want = list(next(states))
+    for (primitive, angle, targets, controls), got in zip(cases, states):
+        want = _reference_apply(want, primitive, angle, targets, controls)
+        assert np.max(np.abs(got - np.array(want))) < 1e-12
+
+
+def test_gate_loop_allocates_no_state_sized_memory():
+    # the scratch array exists before the first yield; what the gates still
+    # allocate is numpy's fixed-size ufunc buffers, far below a quarter state
+    c = Circuit([("q", 1, 18)])
+    c.append(gate_h(q(1))).append(gate_x(q(7), (Control(q(9), 1),))).append(gate_ry(0.4, q(12)))
+    c.append(gate_rz(0.9, q(4))).append(gate_swap(q(2), q(3))).append(gate_x(q(0)))
+    states = evolve(c)
+    state = next(states)
+    tracemalloc.start()
+    try:
+        for _ in states:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.nbytes // 4
