@@ -3,8 +3,8 @@
 Builders for five shuffle/state-preparation variants over composite qubit
 registers, exact closed-form resource counts with configurable cost
 profiles, lowering to primitive gate sets (including borrowed-qubit
-multi-controlled X synthesis), and a dense statevector simulator used to
-verify every construction against its defining equations.
+multi-controlled X synthesis), and a sparse branch simulator used to verify
+every construction against its defining equations.
 """
 
 from .builders import BuildSpec, build, build_with_checkpoints, init_identity_word
@@ -51,14 +51,6 @@ from .resources import (
     v_gate_count_formula,
 )
 from .serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
-from .simulator import (
-    SimulationCapExceeded,
-    assert_register_disentangled,
-    branch_table,
-    marginal_probabilities,
-    run,
-    sample,
-    states_equal_up_to_phase,
-)
+from .simulator import SimulationCapExceeded, branch_table, run, sample
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: build, simulate, verify, count, table, sample, prep.
-Exit codes: 0 success, 1 verification failure, 2 simulation size cap,
-64 usage error, 74 I/O error or malformed circuit file.
+Exit codes: 0 success, 1 verification failure, 2 simulation size cap (more
+than 63 qubits or more than simulator.MAX_BRANCHES live branches), 64 usage
+error, 74 I/O error or malformed circuit file.
 """
 
 from __future__ import annotations
@@ -101,10 +102,7 @@ def cmd_simulate(parser, args) -> int:
         sys.stderr.write(f"cannot read circuit {args.circuit}: {exc}\n")
         return EX_IOERR
     state = simulator.run(circuit)
-    try:
-        branches = simulator.branch_table(state, circuit)
-    except ValueError as exc:  # too many nonzero branches to enumerate
-        raise SimulationCapExceeded(str(exc))
+    branches = simulator.branch_table(state, circuit)
     payload = {
         "seed": args.seed,
         "branches": [

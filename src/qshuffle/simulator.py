@@ -1,17 +1,23 @@
-"""Dense statevector simulation over the circuit IR.
+"""Sparse branch simulation over the circuit IR.
 
-Amplitude indexing: bit g of a basis-state index is global qubit g (qubit 0
-is the least significant bit), matching the circuit's register numbering.
+A state is a pair ``(indices, amplitudes)``: the int64 basis indices of its
+live branches, in no particular order, and their complex128 amplitudes.  Bit g
+of an index is global qubit g (qubit 0 is the least significant bit), matching
+the circuit's register numbering.  A correct shuffle build holds i! branches
+before iteration i, far fewer than 2^qubits, and every gate costs time linear
+in the live branches.
 
-One kernel applies every gate exactly, without lowering.  Length-1 slices
-fix each control qubit at its required value and pick the two half-states
-the gate acts on (target bit 0 and 1, or SWAP's |01> and |10>), one cache-sized
-block at a time.  The gate's 2x2 matrix then exchanges the two (X, SWAP),
-scales each by a phase (RZ) or mixes them (H, RY) through a small scratch array.
+Each gate is resolved once to its target bits and a control mask/value.  X and
+SWAP permute indices (an XOR of the target bits where the controls hold, and
+for SWAP where its two bits differ), RZ multiplies each controlled amplitude by
+the phase of its target bit, and H/RY send each controlled branch to both
+target values and merge equal indices, dropping |amplitude| <= BRANCH_TOL.
+``SimulationCapExceeded`` is raised above MAX_QUBITS qubits or as soon as a
+state holds more than MAX_BRANCHES branches.
 
 ``evolve`` is the one gate loop: it yields the start state, then the state
-after each gate, as one live array that the next gate updates in place (copy
-it to keep it).  ``run`` returns the last state ``evolve`` yields.
+after each gate.  No array is updated in place, so a yielded state may be kept.
+``run`` returns the last state ``evolve`` yields.
 """
 
 from __future__ import annotations
@@ -23,26 +29,36 @@ import numpy as np
 
 from .circuit import Circuit, Gate, QubitRef
 
-QUBIT_CAP = 26  # memory guard: refuse dense simulation above this
-BLOCK_BITS = 14  # gates run on blocks of 2^14 amplitudes: four fit a 2 MiB L2 cache
-MAX_BRANCHES = 10 ** 6  # branch_table refuses to decode more nonzero branches
+MAX_QUBITS = 63  # basis indices are int64
+MAX_BRANCHES = 10 ** 6  # memory guard: refuse states with more live branches
 
-AMPLITUDE_TOL = 1e-10
 BRANCH_TOL = 1e-12
 
 
 class SimulationCapExceeded(ValueError):
-    """Raised when a circuit is too wide for dense simulation."""
+    """Raised when a circuit is too wide or its state holds too many branches."""
 
 
-def initial_state(circuit: Circuit, initial=None) -> np.ndarray:
-    """Build the start state: None (all zeros), a basis index, a statevector
-    (copied), or a mapping register name -> list of per-subregister values."""
+def _guard(indices: np.ndarray) -> None:
+    if len(indices) > MAX_BRANCHES:
+        raise SimulationCapExceeded(f"{len(indices)} branches exceed the simulation cap of {MAX_BRANCHES}")
+
+
+def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarray]:
+    """Build the start state: None (all zeros), a basis index, an
+    (indices, amplitudes) pair (copied), or a mapping register name -> list of
+    per-subregister values."""
     n = circuit.num_qubits
-    if isinstance(initial, np.ndarray):
-        if initial.shape != (1 << n,):
-            raise ValueError("statevector dimension mismatch")
-        return initial.astype(complex)
+    if isinstance(initial, tuple):
+        indices, amplitudes = initial
+        indices, amplitudes = np.array(indices, dtype=np.int64), np.array(amplitudes, dtype=complex)
+        if indices.ndim != 1 or indices.shape != amplitudes.shape:
+            raise ValueError("indices and amplitudes must be 1-d arrays of one length")
+        if len(indices) and not (0 <= indices.min() and indices.max() < (1 << n)):
+            raise ValueError(f"basis index out of range for {n} qubits")
+        if len(np.unique(indices)) != len(indices):
+            raise ValueError("repeated basis index")
+        return indices, amplitudes
     index = 0
     if isinstance(initial, (int, np.integer)):
         if not 0 <= initial < (1 << n):
@@ -58,84 +74,64 @@ def initial_state(circuit: Circuit, initial=None) -> np.ndarray:
                 if not 0 <= value < (1 << reg.width):
                     raise ValueError(f"value {value} does not fit register {name!r} width {reg.width}")
                 index |= value << circuit.qubit_index(QubitRef(name, sub, 0))
-    state = np.zeros(1 << n, dtype=complex)
-    state[index] = 1.0
-    return state
+    return np.array([index], dtype=np.int64), np.ones(1, dtype=complex)
 
 
-_R = 1.0 / math.sqrt(2.0)
-_EXCHANGE = ((0.0, 1.0), (1.0, 0.0))
-_FIXED = {"X": _EXCHANGE, "SWAP": _EXCHANGE, "H": ((_R, _R), (_R, -_R))}
-_BIT = (slice(0, 1), slice(1, 2))  # length-1 slices keep every index a view
+def _mixing_matrix(gate: Gate) -> tuple:
+    """H or RY as rows (to target bit 0, to target bit 1) of (from 0, from 1)."""
+    if gate.primitive == "H":
+        r = 1.0 / math.sqrt(2.0)
+        return (r, r), (r, -r)
+    c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+    return (c, -s), (s, c)
 
 
-def _matrix(gate: Gate) -> tuple:
-    """The gate's 2x2 matrix over the two half-states it acts on: target bit
-    0/1, or for SWAP the |01>/|10> pair of its targets."""
-    if gate.primitive in _FIXED:
-        return _FIXED[gate.primitive]
-    if gate.primitive == "RY":
-        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        return ((c, -s), (s, c))
+def _apply(state, gate: Gate, bits: tuple[int, ...], mask: int, value: int):
+    """The state after one gate, whose targets are the basis-index bits ``bits``
+    and which acts where ``indices & mask == value``."""
+    indices, amplitudes = state
+    hit = (indices & mask) == value
+    if gate.primitive in ("X", "SWAP"):
+        if gate.primitive == "SWAP":  # exchanges |01> and |10>: the bits must differ
+            hit &= ((indices & bits[0]) == 0) != ((indices & bits[1]) == 0)
+        return np.where(hit, indices ^ sum(bits), indices), amplitudes
+    (bit,) = bits
+    one = (indices & bit) != 0
     if gate.primitive == "RZ":
-        return ((np.exp(-0.5j * gate.angle), 0.0), (0.0, np.exp(0.5j * gate.angle)))
-    raise ValueError(f"unknown primitive {gate.primitive!r}")
-
-
-def _apply_inplace(state: np.ndarray, n: int, gate: Gate, targets: tuple[int, ...], controls, scratch) -> None:
-    index = [slice(None)] * n
-    for q, v in controls:
-        index[n - 1 - q] = _BIT[v]
-    lo, hi = list(index), list(index)
-    for k, q in enumerate(targets):  # lo: bit 0 (SWAP: 0 then 1), hi: the flip of each
-        lo[n - 1 - q], hi[n - 1 - q] = _BIT[k], _BIT[1 - k]
-    view = state.reshape((2,) * n)
-    (a, b), (c, d) = m = _matrix(gate)
-    outer = [axis for axis, s in enumerate(lo) if s == slice(None)][:-BLOCK_BITS]  # top free qubits
-    for block in range(1 << len(outer)):  # each fixes the outer qubits: 2^BLOCK_BITS amplitudes a half
-        for k, axis in enumerate(outer):
-            lo[axis] = hi[axis] = _BIT[(block >> k) & 1]
-        s0, s1 = view[tuple(lo)], view[tuple(hi)]
-        t, u = scratch[:2 * s0.size].reshape((2, *s0.shape))
-        if m is _EXCHANGE:  # X, SWAP
-            np.copyto(t, s0)
-            np.positive(s1, out=s0)  # s0[...] = s1 would copy s1 first: the halves interleave
-            np.copyto(s1, t)
-        elif b == c == 0.0:  # diagonal (RZ): a phase on each half
-            s0 *= a
-            s1 *= d
-        else:  # H, RY
-            np.multiply(s0, c, out=t)
-            s0 *= a
-            s0 += np.multiply(s1, b, out=u)
-            s1 *= d
-            s1 += t
+        phase = np.where(one, np.exp(0.5j * gate.angle), np.exp(-0.5j * gate.angle))
+        return indices, np.where(hit, amplitudes * phase, amplitudes)
+    (a, b), (c, d) = _mixing_matrix(gate)
+    source, amps, one = indices[hit], amplitudes[hit], one[hit]
+    outputs = np.concatenate((source & ~bit, source | bit))
+    weights = np.concatenate((np.where(one, b, a) * amps, np.where(one, d, c) * amps))
+    merged, inverse = np.unique(outputs, return_inverse=True)
+    sums = np.bincount(inverse, weights.real) + 1j * np.bincount(inverse, weights.imag)
+    live = np.abs(sums) > BRANCH_TOL
+    indices = np.concatenate((indices[~hit], merged[live]))
+    _guard(indices)
+    return indices, np.concatenate((amplitudes[~hit], sums[live]))
 
 
 def evolve(circuit: Circuit, initial=None):
-    """Yield the start state, then the same array after each gate in turn."""
+    """Yield the start state, then the state after each gate in turn."""
     n = circuit.num_qubits
-    if n > QUBIT_CAP:
-        raise SimulationCapExceeded(f"{n} qubits exceeds the dense simulation cap of {QUBIT_CAP}")
+    if n > MAX_QUBITS:
+        raise SimulationCapExceeded(f"{n} qubits exceeds the simulation cap of {MAX_QUBITS}")
     state = initial_state(circuit, initial)
-    scratch = np.empty(min(state.size, 2 << BLOCK_BITS), dtype=complex)  # every gate's temporaries
+    _guard(state[0])
     yield state
     for gate in circuit.gates:
-        targets = tuple(circuit.qubit_index(t) for t in gate.targets)
-        controls = tuple((circuit.qubit_index(c.qubit), c.value) for c in gate.controls)
-        _apply_inplace(state, n, gate, targets, controls, scratch)
+        bits = tuple(1 << circuit.qubit_index(t) for t in gate.targets)
+        controls = [(circuit.qubit_index(c.qubit), c.value) for c in gate.controls]
+        mask = sum(1 << q for q, _ in controls)
+        value = sum(v << q for q, v in controls)
+        state = _apply(state, gate, bits, mask, value)
         yield state
 
 
-def run(circuit: Circuit, initial=None) -> np.ndarray:
+def run(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarray]:
     """Fold the gate list over the start state: the last state ``evolve`` yields."""
     return deque(evolve(circuit, initial), maxlen=1)[0]
-
-
-def norm_squared(state: np.ndarray) -> float:
-    """Compensated sum of squared magnitudes."""
-    mags = (state.real * state.real + state.imag * state.imag).ravel()
-    return math.fsum(mags.tolist())
 
 
 def decode_registers(index: int, circuit: Circuit, registers=None) -> dict[str, list[int]]:
@@ -149,39 +145,21 @@ def decode_registers(index: int, circuit: Circuit, registers=None) -> dict[str, 
     return out
 
 
-def branch_table(state: np.ndarray, circuit: Circuit):
-    """All basis states with |amplitude| > BRANCH_TOL, decoded per register."""
-    nz = np.flatnonzero(np.abs(state) > BRANCH_TOL)
-    if len(nz) > MAX_BRANCHES:
-        raise ValueError(f"{len(nz)} branches exceed the {MAX_BRANCHES} cap")
-    return [(decode_registers(int(i), circuit), complex(state[i])) for i in nz]
+def _sorted(state) -> tuple[np.ndarray, np.ndarray]:
+    indices, amplitudes = state
+    order = np.argsort(indices)
+    return indices[order], amplitudes[order]
 
 
-def assert_register_disentangled(state: np.ndarray, circuit: Circuit, name: str,
-                                 tol: float = AMPLITUDE_TOL) -> tuple[bool, float]:
-    """(every nonzero amplitude has this register at zero, max leakage magnitude)"""
-    n = circuit.num_qubits
-    mags = np.abs(state).reshape((2,) * n)
-    good = [slice(None)] * n
-    for q in circuit.register_qubits(name):
-        good[n - 1 - q] = slice(0, 1)
-    mags[tuple(good)] = 0.0
-    leakage = float(mags.max()) if mags.size else 0.0
-    return leakage < tol, leakage
+def branch_table(state, circuit: Circuit):
+    """All branches with |amplitude| > BRANCH_TOL in ascending basis-index
+    order, decoded per register."""
+    indices, amplitudes = _sorted(state)
+    live = np.abs(amplitudes) > BRANCH_TOL
+    return [(decode_registers(int(i), circuit), complex(a)) for i, a in zip(indices[live], amplitudes[live])]
 
 
-def marginal_probabilities(state: np.ndarray, circuit: Circuit, name: str) -> np.ndarray:
-    """Probability vector over a register's joint value, other registers traced out."""
-    n = circuit.num_qubits
-    probs = (state.real * state.real + state.imag * state.imag).reshape((2,) * n)
-    keep = set(circuit.register_qubits(name))
-    drop = tuple(n - 1 - q for q in range(n) if q not in keep)
-    if drop:
-        probs = probs.sum(axis=drop)
-    return probs.reshape(-1)
-
-
-def sample(state: np.ndarray, shots: int, seed: int, circuit: Circuit, register: str | None = None) -> Counter:
+def sample(state, shots: int, seed: int, circuit: Circuit, register: str | None = None) -> Counter:
     """Histogram of ``shots`` basis-state draws, marginalised to one register.
 
     Keys are tuples of subregister values (or the full decoded register dict
@@ -191,24 +169,13 @@ def sample(state: np.ndarray, shots: int, seed: int, circuit: Circuit, register:
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
-    probs = state.real * state.real + state.imag * state.imag
+    indices, amplitudes = _sorted(state)
+    probs = amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
     probs = probs / probs.sum()
-    draws = rng.choice(len(state), size=shots, p=probs)
+    draws = indices[rng.choice(len(indices), size=shots, p=probs)]
     names = None if register is None else [register]
     histogram = Counter()
     for index, count in zip(*np.unique(draws, return_counts=True)):
         values = decode_registers(int(index), circuit, names).values()
         histogram[tuple(v for subs in values for v in subs)] += int(count)
     return histogram
-
-
-def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = AMPLITUDE_TOL) -> bool:
-    if a.shape != b.shape:
-        return False
-    k = int(np.argmax(np.abs(a)))
-    if abs(a[k]) < tol:
-        return bool(np.max(np.abs(b)) < tol)
-    phase = b[k] / a[k]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(a * phase - b)) < tol)

@@ -24,7 +24,7 @@ from qshuffle.permutations import (
 )
 from qshuffle.prep import build_u
 from qshuffle.resources import measure_circuit, resource_report, u_gate_count_formula
-from qshuffle.simulator import (
+from oracles import (
     assert_register_disentangled,
     branch_table,
     evolve,

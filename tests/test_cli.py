@@ -16,7 +16,8 @@ from qshuffle.cli import main
 from qshuffle.verify import verify_spec
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints
 from qshuffle.serialize import circuit_from_json
-from qshuffle.simulator import SimulationCapExceeded, branch_table, run
+from oracles import branch_table, run
+from qshuffle.simulator import SimulationCapExceeded
 
 
 def run_cli(*argv):
@@ -41,7 +42,7 @@ def test_build_fully_lowered_circuit(tmp_path, capsys):
     b = circuit_from_json(lowered.read_text())
     assert b.metadata["lowering"] == "full"
     assert all(len(g.controls) <= 1 for g in b.gates)
-    from qshuffle.simulator import states_equal_up_to_phase
+    from oracles import states_equal_up_to_phase
 
     assert states_equal_up_to_phase(run(a), run(b), 1e-10)
 
@@ -85,7 +86,7 @@ def test_verify_pass_and_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(verify, "build_with_checkpoints",
                         counted("builds", verify.build_with_checkpoints))
     monkeypatch.setattr(resources, "build", counted("builds", resources.build))
-    monkeypatch.setattr(simulator, "_apply_inplace", counted("gates", simulator._apply_inplace))
+    monkeypatch.setattr(simulator, "_apply", counted("gates", simulator._apply))
     assert run_cli("verify", "--variant", "A", "--n", "4") == 0
     # one build and one simulation pass that applies each gate once
     assert calls == {"builds": 1, "gates": len(build(BuildSpec("A", 4)))}
@@ -125,6 +126,17 @@ def test_verify_reports_a_broken_build(capsys, monkeypatch, argv, drop):
 
 def test_verify_cap_exit_code(capsys):
     assert run_cli("verify", "--variant", "A", "--n", "12") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--variant", "At", "--n", "6"),  # 29 qubits
+    ("--variant", "B", "--n", "5", "--m", "2"),  # 28 qubits
+    ("--variant", "A", "--n", "8"),  # 27 qubits, 40,320 branches
+], ids=["At-n6", "B-n5-m2", "A-n8"])
+def test_verify_beyond_a_dense_statevector(capsys, argv):
+    assert run_cli("verify", *argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["overall"] is True
 
 
 def test_verify_onehot(capsys):
@@ -244,6 +256,24 @@ def test_simulate_bad_input_exit_codes(tmp_path, capsys, text, shots, code):
 
 def test_io_error_exit_74(capsys):
     assert run_cli("simulate", "--circuit", "/nonexistent/file.json") == 74
+
+
+@pytest.mark.parametrize("qubits,hadamards,message", [
+    (64, 0, "64 qubits exceeds"),  # basis indices are int64
+    (21, 21, "branches exceed"),  # 2^21 branches: the guard stops it after the 20th H
+])
+def test_simulate_cap_exit_code(tmp_path, capsys, qubits, hadamards, message):
+    from qshuffle.circuit import Circuit, QubitRef, gate_h
+    from qshuffle.serialize import circuit_to_json
+
+    c = Circuit([("q", 1, qubits)])
+    for k in range(hadamards):
+        c.append(gate_h(QubitRef("q", 0, k)))
+    path = tmp_path / "wide.json"
+    path.write_text(circuit_to_json(c))
+    assert run_cli("simulate", "--circuit", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 def test_verify_spec_cap_raises():

@@ -23,7 +23,7 @@ from qshuffle.lowering import (
     lower_mcx,
     lower_toffoli,
 )
-from qshuffle.simulator import run, states_equal_up_to_phase
+from oracles import run, states_equal_up_to_phase
 
 
 def q(bit):

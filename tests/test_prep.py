@@ -8,13 +8,13 @@ import pytest
 from qshuffle.circuit import primitive_multiset
 from qshuffle.prep import binary_width, build_u, build_v, u_gates, v_gates
 from qshuffle.resources import measure_circuit, u_cycle_count_formula, u_gate_count_formula
-from qshuffle.simulator import run
+from oracles import run
 
 TOL = 1e-10
 
 
 def sparse_apply(state: dict, gate, width: int) -> dict:
-    """Dict-based simulator, independent of the dense implementation."""
+    """Dict-based simulator, independent of qshuffle.simulator."""
     out = {}
     for index, amp in state.items():
         fire = all(((index >> c.qubit.bit) & 1) == c.value for c in gate.controls)
@@ -139,7 +139,7 @@ def test_v_state_dense(i):
 @pytest.mark.parametrize("i", range(1, 32))
 def test_v_state_sparse_oracle(i):
     # the chain only ever populates i+1 basis states, so a dict simulator
-    # verifies sizes the dense simulator cannot reach
+    # verifies sizes a dense statevector cannot reach
     state = sparse_state(v_gates(i), i)
     assert set(state) == {0} | {1 << k for k in range(i)}
     assert max(abs(a - 1 / sqrt(i + 1)) for a in state.values()) < TOL

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from qshuffle.builders import BuildSpec, build
 from qshuffle.circuit import Circuit, QubitRef, ctrl, gate_ry, gate_swap
 from qshuffle.serialize import circuit_from_json, circuit_to_dict, circuit_to_json, circuit_to_qasm
-from qshuffle.simulator import run
+from oracles import run
 
 from test_circuit import random_circuits
 

@@ -1,4 +1,5 @@
-"""Statevector simulator: gate action, determinism, decoding, sampling."""
+"""Sparse branch simulator and its dense oracle: gate action, caps, determinism,
+decoding, sampling."""
 
 import cmath
 import tracemalloc
@@ -9,14 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qshuffle import simulator
-from qshuffle.builders import BuildSpec, build
-from qshuffle.circuit import Circuit, Control, Gate, QubitRef, gate_h, gate_ry, gate_rz, gate_swap, gate_x
-from qshuffle.simulator import (
-    QUBIT_CAP,
-    SimulationCapExceeded,
+import oracles
+from oracles import (
     assert_register_disentangled,
     branch_table,
+    dense_evolve,
+    dense_run,
     evolve,
     initial_state,
     norm_squared,
@@ -24,6 +23,10 @@ from qshuffle.simulator import (
     sample,
     states_equal_up_to_phase,
 )
+from qshuffle import simulator
+from qshuffle.builders import BuildSpec, build
+from qshuffle.circuit import Circuit, Control, Gate, QubitRef, gate_h, gate_ry, gate_rz, gate_swap, gate_x
+from qshuffle.simulator import SimulationCapExceeded
 
 TOL = 1e-10
 
@@ -141,9 +144,28 @@ def test_norm_preserved_through_builds():
 
 
 def test_simulation_cap():
-    c = Circuit([("q", 1, QUBIT_CAP + 1)])
+    c = Circuit([("q", 1, 64)])  # basis indices are int64
     with pytest.raises(SimulationCapExceeded):
         run(c)
+    top = Circuit([("q", 1, 63)]).append(gate_x(q(62)))
+    indices, amplitudes = simulator.run(top)
+    assert indices.tolist() == [1 << 62] and amplitudes.tolist() == [1.0]
+
+
+def test_branch_cap_stops_a_wide_superposition():
+    # H on each of 21 qubits would make 2^21 > MAX_BRANCHES branches: the
+    # guard trips after the 20th H, with no more than a few branch-sized arrays
+    c = Circuit([("q", 1, 21)])
+    for k in range(21):
+        c.append(gate_h(q(k)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationCapExceeded, match="branches exceed"):
+            simulator.run(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * simulator.MAX_BRANCHES * 24  # 24 bytes a branch: int64 index + complex128
 
 
 def test_states_equal_up_to_phase():
@@ -260,17 +282,17 @@ def test_kernel_matches_per_index_reference(case):
     c = Circuit([("q", 1, n)])
     refs = tuple(q(t) for t in targets)
     c.append(Gate(primitive, angle, refs, tuple(Control(q(k), v) for k, v in controls)))
-    got = run(c, np.array(amps))
+    got = dense_run(c, np.array(amps))
     want = _reference_apply(amps, primitive, angle, targets, controls)
     assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
-@pytest.mark.parametrize("block_bits", [1, 3, simulator.BLOCK_BITS])
+@pytest.mark.parametrize("block_bits", [1, 3, oracles.BLOCK_BITS])
 def test_kernel_reuses_scratch_across_gate_sizes(monkeypatch, block_bits):
     # every primitive with 0-2 controls in turn, so each gate's temporaries
     # reuse scratch that a larger or smaller gate wrote just before; small
     # blocks split the 8-qubit state the way 2^14-amplitude ones split a wide one
-    monkeypatch.setattr(simulator, "BLOCK_BITS", block_bits)
+    monkeypatch.setattr(oracles, "BLOCK_BITS", block_bits)
     n = 8
     rng = np.random.default_rng(5)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -282,7 +304,7 @@ def test_kernel_reuses_scratch_across_gate_sizes(monkeypatch, block_bits):
     for primitive, angle, targets, controls in cases:
         c.append(Gate(primitive, angle, tuple(q(t) for t in targets),
                       tuple(Control(q(k), v) for k, v in controls)))
-    states = evolve(c, amps)
+    states = dense_evolve(c, amps)
     want = list(next(states))
     for (primitive, angle, targets, controls), got in zip(cases, states):
         want = _reference_apply(want, primitive, angle, targets, controls)
@@ -295,7 +317,7 @@ def test_gate_loop_allocates_no_state_sized_memory():
     c = Circuit([("q", 1, 18)])
     c.append(gate_h(q(1))).append(gate_x(q(7), (Control(q(9), 1),))).append(gate_ry(0.4, q(12)))
     c.append(gate_rz(0.9, q(4))).append(gate_swap(q(2), q(3))).append(gate_x(q(0)))
-    states = evolve(c)
+    states = dense_evolve(c)
     state = next(states)
     tracemalloc.start()
     try:
@@ -305,3 +327,52 @@ def test_gate_loop_allocates_no_state_sized_memory():
     finally:
         tracemalloc.stop()
     assert peak < state.nbytes // 4
+
+
+@st.composite
+def random_circuits(draw):
+    n = draw(st.integers(1, 8))
+    primitives = ("X", "H", "RY", "RZ", "SWAP") if n >= 2 else ("X", "H", "RY", "RZ")
+    c = Circuit([("q", 1, n)])
+    for _ in range(draw(st.integers(0, 30))):
+        primitive = draw(st.sampled_from(primitives))
+        width = 2 if primitive == "SWAP" else 1
+        qubits = draw(st.permutations(range(n)))
+        num_controls = draw(st.integers(0, min(2, n - width)))
+        controls = tuple(Control(q(k), draw(st.integers(0, 1))) for k in qubits[width:width + num_controls])
+        angle = draw(st.floats(-2 * np.pi, 2 * np.pi)) if primitive in ("RY", "RZ") else None
+        c.append(Gate(primitive, angle, tuple(q(t) for t in qubits[:width]), controls))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps[rng.random(1 << n) < draw(st.sampled_from((0.0, 0.5, 0.9)))] = 0.0  # some sparse starts
+    assume(np.any(amps))
+    return c, amps / np.linalg.norm(amps)
+
+
+@given(random_circuits())
+@settings(max_examples=200, deadline=None)
+def test_sparse_matches_dense_oracle(case):
+    # gate by gate from the same state: the sparse backend may differ from the
+    # dense kernel only by an amplitude of at most BRANCH_TOL that it drops
+    # (over a whole circuit, dropped amplitudes that later mix can add up past 1e-12)
+    c, amps = case
+    states = evolve(c, amps)  # the sparse simulator, densified
+    before = next(states)
+    assert np.array_equal(before, amps)
+    for gate, after in zip(c.gates, states):
+        want = dense_run(Circuit([("q", 1, c.num_qubits)]).append(gate), before)
+        assert np.max(np.abs(after - want)) <= 1e-12
+        before = after
+
+
+def test_norm_squared_builds_no_list_of_the_state():
+    # two half-sized temporaries at most; a Python list of the magnitudes
+    # peaked at 2.5 times the state
+    state = initial_state(Circuit([("q", 1, 18)]))
+    tracemalloc.start()
+    try:
+        assert norm_squared(state) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * state.nbytes // 2
