@@ -15,7 +15,6 @@ from .circuit import (
     QubitRef,
     Register,
     count_primitives,
-    emit_value_controlled,
     primitive_class,
     primitive_multiset,
     value_controls,
@@ -32,7 +31,6 @@ from .permutations import (
     lemma1_extend,
     replay_reversed_fisher_yates,
     sample_fisher_yates,
-    word_of_permutation,
 )
 from .prep import build_u, build_v, u_gates, v_gates
 from .resources import (

@@ -198,19 +198,6 @@ class Circuit:
         return len(self.gates)
 
 
-def emit_value_controlled(
-    circuit: Circuit, gate: Gate, reg: str, sub: int, value: int, width: int
-) -> Circuit:
-    """Append ``gate`` controlled on subregister (reg, sub) holding ``value``.
-
-    One control per bit position 0..width-1; bits of ``value`` that are 0
-    become negative controls.
-    """
-    if width > circuit.register(reg).width:
-        raise ValueError(f"control width {width} exceeds register {reg!r} width")
-    return circuit.append(gate.with_controls(value_controls(reg, sub, value, width)))
-
-
 # cost class of each (primitive, number of controls) pair below two controls
 _COST_CLASS = {("X", 0): "x", ("X", 1): "cx", ("H", 0): "h", ("H", 1): "ch",
                ("RY", 0): "ry", ("RY", 1): "cry", ("RZ", 0): "rz"}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -129,6 +130,9 @@ def cmd_simulate(parser, args) -> int:
 
 def cmd_verify(parser, args) -> int:
     spec = _make_spec(parser, args)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        parser.exit(EX_USAGE, f"{parser.prog}: --tolerance must be a finite number > 0, "
+                              f"got {args.tolerance}\n")
     report = verify_spec(spec, tol=args.tolerance, seed=args.seed)
     _write_output(json.dumps(report.to_dict(), indent=2), args.out)
     return EX_OK if report.overall else EX_FAIL

@@ -28,6 +28,7 @@ lowered A n=5 in clean mode is one such circuit).
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
 from math import pi
 
 from .circuit import Circuit, Control, Gate, QubitRef, ctrl, gate_h, gate_rz, gate_x
@@ -175,6 +176,6 @@ def _lower_full(out: Circuit, gate: Gate, mode: str) -> None:
             out.extend(lower_toffoli(g))
         else:
             support = set(out.gate_qubits(g))
-            idle = [out.ref_of(q) for q in range(out.num_qubits) if q not in support]
-            for toffoli in lower_mcx(g, mode, idle):
+            idle = islice((q for q in range(out.num_qubits) if q not in support), len(g.controls) - 2)
+            for toffoli in lower_mcx(g, mode, [out.ref_of(q) for q in idle]):
                 out.extend(lower_toffoli(toffoli))

@@ -14,18 +14,6 @@ from math import factorial
 MAX_ENUMERATION_N = 8  # factorial guard for exhaustive enumeration
 
 
-def word_of_permutation(sigma) -> tuple[int, ...]:
-    """Word representation of a permutation given as the mapping k -> sigma(k)."""
-    sigma = list(sigma)
-    n = len(sigma)
-    word = [-1] * n
-    for k, v in enumerate(sigma):
-        if not 0 <= v < n or word[v] != -1:
-            raise ValueError(f"{sigma} is not a bijection on range({n})")
-        word[v] = k
-    return tuple(word)
-
-
 def is_word(word) -> bool:
     word = tuple(word)
     return sorted(word) == list(range(len(word)))
@@ -66,11 +54,6 @@ def sample_fisher_yates(n: int, rng, direction: str = "reversed") -> tuple[int, 
         j = int(rng.integers(0, i + 1))
         a[j], a[i] = a[i], a[j]
     return tuple(a)
-
-
-def draw_sequences(n: int):
-    """All valid draw sequences (j_1, .., j_{n-1}), j_i in 0..i."""
-    return itertools.product(*(range(i + 1) for i in range(1, n)))
 
 
 def lemma1_extend(words) -> list[tuple[int, ...]]:

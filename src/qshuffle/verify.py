@@ -6,9 +6,13 @@ so before iteration i (i = n: the final state) a correct build holds one branch
 of amplitude +1/sqrt(i!) per draw sequence: the word the reversed Fisher-Yates
 shuffle replays from those draws (then the untouched tail i..n-1), the inputs
 moved by that word, and a zero ancilla (A, B) or ancilla k holding draw k for
-k < i (At, Bt, C).  Checks: branch_count; replay_consistent, the final state's
-deviation from the model; iteration_states (A, B), the worst deviation at the
-iteration starts, from the same simulation pass; the three resource checks.
+k < i (At, Bt, C).  The model is kept as the sorted basis indices of those
+branches, so a state is compared with it in one ``np.searchsorted`` and no
+branch is decoded.  Checks: branch_count, the live branches of the final
+state; replay_consistent, the final state's deviation from the model;
+iteration_states, the worst deviation at the iteration starts, from the same
+simulation pass; the three resource checks.  A failed model check names the
+first failing iteration and its worst basis index, decoded per register.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import factorial, sqrt
 
+import numpy as np
+
 from . import simulator
-from .builders import BuildSpec, build_with_checkpoints
-from .permutations import draw_sequences, replay_reversed_fisher_yates
+from .builders import ANC, DATA, PERM, BuildSpec, build_with_checkpoints
+from .circuit import Circuit, QubitRef
 from .resources import resource_report
 
 DEFAULT_SEED = 0
@@ -31,6 +37,7 @@ class Check:
     passed: bool
     metric: float
     tolerance: float
+    detail: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -44,55 +51,80 @@ class VerifyReport:
         return asdict(self)
 
 
-def decode_draws(spec: BuildSpec, registers: dict) -> list[int]:
-    """Read the draw record of an entangling variant's branch from its ancilla."""
-    draws = []
-    for i in range(1, spec.n):
-        value = registers[f"anc{i}"][0]
-        if spec.encoding == "binary":
-            draws.append(value)
-        elif value == 0:
-            draws.append(i)
-        else:
-            if value & (value - 1):
-                raise ValueError(f"one-hot ancilla {i} holds non-one-hot value {value}")
-            draws.append(value.bit_length() - 1)
-    return draws
+def replay_models(spec: BuildSpec, circuit: Circuit, inputs: list[int] | None):
+    """Yield (i, model) for i = 1..n: the sorted basis indices of a correct
+    build before iteration i (i = n: the final state), one per draw sequence.
 
-
-def _draw_value(spec: BuildSpec, i: int, j: int) -> int:
-    """Ancilla value of draw j in iteration i: j in binary; bit j in one-hot,
-    where draw i (no swap) is all zeros."""
-    if spec.encoding == "binary":
-        return j
-    return 0 if j == i else 1 << j
-
-
-def expected_branches(spec: BuildSpec, i: int, inputs: list[int] | None) -> dict:
-    """Branch table of a correct build before iteration i (i = n: the final
-    state): register values in register order -> amplitude."""
+    The words grow as an (i!, n) array and, for At/Bt/C, the ancilla record
+    as an (i!, n-1) array: iteration k repeats each row k+1 times, writes
+    draw j in 0..k to the record (j in binary; bit j in one-hot, where draw k
+    is all zeros) and swaps word entries j and k.  Distinct draw sequences
+    give distinct words (``lemma1_extend``), so the indices are distinct.
+    """
     n = spec.n
-    amplitude = 1.0 / sqrt(factorial(i))
-    expected = {}
-    for draws in draw_sequences(i):
-        word = replay_reversed_fisher_yates(i, draws) + tuple(range(i, n))
-        key = [tuple(inputs[w] for w in word)] if spec.has_data else []
-        if spec.has_perm:
-            key.append(word)
-        if spec.disentangling:
-            key.append((0,))
-        else:
-            key += [(_draw_value(spec, k, draws[k - 1]) if k < i else 0,) for k in range(1, n)]
-        expected[tuple(key)] = amplitude
-    return expected
+    words = np.arange(n, dtype=np.int64)[None, :]
+    record = np.zeros((1, n - 1), dtype=np.int64)
+    data = np.asarray(inputs, dtype=np.int64) if spec.has_data else None
+    for i in range(1, n + 1):
+        if i > 1:
+            k = i - 1
+            words = np.repeat(words, k + 1, axis=0)
+            rows = np.arange(len(words))
+            draws = rows % (k + 1)
+            drawn = words[rows, draws]
+            words[rows, draws] = words[:, k]
+            words[:, k] = drawn
+            if not spec.disentangling:
+                record = np.repeat(record, k + 1, axis=0)
+                if spec.encoding == "binary":
+                    record[:, k - 1] = draws
+                else:
+                    record[:, k - 1] = np.where(draws == k, 0, 1 << draws)
+        index = np.zeros(len(words), dtype=np.int64)
+        for k in range(n):
+            if spec.has_data:
+                index |= data[words[:, k]] << circuit.qubit_index(QubitRef(DATA, k, 0))
+            if spec.has_perm:
+                index |= words[:, k] << circuit.qubit_index(QubitRef(PERM, k, 0))
+        if not spec.disentangling:
+            for k in range(1, n):
+                index |= record[:, k - 1] << circuit.qubit_index(QubitRef(f"{ANC}{k}", 0, 0))
+        yield i, np.sort(index)
 
 
-def _deviation(branches, expected: dict) -> float:
-    """Largest |amplitude - expected| over both key sets: a missing branch
-    counts its expected amplitude, an extra branch its own."""
-    actual = {tuple(map(tuple, registers.values())): amp for registers, amp in branches}
-    return max(abs(actual.get(key, 0.0) - expected.get(key, 0.0))
-               for key in actual.keys() | expected.keys())
+def _compare(state, model: np.ndarray, amplitude: float) -> tuple[float, int, complex, float]:
+    """Largest |amplitude - model amplitude| over both index sets: a live
+    branch the model lacks counts its own amplitude, a model index with no
+    live branch counts ``amplitude``.  Returns it with the basis index where it
+    occurs, the state's amplitude there and the model's."""
+    indices, amplitudes = state
+    live = np.abs(amplitudes) > simulator.BRANCH_TOL
+    indices, amplitudes = indices[live], amplitudes[live]
+    pos = np.minimum(np.searchsorted(model, indices), len(model) - 1)
+    hit = model[pos] == indices
+    errors = np.abs(amplitudes - np.where(hit, amplitude, 0.0))
+    missing = np.ones(len(model), dtype=bool)
+    missing[pos[hit]] = False
+    if missing.any() and (not len(errors) or amplitude > errors.max()):
+        return amplitude, int(model[np.argmax(missing)]), 0j, amplitude
+    worst = int(np.argmax(errors))
+    expected = amplitude if hit[worst] else 0.0
+    return float(errors[worst]), int(indices[worst]), complex(amplitudes[worst]), expected
+
+
+def _model_check(name: str, results: dict, tol: float, circuit: Circuit) -> Check:
+    """One check over the comparisons of ``results`` (iteration -> _compare);
+    a failure names the first failing iteration and its worst basis index."""
+    worst = max((r[0] for r in results.values()), default=0.0)
+    failing = [i for i, r in results.items() if not r[0] < tol]
+    detail = None
+    if failing:
+        i = failing[0]
+        _, index, amp, expected = results[i]
+        detail = {"iteration": i, "index": index,
+                  "registers": simulator.decode_registers(index, circuit),
+                  "re": amp.real, "im": amp.imag, "expected": expected}
+    return Check(name, not failing, worst, tol, detail)
 
 
 def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> VerifyReport:
@@ -101,25 +133,22 @@ def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_S
     n = spec.n
     inputs = [k % (1 << spec.m) for k in range(n)] if spec.has_data else None
     initial = {"data": inputs} if spec.has_data else None
-    # one pass: the states before iterations 1..n-1 of a disentangling build
-    # are kept on the way to the final state and decoded only after the whole
-    # circuit has simulated, so a build past the branch cap stops undecoded
-    marks = set(checkpoints[:-1]) if spec.disentangling else set()
-    prefix_states = {}
+    # one pass keeps the state before each iteration i (i = n: the final
+    # state); the comparisons start only after the whole circuit has
+    # simulated, so a build past the branch cap stops before any of them
+    marks = {k: i for i, k in enumerate(checkpoints, start=1)}
+    states = {}
     for k, state in enumerate(simulator.evolve(circuit, initial)):
         if k in marks:
-            prefix_states[k] = state
-    branches = simulator.branch_table(state, circuit)
+            states[marks[k]] = state
 
-    final = _deviation(branches, expected_branches(spec, n, inputs))
-    checks = [Check("branch_count", len(branches) == factorial(n), float(len(branches)),
-                    float(factorial(n))),
-              Check("replay_consistent", final < tol, final, tol)]
-    if spec.disentangling:
-        worst = max((_deviation(simulator.branch_table(prefix_states[checkpoints[i - 1]], circuit),
-                                expected_branches(spec, i, inputs))
-                     for i in range(1, n)), default=0.0)
-        checks.append(Check("iteration_states", worst < tol, worst, tol))
+    results = {i: _compare(states[i], model, 1.0 / sqrt(factorial(i)))
+               for i, model in replay_models(spec, circuit, inputs)}
+    final = states[n][1]
+    live = int(np.count_nonzero(np.abs(final) > simulator.BRANCH_TOL))
+    checks = [Check("branch_count", live == factorial(n), float(live), float(factorial(n))),
+              _model_check("replay_consistent", {n: results.pop(n)}, tol, circuit),
+              _model_check("iteration_states", results, tol, circuit)]
 
     report = resource_report(spec, circuit=circuit)
     checks.append(Check("gate_count_formula", report.gates_consistent,

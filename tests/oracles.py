@@ -6,7 +6,8 @@ cache-sized block at a time; it is the reference the sparse backend is checked
 against.  ``initial_state``, ``evolve``, ``run``, ``branch_table`` and
 ``sample`` take and give 2^n vectors but simulate with ``qshuffle.simulator``,
 so tests that read dense vectors keep exercising the shipping simulator.  The
-remaining helpers read dense vectors and have no caller outside the tests.
+remaining helpers read dense vectors, decode draw records or build classical
+and gate fixtures; none has a caller outside the tests.
 
 Amplitude indexing: bit g of a basis-state index is global qubit g (qubit 0
 is the least significant bit), matching the circuit's register numbering.
@@ -14,13 +15,14 @@ is the least significant bit), matching the circuit's register numbering.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 
 import numpy as np
 
 from qshuffle import simulator
-from qshuffle.circuit import Circuit, Gate
+from qshuffle.circuit import Circuit, Gate, value_controls
 
 BLOCK_BITS = 14  # gates run on blocks of 2^14 amplitudes: four fit a 2 MiB L2 cache
 AMPLITUDE_TOL = 1e-10
@@ -178,3 +180,49 @@ def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = AMPLITUD
     if abs(abs(phase) - 1.0) > tol:
         return False
     return bool(np.max(np.abs(a * phase - b)) < tol)
+
+
+def decode_draws(spec, registers: dict) -> list[int]:
+    """Read the draw record of an entangling variant's branch from its ancilla."""
+    draws = []
+    for i in range(1, spec.n):
+        value = registers[f"anc{i}"][0]
+        if spec.encoding == "binary":
+            draws.append(value)
+        elif value == 0:
+            draws.append(i)
+        else:
+            if value & (value - 1):
+                raise ValueError(f"one-hot ancilla {i} holds non-one-hot value {value}")
+            draws.append(value.bit_length() - 1)
+    return draws
+
+
+def draw_sequences(n: int):
+    """All valid draw sequences (j_1, .., j_{n-1}), j_i in 0..i."""
+    return itertools.product(*(range(i + 1) for i in range(1, n)))
+
+
+def emit_value_controlled(
+    circuit: Circuit, gate: Gate, reg: str, sub: int, value: int, width: int
+) -> Circuit:
+    """Append ``gate`` controlled on subregister (reg, sub) holding ``value``.
+
+    One control per bit position 0..width-1; bits of ``value`` that are 0
+    become negative controls.
+    """
+    if width > circuit.register(reg).width:
+        raise ValueError(f"control width {width} exceeds register {reg!r} width")
+    return circuit.append(gate.with_controls(value_controls(reg, sub, value, width)))
+
+
+def word_of_permutation(sigma) -> tuple[int, ...]:
+    """Word representation of a permutation given as the mapping k -> sigma(k)."""
+    sigma = list(sigma)
+    n = len(sigma)
+    word = [-1] * n
+    for k, v in enumerate(sigma):
+        if not 0 <= v < n or word[v] != -1:
+            raise ValueError(f"{sigma} is not a bijection on range({n})")
+        word[v] = k
+    return tuple(word)

@@ -14,7 +14,6 @@ from scipy.stats import chi2
 
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints
 from qshuffle.circuit import Circuit, Control, Gate, QubitRef, primitive_multiset
-from qshuffle.verify import decode_draws
 from qshuffle.lowering import lower_circuit, lower_mcx, lower_toffoli
 from qshuffle.permutations import (
     enumerate_sn,
@@ -27,6 +26,7 @@ from qshuffle.resources import measure_circuit, resource_report, u_gate_count_fo
 from oracles import (
     assert_register_disentangled,
     branch_table,
+    decode_draws,
     evolve,
     marginal_probabilities,
     run,

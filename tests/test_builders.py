@@ -7,10 +7,9 @@ import pytest
 
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints, init_identity_word, register_layout
 from qshuffle.circuit import Circuit, primitive_multiset
-from qshuffle.verify import decode_draws
 from qshuffle.permutations import enumerate_sn, replay_reversed_fisher_yates
 from qshuffle.resources import measure_circuit
-from oracles import assert_register_disentangled, branch_table, evolve, marginal_probabilities, run
+from oracles import assert_register_disentangled, branch_table, decode_draws, evolve, marginal_probabilities, run
 
 TOL = 1e-10
 

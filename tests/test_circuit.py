@@ -11,7 +11,6 @@ from qshuffle.circuit import (
     QubitRef,
     count_primitives,
     ctrl,
-    emit_value_controlled,
     gate_h,
     gate_swap,
     gate_x,
@@ -20,6 +19,7 @@ from qshuffle.circuit import (
     value_controls,
 )
 from qshuffle.resources import CostProfile, measure_circuit
+from oracles import emit_value_controlled
 
 
 def test_global_numbering_order():

@@ -132,11 +132,26 @@ def test_verify_cap_exit_code(capsys):
     ("--variant", "At", "--n", "6"),  # 29 qubits
     ("--variant", "B", "--n", "5", "--m", "2"),  # 28 qubits
     ("--variant", "A", "--n", "8"),  # 27 qubits, 40,320 branches
-], ids=["At-n6", "B-n5-m2", "A-n8"])
+    ("--variant", "At", "--n", "8"),
+    ("--variant", "B", "--n", "8", "--m", "1"),
+    ("--variant", "Bt", "--n", "8", "--m", "1", "--encoding", "onehot"),
+    ("--variant", "C", "--n", "8", "--m", "1"),
+], ids=["At-n6", "B-n5-m2", "A-n8", "At-n8", "B-n8-m1", "Bt-n8-m1-onehot", "C-n8-m1"])
 def test_verify_beyond_a_dense_statevector(capsys, argv):
     assert run_cli("verify", *argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["overall"] is True
+    assert "iteration_states" in [c["name"] for c in report["checks"]]
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_a_bad_tolerance(capsys, tolerance):
+    # nan and -1 failed every build and inf passed every build
+    with pytest.raises(SystemExit) as err:
+        run_cli("verify", "--variant", "A", "--n", "3", "--tolerance", tolerance)
+    assert err.value.code == 64
+    message = capsys.readouterr().err
+    assert message.count("\n") == 1 and "--tolerance must be a finite number > 0" in message
 
 
 def test_verify_onehot(capsys):

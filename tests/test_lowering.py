@@ -239,6 +239,35 @@ def test_lower_circuit_full_with_an_idle_qubit_in_one(m, mode):
     assert states_equal_up_to_phase(run(c), run(lower_circuit(c, "full", mode)), 1e-10)
 
 
+
+def _reference_full(circuit, mode):
+    """Full lowering that offers every idle qubit of the circuit to each MCX."""
+    out = circuit.copy_empty()
+    for gate in circuit.gates:
+        for g in lower_controlled_swap(gate) if gate.primitive == "SWAP" else [gate]:
+            for h in eliminate_negative_controls(g):
+                if h.primitive != "X" or len(h.controls) < 2:
+                    out.append(h)
+                elif len(h.controls) == 2:
+                    out.extend(lower_toffoli(h))
+                else:
+                    support = set(out.gate_qubits(h))
+                    idle = [out.ref_of(b) for b in range(out.num_qubits) if b not in support]
+                    for toffoli in lower_mcx(h, mode, idle):
+                        out.extend(lower_toffoli(toffoli))
+    return out
+
+
+@pytest.mark.parametrize("spec", [BuildSpec("A", 5), BuildSpec("Bt", 3, 2, "onehot"),
+                                  BuildSpec("C", 5, 1)], ids=["A-n5", "Bt-n3-m2-onehot", "C-n5-m1"])
+@pytest.mark.parametrize("mode", ["borrowed", "clean"])
+def test_full_lowering_helpers_are_the_first_idle_qubits(spec, mode):
+    # the helpers of each C^mX are the first m-2 qubits it does not touch, in
+    # ascending order: the lowered circuit is gate for gate the same
+    circuit = build(spec)
+    assert lower_circuit(circuit, "full", mode).gates == _reference_full(circuit, mode).gates
+
+
 def test_lower_circuit_rejects_unknown_level():
     with pytest.raises(ValueError):
         lower_circuit(Circuit([("q", 1, 1)]), "half")

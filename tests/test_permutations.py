@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from qshuffle.permutations import (
-    draw_sequences,
     enumerate_sn,
     lemma1_extend,
     replay_reversed_fisher_yates,
     sample_fisher_yates,
-    word_of_permutation,
 )
+from oracles import draw_sequences, word_of_permutation
 
 UNIFORMITY_ALPHA = 1e-3
 
