@@ -22,7 +22,7 @@ ROTATIONS = ("RY", "RZ")
 _TARGET_COUNT = {"X": 1, "H": 1, "RY": 1, "RZ": 1, "SWAP": 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Register:
     """A named block of ``count`` subregisters, ``width`` qubits each."""
 
@@ -31,7 +31,7 @@ class Register:
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QubitRef:
     """A qubit addressed as (register, subregister, bit).
 
@@ -44,13 +44,13 @@ class QubitRef:
     bit: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Control:
     qubit: QubitRef
     value: int  # required bit value, 0 or 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     primitive: str
     angle: float | None
@@ -106,20 +106,19 @@ class Circuit:
         self._by_name: dict[str, Register] = {r.name: r for r in regs}
         if len(self._by_name) != len(regs):
             raise ValueError(f"duplicate register name in {[r.name for r in regs]}")
+        self._layout: dict[str, tuple[int, int, int]] = {}  # name -> (offset, count, width)
+        offset = 0
         for r in regs:
             if type(r.name) is not str:
                 raise ValueError(f"register name {r.name!r} is not a string")
             if type(r.count) is not int or type(r.width) is not int or min(r.count, r.width) < 1:
                 raise ValueError(f"register {r.name!r} must have integer count >= 1 and width >= 1")
+            self._layout[r.name] = (offset, r.count, r.width)
+            offset += r.count * r.width
+        self.num_qubits: int = offset
         self.registers: tuple[Register, ...] = tuple(regs)
         self.metadata: dict = dict(metadata or {})
         self.gates: list[Gate] = []
-        self._offsets: dict[str, int] = {}
-        offset = 0
-        for r in regs:
-            self._offsets[r.name] = offset
-            offset += r.count * r.width
-        self.num_qubits: int = offset
 
     def register(self, name: str) -> Register:
         reg = self._by_name.get(name)
@@ -128,40 +127,49 @@ class Circuit:
         return reg
 
     def qubit_index(self, ref: QubitRef) -> int:
-        reg = self.register(ref.reg)
-        sub = 0 if ref.sub is None else ref.sub
-        if type(sub) is not int or not 0 <= sub < reg.count:
-            raise ValueError(f"subregister {ref.reg}:{sub!r} not an int in range (count {reg.count})")
-        if type(ref.bit) is not int or not 0 <= ref.bit < reg.width:
-            raise ValueError(f"bit {ref.bit!r} not an int in range for {ref.reg} (width {reg.width})")
-        return self._offsets[ref.reg] + sub * reg.width + ref.bit
+        return self._indices((ref,))[0]
+
+    def _indices(self, refs) -> tuple[int, ...]:
+        """Global index of each ref, from one layout lookup per ref."""
+        layout = self._layout
+        out = []
+        for ref in refs:
+            entry = layout.get(ref.reg)
+            if entry is None:
+                raise ValueError(f"unknown register {ref.reg!r}")
+            offset, count, width = entry
+            sub = 0 if ref.sub is None else ref.sub
+            if type(sub) is not int or not 0 <= sub < count:
+                raise ValueError(f"subregister {ref.reg}:{sub!r} not an int in range (count {count})")
+            bit = ref.bit
+            if type(bit) is not int or not 0 <= bit < width:
+                raise ValueError(f"bit {bit!r} not an int in range for {ref.reg} (width {width})")
+            out.append(offset + sub * width + bit)
+        return tuple(out)
 
     def ref_of(self, index: int) -> QubitRef:
         """Inverse of qubit_index."""
         if not 0 <= index < self.num_qubits:
             raise ValueError(f"qubit index {index} out of range")
-        for r in self.registers:
-            base = self._offsets[r.name]
-            if index < base + r.count * r.width:
-                local = index - base
-                return QubitRef(r.name, local // r.width, local % r.width)
+        for name, (offset, count, width) in self._layout.items():
+            if index < offset + count * width:
+                local = index - offset
+                return QubitRef(name, local // width, local % width)
         raise AssertionError("unreachable")
 
     def subregister_qubits(self, name: str, sub: int) -> list[int]:
         reg = self.register(name)
-        base = self._offsets[name] + sub * reg.width
+        base = self._layout[name][0] + sub * reg.width
         return list(range(base, base + reg.width))
 
     def register_qubits(self, name: str) -> list[int]:
         reg = self.register(name)
-        base = self._offsets[name]
+        base = self._layout[name][0]
         return list(range(base, base + reg.count * reg.width))
 
     def gate_qubits(self, gate: Gate) -> tuple[int, ...]:
         """Global indices touched by a gate: targets then control qubits."""
-        return tuple(self.qubit_index(t) for t in gate.targets) + tuple(
-            self.qubit_index(c.qubit) for c in gate.controls
-        )
+        return self._indices((*gate.targets, *[c.qubit for c in gate.controls]))
 
     def append(self, gate: Gate) -> "Circuit":
         if gate.primitive not in PRIMITIVES:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: build, simulate, verify, count, table, sample, prep.
-Exit codes: 0 success, 1 verification failure, 2 simulation size cap (more
-than 63 qubits or more than simulator.MAX_BRANCHES live branches), 64 usage
+Exit codes: 0 success, 1 verification failure, 2 size cap (a simulation of
+more than 63 qubits or more than simulator.MAX_BRANCHES live branches, or a
+build, count or verify of more than MAX_GATES counting-level gates), 64 usage
 error, 74 I/O error or malformed circuit file.
 """
 
@@ -20,13 +21,14 @@ from .builders import ENCODINGS, VARIANTS, BuildSpec, build
 from .lowering import lower_circuit
 from .permutations import sample_fisher_yates
 from .prep import build_u, build_v
-from .resources import CostProfile, resource_report, scaling_table
+from .resources import CostProfile, gate_count_formula, resource_report, scaling_table
 from .serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
 from .simulator import SimulationCapExceeded
 from .verify import DEFAULT_SEED, DEFAULT_TOL, verify_spec
 
 EX_OK, EX_FAIL, EX_CAP = 0, 1, 2
 EX_USAGE, EX_IOERR = 64, 74
+MAX_GATES = 10**6  # counting-level gates a build, count or verify may have
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,9 +47,14 @@ def _add_spec_arguments(parser):
 
 def _make_spec(parser, args) -> BuildSpec:
     try:
-        return BuildSpec(args.variant, args.n, args.m, args.encoding)
+        spec = BuildSpec(args.variant, args.n, args.m, args.encoding)
     except ValueError as exc:
         parser.error(str(exc))
+    gates = gate_count_formula(spec.variant, spec.n, spec.m, spec.encoding)
+    if gates > MAX_GATES:
+        parser.exit(EX_CAP, f"{parser.prog}: {spec.variant} n={spec.n} has {gates} gates, "
+                            f"over the size cap of {MAX_GATES}\n")
+    return spec
 
 
 def _write_output(text: str, path: str | None):
@@ -164,6 +171,8 @@ def cmd_table(parser, args) -> int:
 def cmd_sample(parser, args) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
+    if args.shots < 0:
+        parser.error("--shots must be >= 0")
     rng = np.random.default_rng(args.seed)
     out = []
     for _ in range(args.shots):

@@ -213,17 +213,17 @@ class MeasuredResources:
 def weighted_depth(circuit: Circuit, profile: CostProfile) -> int:
     """Weighted critical path: every gate starts as soon as its qubits are
     free and lasts its cost.  Under unit costs this is the ASAP layer count."""
-    finish: dict[int, int] = {}
+    finish = [0] * circuit.num_qubits  # per qubit: when its last gate ends
     costs: dict[tuple[str, int], int] = {}
     for gate in circuit.gates:
         qubits = circuit.gate_qubits(gate)
         key = (gate.primitive, len(gate.controls))
         if key not in costs:
             costs[key] = profile.cost(*key)
-        end = max(finish.get(q, 0) for q in qubits) + costs[key]
+        end = max([finish[q] for q in qubits]) + costs[key]
         for q in qubits:
             finish[q] = end
-    return max(finish.values(), default=0)
+    return max(finish, default=0)
 
 
 def measure_circuit(circuit: Circuit, profile: CostProfile | None = None) -> MeasuredResources:

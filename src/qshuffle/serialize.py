@@ -6,7 +6,9 @@ JSON schema (field order fixed):
               "controls": [{"reg", "sub", "bit", "value"}]}],
    "metadata": {...}}
 Angles are radians, written with full float precision so a round trip
-reproduces simulations bit-identically.
+reproduces simulations bit-identically.  The text is ``json.dumps`` of that
+schema byte for byte, but written without the nested dicts: each distinct
+qubit reference and control is encoded once per call and its fragment reused.
 
 The QASM emitter writes one flat qubit array plus a comment mapping register
 names to index ranges.  Single positive controls on X become cx; every other
@@ -20,80 +22,71 @@ import json
 from .circuit import Circuit, Control, Gate, QubitRef
 
 
-def circuit_to_dict(circuit: Circuit) -> dict:
-    return {
-        "registers": [
-            {"name": r.name, "count": r.count, "width": r.width} for r in circuit.registers
-        ],
-        "gates": [
-            {
-                "primitive": g.primitive,
-                "angle": g.angle,
-                "targets": [{"reg": t.reg, "sub": t.sub, "bit": t.bit} for t in g.targets],
-                "controls": [
-                    {"reg": c.qubit.reg, "sub": c.qubit.sub, "bit": c.qubit.bit, "value": c.value}
-                    for c in g.controls
-                ],
-            }
-            for g in circuit.gates
-        ],
-        "metadata": circuit.metadata,
-    }
+class _Texts(dict):
+    """JSON text of each QubitRef, Control and primitive name, encoded on first use."""
+
+    def __missing__(self, key) -> str:
+        if type(key) is QubitRef:
+            text = (f'{{"reg": {json.dumps(key.reg)}, "sub": {json.dumps(key.sub)}, '
+                    f'"bit": {json.dumps(key.bit)}}}')
+        elif type(key) is Control:  # the qubit's object, reopened for the value
+            text = f'{self[key.qubit][:-1]}, "value": {json.dumps(key.value)}}}'
+        else:
+            text = json.dumps(key)
+        self[key] = text
+        return text
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    return json.dumps(circuit_to_dict(circuit))
-
-
-def circuit_from_dict(data: dict) -> Circuit:
-    circuit = Circuit(
-        [(r["name"], r["count"], r["width"]) for r in data["registers"]],
-        data.get("metadata") or {},
+    text = _Texts().__getitem__
+    registers = [{"name": r.name, "count": r.count, "width": r.width} for r in circuit.registers]
+    gates = ", ".join(
+        f'{{"primitive": {text(g.primitive)}, '
+        f'"angle": {"null" if g.angle is None else json.dumps(g.angle)}, '
+        f'"targets": [{", ".join(map(text, g.targets))}], '
+        f'"controls": [{", ".join(map(text, g.controls))}]}}'
+        for g in circuit.gates
     )
-    for g in data["gates"]:
-        gate = Gate(
-            g["primitive"],
-            g["angle"],
-            tuple(QubitRef(t["reg"], t["sub"], t["bit"]) for t in g["targets"]),
-            tuple(
-                Control(QubitRef(c["reg"], c["sub"], c["bit"]), c["value"])
-                for c in g.get("controls", ())
-            ),
-        )
-        circuit.append(gate)
-    return circuit
+    return (f'{{"registers": {json.dumps(registers)}, "gates": [{gates}], '
+            f'"metadata": {json.dumps(circuit.metadata)}}}')
 
 
 def circuit_from_json(text: str) -> Circuit:
-    return circuit_from_dict(json.loads(text))
+    data = json.loads(text)
+    circuit = Circuit([(r["name"], r["count"], r["width"]) for r in data["registers"]],
+                      data.get("metadata") or {})
+    for g in data["gates"]:
+        targets = tuple(QubitRef(t["reg"], t["sub"], t["bit"]) for t in g["targets"])
+        controls = tuple(Control(QubitRef(c["reg"], c["sub"], c["bit"]), c["value"])
+                         for c in g.get("controls", ()))
+        circuit.append(Gate(g["primitive"], g["angle"], targets, controls))
+    return circuit
 
 
 _QASM_NAMES = {"X": "x", "H": "h", "RY": "ry", "RZ": "rz", "SWAP": "swap"}
 
 
-def _qasm_gate(circuit: Circuit, gate: Gate) -> str:
+def _qasm_gate(gate: Gate, operands: list[str]) -> str:
+    """One QASM statement; ``operands`` name the gate's qubits, controls first."""
+    controls = gate.controls
+    if gate.primitive == "X" and len(controls) == 1 and controls[0].value == 1:
+        return f"cx {operands[0]}, {operands[1]};"
     name = _QASM_NAMES[gate.primitive]
     if gate.angle is not None:
         name += f"({gate.angle!r})"
-    controls = gate.controls
-    if gate.primitive == "X" and len(controls) == 1 and controls[0].value == 1:
-        c = circuit.qubit_index(controls[0].qubit)
-        t = circuit.qubit_index(gate.targets[0])
-        return f"cx q[{c}], q[{t}];"
     mods = "".join("ctrl @ " if c.value == 1 else "negctrl @ " for c in controls)
-    operands = [circuit.qubit_index(c.qubit) for c in controls]
-    operands += [circuit.qubit_index(t) for t in gate.targets]
-    return mods + name + " " + ", ".join(f"q[{q}]" for q in operands) + ";"
+    return f"{mods}{name} {', '.join(operands)};"
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
-    lines = ["OPENQASM 3.0;"]
-    spans = []
-    for r in circuit.registers:
-        lo = circuit.subregister_qubits(r.name, 0)[0]
-        hi = circuit.subregister_qubits(r.name, r.count - 1)[-1]
-        spans.append(f"{r.name}=q[{lo}..{hi}]")
-    lines.append("// registers: " + ", ".join(spans))
-    lines.append(f"qubit[{circuit.num_qubits}] q;")
-    lines.extend(_qasm_gate(circuit, g) for g in circuit.gates)
+    spans = [circuit.register_qubits(r.name) for r in circuit.registers]
+    lines = ["OPENQASM 3.0;",
+             "// registers: " + ", ".join(f"{r.name}=q[{qubits[0]}..{qubits[-1]}]"
+                                          for r, qubits in zip(circuit.registers, spans)),
+             f"qubit[{circuit.num_qubits}] q;"]
+    names = [f"q[{q}]" for q in range(circuit.num_qubits)]
+    for g in circuit.gates:
+        qubits = circuit.gate_qubits(g)  # targets, then controls
+        k = len(g.targets)
+        lines.append(_qasm_gate(g, [names[q] for q in qubits[k:] + qubits[:k]]))
     return "\n".join(lines) + "\n"

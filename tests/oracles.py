@@ -6,8 +6,10 @@ cache-sized block at a time; it is the reference the sparse backend is checked
 against.  ``initial_state``, ``evolve``, ``run``, ``branch_table`` and
 ``sample`` take and give 2^n vectors but simulate with ``qshuffle.simulator``,
 so tests that read dense vectors keep exercising the shipping simulator.  The
-remaining helpers read dense vectors, decode draw records or build classical
-and gate fixtures; none has a caller outside the tests.
+remaining helpers read dense vectors, decode draw records, build classical
+and gate fixtures, or encode and read circuit text the simple way
+(``circuit_to_dict``, ``circuit_from_qasm``); none has a caller outside the
+tests.
 
 Amplitude indexing: bit g of a basis-state index is global qubit g (qubit 0
 is the least significant bit), matching the circuit's register numbering.
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import deque
 
 import numpy as np
 
 from qshuffle import simulator
-from qshuffle.circuit import Circuit, Gate, value_controls
+from qshuffle.circuit import Circuit, Control, Gate, QubitRef, value_controls
 
 BLOCK_BITS = 14  # gates run on blocks of 2^14 amplitudes: four fit a 2 MiB L2 cache
 AMPLITUDE_TOL = 1e-10
@@ -226,3 +229,55 @@ def word_of_permutation(sigma) -> tuple[int, ...]:
             raise ValueError(f"{sigma} is not a bijection on range({n})")
         word[v] = k
     return tuple(word)
+
+
+def circuit_to_dict(circuit: Circuit) -> dict:
+    """The circuit JSON schema as nested dicts: ``json.dumps`` of it is the
+    reference text ``serialize.circuit_to_json`` must write byte for byte."""
+    return {
+        "registers": [
+            {"name": r.name, "count": r.count, "width": r.width} for r in circuit.registers
+        ],
+        "gates": [
+            {
+                "primitive": g.primitive,
+                "angle": g.angle,
+                "targets": [{"reg": t.reg, "sub": t.sub, "bit": t.bit} for t in g.targets],
+                "controls": [
+                    {"reg": c.qubit.reg, "sub": c.qubit.sub, "bit": c.qubit.bit, "value": c.value}
+                    for c in g.controls
+                ],
+            }
+            for g in circuit.gates
+        ],
+        "metadata": circuit.metadata,
+    }
+
+
+_QASM_STATEMENT = re.compile(r"((?:(?:neg)?ctrl @ )*)(x|h|ry|rz|swap|cx)(?:\((.+)\))? "
+                             r"(q\[\d+\](?:, q\[\d+\])*);")
+
+
+def circuit_from_qasm(text: str) -> Circuit:
+    """Read the OpenQASM 3 subset ``circuit_to_qasm`` writes: one flat array
+    ``q``, ``x h ry rz swap cx`` and ``ctrl @``/``negctrl @`` modifiers with
+    the controls first.  The circuit has one register ``q`` of one
+    subregister, so q[k] is global qubit k as in the written circuit."""
+    lines = text.splitlines()
+    if lines[0] != "OPENQASM 3.0;" or not lines[1].startswith("// registers: "):
+        raise ValueError("not an OPENQASM 3.0 file with a register map")
+    circuit = Circuit([("q", 1, int(re.fullmatch(r"qubit\[(\d+)\] q;", lines[2]).group(1)))])
+    for line in lines[3:]:
+        match = _QASM_STATEMENT.fullmatch(line)
+        if match is None:
+            raise ValueError(f"not in the QASM subset: {line!r}")
+        modifiers, name, angle, operands = match.groups()
+        qubits = [QubitRef("q", 0, int(k)) for k in re.findall(r"\d+", operands)]
+        values = [int(m == "ctrl") for m in re.findall(r"(negctrl|ctrl) @", modifiers)]
+        if name == "cx":
+            name, values = "x", [1]
+        controls = tuple(Control(q, v) for q, v in zip(qubits, values))
+        gate = Gate(name.upper(), None if angle is None else float(angle),
+                    tuple(qubits[len(values):]), controls)
+        circuit.append(gate)
+    return circuit

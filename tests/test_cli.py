@@ -5,13 +5,14 @@ import io
 import json
 import os
 import tempfile
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshuffle import resources, simulator, verify
+from qshuffle import cli, resources, simulator, verify
 from qshuffle.cli import main
 from qshuffle.verify import verify_spec
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints
@@ -193,6 +194,40 @@ def test_sample_deterministic(capsys):
     first = capsys.readouterr().out
     run_cli("sample", "--n", "5", "--shots", "10", "--seed", "9")
     assert capsys.readouterr().out == first
+
+
+def test_sample_rejects_negative_shots(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("sample", "--n", "4", "--shots", "-5")
+    assert err.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "qshuffle: error: --shots must be >= 0"
+
+
+def test_build_over_the_size_cap_exits_2_before_building(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run_cli("build", "--variant", "A", "--n", "100000")
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 10  # the formula is O(n); a build would not end
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qshuffle: A n=100000 has 293953369591 gates, "
+                            "over the size cap of 1000000\n")
+
+
+@pytest.mark.parametrize("command", ["build", "count", "verify"])
+def test_size_cap_boundary(capsys, monkeypatch, command):
+    cap = resources.gate_count_formula("A", 4)
+    monkeypatch.setattr(cli, "MAX_GATES", cap)
+    assert run_cli(command, "--variant", "A", "--n", "4") == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, "--variant", "A", "--n", "5")
+    assert err.value.code == 2
+    over = resources.gate_count_formula("A", 5)
+    assert capsys.readouterr().err == f"qshuffle: A n=5 has {over} gates, over the size cap of {cap}\n"
 
 
 def test_prep_commands(capsys):

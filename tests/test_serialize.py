@@ -1,15 +1,19 @@
-"""JSON round-trips and the OpenQASM subset emitter."""
+"""JSON round-trips, the OpenQASM subset emitter, and the emitters' output
+against the reference encoders in ``oracles``."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qshuffle.builders import BuildSpec, build
-from qshuffle.circuit import Circuit, QubitRef, ctrl, gate_ry, gate_swap
-from qshuffle.serialize import circuit_from_json, circuit_to_dict, circuit_to_json, circuit_to_qasm
-from oracles import run
+from qshuffle import simulator
+from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
+from qshuffle.circuit import Circuit, Control, Gate, QubitRef, Register, ctrl, gate_ry, gate_swap
+from qshuffle.lowering import lower_circuit
+from qshuffle.serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
+from oracles import circuit_from_qasm, circuit_to_dict, run
 
 from test_circuit import random_circuits
 
@@ -84,3 +88,92 @@ def test_qasm_every_line_terminated():
     text = circuit_to_qasm(build(BuildSpec("C", 3, 1)))
     for line in text.strip().split("\n")[2:]:
         assert line.endswith(";") or line.startswith("//")
+
+
+def _lowerings(spec):
+    """The counting-level build of a spec, then its full lowering in both MCX modes."""
+    circuit = build(spec)
+    yield circuit
+    for mcx in ("borrowed", "clean"):
+        yield lower_circuit(circuit, "full", mcx)
+
+
+def _specs(variant, encoding, n_values):
+    for n in n_values:
+        for m in ((1, 2) if variant in ("B", "Bt", "C") else (None,)):
+            yield BuildSpec(variant, n, m, encoding)
+
+
+@given(random_circuits())
+@settings(max_examples=50, deadline=None)
+def test_json_text_equals_the_reference_encoder_random(c):
+    assert circuit_to_json(c) == json.dumps(circuit_to_dict(c))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_json_text_equals_the_reference_encoder(variant, encoding):
+    for spec in _specs(variant, encoding, range(1, 6)):
+        for c in _lowerings(spec):
+            assert circuit_to_json(c) == json.dumps(circuit_to_dict(c)), (spec, c.metadata)
+
+
+def test_json_text_of_edge_values():
+    c = Circuit([("r\u00e9g \"q\"", 2, 2)], {"note": "\u2192", "nested": {"k": [1, 2.5, None]}})
+    q = QubitRef("r\u00e9g \"q\"", None, 1)
+    c.append(gate_ry(-0.0, q))
+    c.append(Gate("RZ", 3, (QubitRef(q.reg, 1, 0),), (Control(q, 0),)))
+    c.append(gate_swap(QubitRef(q.reg, 1, 0), QubitRef(q.reg, 1, 1), (ctrl(q),)))
+    assert circuit_to_json(c) == json.dumps(circuit_to_dict(c))
+
+
+def _resolved(c):
+    """Each gate by global qubit index: primitive, angle, qubits (targets
+    first) and control values; the same for any register naming."""
+    return [(g.primitive, g.angle, c.gate_qubits(g), [k.value for k in g.controls]) for g in c.gates]
+
+
+@given(random_circuits())
+@settings(max_examples=50, deadline=None)
+def test_qasm_round_trip_random(c):
+    assert _resolved(circuit_from_qasm(circuit_to_qasm(c))) == _resolved(c)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_qasm_round_trip_simulates_like_json(variant, encoding):
+    for spec in _specs(variant, encoding, [4]):
+        for c in _lowerings(spec):
+            from_json = circuit_from_json(circuit_to_json(c))
+            from_qasm = circuit_from_qasm(circuit_to_qasm(c))
+            assert from_qasm.num_qubits == c.num_qubits
+            assert _resolved(from_qasm) == _resolved(from_json)
+            (qi, qa), (ji, ja) = simulator.run(from_qasm), simulator.run(from_json)
+            assert np.array_equal(qi, ji) and np.array_equal(qa, ja), (spec, c.metadata)
+
+
+def test_qasm_reader_rejects_text_outside_the_subset():
+    text = circuit_to_qasm(build(BuildSpec("A", 2)))
+    with pytest.raises(ValueError, match="not in the QASM subset"):
+        circuit_from_qasm(text + "ccx q[0], q[1], q[2];\n")
+
+
+def test_ir_objects_carry_no_instance_dict():
+    q = QubitRef("a", 0, 0)
+    for obj in (Register("a", 1, 1), q, Control(q, 1), gate_ry(0.5, q)):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def test_build_and_json_peak_memory():
+    """A n=32 (8,770 gates) built and written as JSON: about 7 MB traced at
+    the peak with slotted gates and memoised qubit text, 17 MB with a
+    ``__dict__`` per object and one dict per qubit reference."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        text = circuit_to_json(build(BuildSpec("A", 32)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
