@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, QubitRef, Register, ctrl, gate_swap, gate_x, value_controls
+from .circuit import Circuit, Register, ctrl, gate_swap, gate_x, value_controls
 from .lowering import lower_controlled_swap
 from .prep import u_gates, v_gates
 
@@ -104,14 +104,14 @@ def init_identity_word(circuit: Circuit, n: int) -> Circuit:
     for k in range(1, n):
         for bit in range(k.bit_length()):
             if (k >> bit) & 1:
-                circuit.append(gate_x(QubitRef(PERM, k, bit)))
+                circuit.append(gate_x(circuit.ref(PERM, k, bit)))
     return circuit
 
 
 def _controlled_pairwise_swap(circuit: Circuit, reg: str, j: int, i: int, width: int, controls) -> None:
-    for bit in range(width):
-        swap = gate_swap(QubitRef(reg, j, bit), QubitRef(reg, i, bit), controls)
-        circuit.extend(lower_controlled_swap(swap))
+    ref = circuit.ref
+    circuit.extend(g for bit in range(width)
+                   for g in lower_controlled_swap(gate_swap(ref(reg, j, bit), ref(reg, i, bit), controls)))
 
 
 def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
@@ -121,6 +121,13 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     metadata = {"variant": spec.variant, "n": n, "m": spec.m, "encoding": spec.encoding,
                 "lowering": "counting"}
     circuit = Circuit(register_layout(spec), metadata)
+    ref, conditions = circuit.ref, {}
+
+    def controls(*key):  # value_controls(reg, sub, value, width), one tuple per build
+        if key not in conditions:
+            conditions[key] = value_controls(*key, ref)
+        return conditions[key]
+
     if spec.has_perm:
         init_identity_word(circuit, n)
     checkpoints = []
@@ -129,14 +136,14 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
         b = i.bit_length()
         anc = ANC if spec.disentangling else f"{ANC}{i}"
         if spec.encoding == "binary":
-            circuit.extend(u_gates(i, anc, 0))
+            circuit.extend(u_gates(i, anc, 0, ref))
         else:
-            circuit.extend(v_gates(i, anc, 0))
+            circuit.extend(v_gates(i, anc, 0, ref))
         for j in range(i):
             if spec.encoding == "binary":
-                draw_controls = value_controls(anc, 0, j, b)
+                draw_controls = controls(anc, 0, j, b)
             else:
-                draw_controls = (ctrl(QubitRef(anc, 0, j), 1),)
+                draw_controls = (ctrl(ref(anc, 0, j), 1),)
             if spec.has_data:
                 _controlled_pairwise_swap(circuit, DATA, j, i, spec.m, draw_controls)
             if spec.has_perm:
@@ -146,12 +153,10 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
                 for j in range(1, i + 1):
                     for bit in range(b):
                         if (j >> bit) & 1:
-                            circuit.append(gate_x(QubitRef(ANC, 0, bit),
-                                                  value_controls(PERM, j, i, b)))
+                            circuit.append(gate_x(ref(ANC, 0, bit), controls(PERM, j, i, b)))
             else:
                 for j in range(i):
-                    circuit.append(gate_x(QubitRef(ANC, 0, j),
-                                          value_controls(PERM, j, i, b)))
+                    circuit.append(gate_x(ref(ANC, 0, j), controls(PERM, j, i, b)))
     checkpoints.append(len(circuit))
     return circuit, tuple(checkpoints)
 

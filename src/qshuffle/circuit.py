@@ -7,6 +7,11 @@ significant bit of the integer it stores.  Gates are primitives from
 which requires a qubit to be 0 or 1 (negative controls are first-class, so
 value-controlled gates need no X-conjugation until full lowering).
 
+IR objects are immutable and shared: a circuit hands out one ``QubitRef``
+per qubit (``Circuit.ref``), checked once and then resolved by identity, and
+a gate list may hold one ``Gate`` object many times; ``extend`` checks each
+distinct object once per call.
+
 Also provides the cost classes of the counting alphabet and weighted
 primitive counting.
 """
@@ -85,11 +90,11 @@ def gate_swap(a: QubitRef, b: QubitRef, controls: tuple[Control, ...] = ()) -> G
     return Gate("SWAP", None, (a, b), tuple(controls))
 
 
-def value_controls(reg: str, sub: int, value: int, width: int) -> tuple[Control, ...]:
+def value_controls(reg: str, sub: int, value: int, width: int, ref=QubitRef) -> tuple[Control, ...]:
     """Controls requiring subregister (reg, sub) to hold ``value`` on its low ``width`` bits."""
     if value < 0 or value >= (1 << width):
         raise ValueError(f"control value {value} does not fit in {width} bits")
-    return tuple(Control(QubitRef(reg, sub, k), (value >> k) & 1) for k in range(width))
+    return tuple(Control(ref(reg, sub, k), (value >> k) & 1) for k in range(width))
 
 
 class Circuit:
@@ -119,6 +124,8 @@ class Circuit:
         self.registers: tuple[Register, ...] = tuple(regs)
         self.metadata: dict = dict(metadata or {})
         self.gates: list[Gate] = []
+        self._refs: dict[tuple, QubitRef] = {}  # (reg, sub, bit, their types) -> ref, made lazily
+        self._known: dict[int, int] = {}  # id of a canonical ref (kept by _refs) -> index
 
     def register(self, name: str) -> Register:
         reg = self._by_name.get(name)
@@ -126,26 +133,37 @@ class Circuit:
             raise ValueError(f"unknown register {name!r}")
         return reg
 
-    def qubit_index(self, ref: QubitRef) -> int:
-        return self._indices((ref,))[0]
+    def ref(self, reg: str, sub: int | None, bit: int) -> QubitRef:
+        """The circuit's one QubitRef for (reg, sub, bit), checked when first made.
+        The key carries the types, so ``sub=True`` or ``1.0`` never finds ``reg[1]``."""
+        key = (reg, sub, bit, type(sub), type(bit))
+        try:
+            ref = self._refs.get(key)
+        except TypeError:  # an unhashable sub or bit: the check below names it
+            ref = None
+        if ref is None:
+            ref = QubitRef(reg, sub, bit)
+            self._known[id(ref)] = self._resolve(ref)
+            self._refs[key] = ref
+        return ref
 
-    def _indices(self, refs) -> tuple[int, ...]:
-        """Global index of each ref, from one layout lookup per ref."""
-        layout = self._layout
-        out = []
-        for ref in refs:
-            entry = layout.get(ref.reg)
-            if entry is None:
-                raise ValueError(f"unknown register {ref.reg!r}")
-            offset, count, width = entry
-            sub = 0 if ref.sub is None else ref.sub
-            if type(sub) is not int or not 0 <= sub < count:
-                raise ValueError(f"subregister {ref.reg}:{sub!r} not an int in range (count {count})")
-            bit = ref.bit
-            if type(bit) is not int or not 0 <= bit < width:
-                raise ValueError(f"bit {bit!r} not an int in range for {ref.reg} (width {width})")
-            out.append(offset + sub * width + bit)
-        return tuple(out)
+    def qubit_index(self, ref: QubitRef) -> int:
+        """Global index: a canonical ref by identity, any other by the full check."""
+        index = self._known.get(id(ref))
+        return self._resolve(ref) if index is None else index
+
+    def _resolve(self, ref: QubitRef) -> int:
+        entry = self._layout.get(ref.reg)
+        if entry is None:
+            raise ValueError(f"unknown register {ref.reg!r}")
+        offset, count, width = entry
+        sub = 0 if ref.sub is None else ref.sub
+        if type(sub) is not int or not 0 <= sub < count:
+            raise ValueError(f"subregister {ref.reg}:{sub!r} not an int in range (count {count})")
+        bit = ref.bit
+        if type(bit) is not int or not 0 <= bit < width:
+            raise ValueError(f"bit {bit!r} not an int in range for {ref.reg} (width {width})")
+        return offset + sub * width + bit
 
     def ref_of(self, index: int) -> QubitRef:
         """Inverse of qubit_index."""
@@ -154,13 +172,8 @@ class Circuit:
         for name, (offset, count, width) in self._layout.items():
             if index < offset + count * width:
                 local = index - offset
-                return QubitRef(name, local // width, local % width)
+                return self.ref(name, local // width, local % width)
         raise AssertionError("unreachable")
-
-    def subregister_qubits(self, name: str, sub: int) -> list[int]:
-        reg = self.register(name)
-        base = self._layout[name][0] + sub * reg.width
-        return list(range(base, base + reg.width))
 
     def register_qubits(self, name: str) -> list[int]:
         reg = self.register(name)
@@ -169,7 +182,11 @@ class Circuit:
 
     def gate_qubits(self, gate: Gate) -> tuple[int, ...]:
         """Global indices touched by a gate: targets then control qubits."""
-        return self._indices((*gate.targets, *[c.qubit for c in gate.controls]))
+        known = self._known
+        try:  # every ref canonical: one lookup each
+            return tuple([known[id(q)] for q in gate.targets] + [known[id(c.qubit)] for c in gate.controls])
+        except KeyError:
+            return tuple([self.qubit_index(q) for q in (*gate.targets, *[c.qubit for c in gate.controls])])
 
     def append(self, gate: Gate) -> "Circuit":
         if gate.primitive not in PRIMITIVES:
@@ -195,12 +212,19 @@ class Circuit:
         return self
 
     def extend(self, gates) -> "Circuit":
+        checked = set()  # ids of the gates appended in this call, kept alive by self.gates
         for g in gates:
-            self.append(g)
+            if id(g) in checked:
+                self.gates.append(g)
+            else:
+                self.append(g)
+                checked.add(id(g))
         return self
 
     def copy_empty(self) -> "Circuit":
-        return Circuit(self.registers, self.metadata)
+        out = Circuit(self.registers, self.metadata)
+        out._refs, out._known = self._refs, self._known
+        return out
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -29,6 +29,7 @@ from .verify import DEFAULT_SEED, DEFAULT_TOL, verify_spec
 EX_OK, EX_FAIL, EX_CAP = 0, 1, 2
 EX_USAGE, EX_IOERR = 64, 74
 MAX_GATES = 10**6  # counting-level gates a build, count or verify may have
+PROG = "qshuffle"  # prefix of the refusals that are not argparse usage errors
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +53,7 @@ def _make_spec(parser, args) -> BuildSpec:
         parser.error(str(exc))
     gates = gate_count_formula(spec.variant, spec.n, spec.m, spec.encoding)
     if gates > MAX_GATES:
-        parser.exit(EX_CAP, f"{parser.prog}: {spec.variant} n={spec.n} has {gates} gates, "
+        parser.exit(EX_CAP, f"{PROG}: {spec.variant} n={spec.n} has {gates} gates, "
                             f"over the size cap of {MAX_GATES}\n")
     return spec
 
@@ -74,7 +75,7 @@ def _load_profile(parser, path: str | None) -> CostProfile:
         try:
             return CostProfile.from_dict(json.load(handle))
         except ValueError as exc:
-            parser.exit(EX_USAGE, f"{parser.prog}: bad cost profile {path}: {exc}\n")
+            parser.exit(EX_USAGE, f"{PROG}: bad cost profile {path}: {exc}\n")
 
 
 def _emit_circuit(circuit, fmt: str, out: str | None):
@@ -138,7 +139,7 @@ def cmd_simulate(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     spec = _make_spec(parser, args)
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        parser.exit(EX_USAGE, f"{parser.prog}: --tolerance must be a finite number > 0, "
+        parser.exit(EX_USAGE, f"{PROG}: --tolerance must be a finite number > 0, "
                               f"got {args.tolerance}\n")
     report = verify_spec(spec, tol=args.tolerance, seed=args.seed)
     _write_output(json.dumps(report.to_dict(), indent=2), args.out)
@@ -182,61 +183,61 @@ def cmd_sample(parser, args) -> int:
     return EX_OK
 
 
+def _command(sub, name: str, func, help: str) -> _Parser:
+    """A subcommand parser; ``main`` hands it to ``func``, so its usage errors name it."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func, parser=p)
+    return p
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="qshuffle", description=__doc__)
+    parser = _Parser(prog=PROG, description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("build", help="emit a shuffle circuit as JSON or OpenQASM")
+    p = _command(sub, "build", cmd_build, "emit a shuffle circuit as JSON or OpenQASM")
     _add_spec_arguments(p)
     p.add_argument("--format", choices=("json", "qasm"), default="json")
     p.add_argument("--lower", choices=("counting", "full"), default="counting")
     p.add_argument("--mcx", choices=("clean", "borrowed"), default="borrowed")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("prep", help="emit a uniform superposition prep fragment")
+    p = _command(sub, "prep", cmd_prep, "emit a uniform superposition prep fragment")
     p.add_argument("--i", required=True, type=int)
     p.add_argument("--encoding", choices=ENCODINGS, default="binary")
     p.add_argument("--format", choices=("json", "qasm"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_prep)
 
-    p = sub.add_parser("simulate", help="simulate a circuit file, list branches")
+    p = _command(sub, "simulate", cmd_simulate, "simulate a circuit file, list branches")
     p.add_argument("--circuit", required=True)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="simulate a build and check every invariant")
+    p = _command(sub, "verify", cmd_verify, "simulate a build and check every invariant")
     _add_spec_arguments(p)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("count", help="formula vs measured resource report")
+    p = _command(sub, "count", cmd_count, "formula vs measured resource report")
     _add_spec_arguments(p)
     p.add_argument("--profile", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("table", help="formula scaling table as CSV")
+    p = _command(sub, "table", cmd_table, "formula scaling table as CSV")
     p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--n-max", required=True, type=int)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--encoding", choices=ENCODINGS, default="binary")
     p.add_argument("--profile", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("sample", help="classical Fisher-Yates word samples, one JSON array per line")
+    p = _command(sub, "sample", cmd_sample, "classical Fisher-Yates word samples, one JSON array per line")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--shots", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--direction", choices=("forward", "reversed"), default="reversed")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sample)
 
     return parser
 
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)
     except SimulationCapExceeded as exc:
         sys.stderr.write(f"{exc}\n")
         return EX_CAP

@@ -23,6 +23,9 @@ Full lowering hands either mode the first qubits the gate does not touch,
 without checking their state.  Borrowed mode is therefore exact; clean mode
 is wrong for m >= 4 when a helper of its AND chain is not |0> (a fully
 lowered A n=5 in clean mode is one such circuit).
+
+``lower_circuit`` shares repeats: it rewrites each distinct input gate and
+each distinct Toffoli once per call, and equal output gates are one object.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
 
     counting lowers only (controlled) swaps; full additionally lowers every
     X with >= 2 controls down to {X, H, RY, RZ, CX, CH, CRY}, borrowing or
-    requiring clean idle qubits per ``mode``.
+    requiring clean idle qubits per ``mode``.  Output gates are hash-consed
+    on primitive, angle repr and the identity of their qubit references.
     """
     if level not in LOWERING_LEVELS:
         raise ValueError(f"unknown lowering level {level!r}")
@@ -158,24 +162,35 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
     out.metadata["lowering"] = level
     if level == "full":
         out.metadata["mcx_mode"] = mode
-    for gate in circuit.gates:
-        seq = lower_controlled_swap(gate) if gate.primitive == "SWAP" else [gate]
-        if level == "counting":
-            out.extend(seq)
-            continue
-        for g in seq:
-            _lower_full(out, g, mode)
-    return out
+    made: dict[tuple, Gate] = {}  # hash-cons key -> the one gate with it
+    networks: dict[tuple, list[Gate]] = {}  # ids of a Toffoli's qubits -> its network
+    rewrites: dict[int, list[Gate]] = {}  # id of an input gate (kept by circuit.gates) -> rewrite
 
+    def share(g: Gate) -> Gate:  # the angle by repr, so -0.0 and 0.0 stay apart
+        key = (g.primitive, repr(g.angle), *map(id, g.targets), *[(id(c.qubit), c.value) for c in g.controls])
+        return made.setdefault(key, g)
 
-def _lower_full(out: Circuit, gate: Gate, mode: str) -> None:
-    for g in eliminate_negative_controls(gate):
-        if g.primitive != "X" or len(g.controls) < 2:
-            out.append(g)
-        elif len(g.controls) == 2:
-            out.extend(lower_toffoli(g))
-        else:
-            support = set(out.gate_qubits(g))
-            idle = islice((q for q in range(out.num_qubits) if q not in support), len(g.controls) - 2)
-            for toffoli in lower_mcx(g, mode, [out.ref_of(q) for q in idle]):
-                out.extend(lower_toffoli(toffoli))
+    def network(toffoli: Gate) -> list[Gate]:
+        key = (*[id(c.qubit) for c in toffoli.controls], id(toffoli.targets[0]))
+        if key not in networks:
+            networks[key] = [share(g) for g in lower_toffoli(toffoli)]
+        return networks[key]
+
+    def expand(g: Gate) -> list[Gate]:
+        if level == "counting" or g.primitive != "X" or len(g.controls) < 2:
+            return [share(g)]
+        if len(g.controls) == 2:
+            return network(g)
+        support = set(out.gate_qubits(g))
+        idle = islice((q for q in range(out.num_qubits) if q not in support), len(g.controls) - 2)
+        return [h for t in lower_mcx(g, mode, [out.ref_of(q) for q in idle]) for h in network(t)]
+
+    def rewrite(gate: Gate) -> list[Gate]:
+        if id(gate) not in rewrites:
+            seq = lower_controlled_swap(gate) if gate.primitive == "SWAP" else [gate]
+            if level == "full":
+                seq = [h for g in seq for h in eliminate_negative_controls(g)]
+            rewrites[id(gate)] = [h for g in seq for h in expand(g)]
+        return rewrites[id(gate)]
+
+    return out.extend(g for gate in circuit.gates for g in rewrite(gate))

@@ -41,12 +41,12 @@ def binary_width(i: int) -> int:
     return i.bit_length()
 
 
-def u_gates(i: int, reg: str = "q", sub: int = 0) -> list[Gate]:
+def u_gates(i: int, reg: str = "q", sub: int = 0, ref=QubitRef) -> list[Gate]:
     """Gate list of the binary uniform prep for 0..i on subregister (reg, sub)."""
     if i < 1:
         raise ValueError("i must be >= 1")
     m = i + 1
-    q = lambda bit: QubitRef(reg, sub, bit)
+    q = lambda bit: ref(reg, sub, bit)
     if m & (m - 1) == 0:  # power of two: one Hadamard per qubit
         return [gate_h(q(bit)) for bit in range(binary_width(i))]
     s = [bit for bit in range(m.bit_length()) if (m >> bit) & 1]
@@ -67,12 +67,12 @@ def u_gates(i: int, reg: str = "q", sub: int = 0) -> list[Gate]:
     return gates
 
 
-def v_gates(i: int, reg: str = "q", sub: int = 0) -> list[Gate]:
+def v_gates(i: int, reg: str = "q", sub: int = 0, ref=QubitRef) -> list[Gate]:
     """Gate list of the one-hot uniform prep over i qubits of (reg, sub)."""
     if i < 1:
         raise ValueError("i must be >= 1")
     m = i + 1
-    q = lambda bit: QubitRef(reg, sub, bit)
+    q = lambda bit: ref(reg, sub, bit)
     gates = [gate_ry(2.0 * acos(sqrt(1.0 / m)), q(0))]
     for bit in range(1, i):
         gates.append(gate_ry(2.0 * acos(sqrt(1.0 / (m - bit))), q(bit), (ctrl(q(bit - 1), 1),)))
@@ -83,10 +83,10 @@ def v_gates(i: int, reg: str = "q", sub: int = 0) -> list[Gate]:
 def build_u(i: int) -> Circuit:
     """Binary uniform prep as a standalone circuit on one register."""
     circuit = Circuit([("q", 1, binary_width(i))], {"prep": "u", "i": i, "encoding": "binary"})
-    return circuit.extend(u_gates(i))
+    return circuit.extend(u_gates(i, ref=circuit.ref))
 
 
 def build_v(i: int) -> Circuit:
     """One-hot uniform prep as a standalone circuit on one register."""
     circuit = Circuit([("q", 1, i)], {"prep": "v", "i": i, "encoding": "onehot"})
-    return circuit.extend(v_gates(i))
+    return circuit.extend(v_gates(i, ref=circuit.ref))

@@ -9,6 +9,8 @@ Angles are radians, written with full float precision so a round trip
 reproduces simulations bit-identically.  The text is ``json.dumps`` of that
 schema byte for byte, but written without the nested dicts: each distinct
 qubit reference and control is encoded once per call and its fragment reused.
+Both emitters also encode each distinct gate object and each distinct angle
+object once per call (by identity, so shared gates cost one lookup each).
 
 The QASM emitter writes one flat qubit array plus a comment mapping register
 names to index ranges.  Single positive controls on X become cx; every other
@@ -37,16 +39,31 @@ class _Texts(dict):
         return text
 
 
+class _Once(dict):
+    """``encode(obj)``, run once per object of one call's circuit.gates: keyed
+    by identity, so -0.0 never gets 0.0's text."""
+
+    def __init__(self, encode):
+        self.encode = encode
+
+    def __call__(self, obj) -> str:
+        text = self.get(id(obj))
+        if text is None:
+            text = self[id(obj)] = self.encode(obj)
+        return text
+
+
 def circuit_to_json(circuit: Circuit) -> str:
     text = _Texts().__getitem__
+    angle = _Once(json.dumps)
+
+    def encode(g: Gate) -> str:
+        return (f'{{"primitive": {text(g.primitive)}, "angle": {angle(g.angle)}, '
+                f'"targets": [{", ".join(map(text, g.targets))}], '
+                f'"controls": [{", ".join(map(text, g.controls))}]}}')
+
+    gates = ", ".join(list(map(_Once(encode), circuit.gates)))  # the memo goes before the join
     registers = [{"name": r.name, "count": r.count, "width": r.width} for r in circuit.registers]
-    gates = ", ".join(
-        f'{{"primitive": {text(g.primitive)}, '
-        f'"angle": {"null" if g.angle is None else json.dumps(g.angle)}, '
-        f'"targets": [{", ".join(map(text, g.targets))}], '
-        f'"controls": [{", ".join(map(text, g.controls))}]}}'
-        for g in circuit.gates
-    )
     return (f'{{"registers": {json.dumps(registers)}, "gates": [{gates}], '
             f'"metadata": {json.dumps(circuit.metadata)}}}')
 
@@ -55,9 +72,10 @@ def circuit_from_json(text: str) -> Circuit:
     data = json.loads(text)
     circuit = Circuit([(r["name"], r["count"], r["width"]) for r in data["registers"]],
                       data.get("metadata") or {})
+    ref = circuit.ref  # one checked QubitRef per qubit address
     for g in data["gates"]:
-        targets = tuple(QubitRef(t["reg"], t["sub"], t["bit"]) for t in g["targets"])
-        controls = tuple(Control(QubitRef(c["reg"], c["sub"], c["bit"]), c["value"])
+        targets = tuple(ref(t["reg"], t["sub"], t["bit"]) for t in g["targets"])
+        controls = tuple(Control(ref(c["reg"], c["sub"], c["bit"]), c["value"])
                          for c in g.get("controls", ()))
         circuit.append(Gate(g["primitive"], g["angle"], targets, controls))
     return circuit
@@ -66,14 +84,14 @@ def circuit_from_json(text: str) -> Circuit:
 _QASM_NAMES = {"X": "x", "H": "h", "RY": "ry", "RZ": "rz", "SWAP": "swap"}
 
 
-def _qasm_gate(gate: Gate, operands: list[str]) -> str:
+def _qasm_gate(gate: Gate, operands: list[str], angle) -> str:
     """One QASM statement; ``operands`` name the gate's qubits, controls first."""
     controls = gate.controls
     if gate.primitive == "X" and len(controls) == 1 and controls[0].value == 1:
         return f"cx {operands[0]}, {operands[1]};"
     name = _QASM_NAMES[gate.primitive]
     if gate.angle is not None:
-        name += f"({gate.angle!r})"
+        name += f"({angle(gate.angle)})"
     mods = "".join("ctrl @ " if c.value == 1 else "negctrl @ " for c in controls)
     return f"{mods}{name} {', '.join(operands)};"
 
@@ -85,8 +103,12 @@ def circuit_to_qasm(circuit: Circuit) -> str:
                                           for r, qubits in zip(circuit.registers, spans)),
              f"qubit[{circuit.num_qubits}] q;"]
     names = [f"q[{q}]" for q in range(circuit.num_qubits)]
-    for g in circuit.gates:
+    angle = _Once(repr)
+
+    def encode(g: Gate) -> str:
         qubits = circuit.gate_qubits(g)  # targets, then controls
         k = len(g.targets)
-        lines.append(_qasm_gate(g, [names[q] for q in qubits[k:] + qubits[:k]]))
+        return _qasm_gate(g, [names[q] for q in qubits[k:] + qubits[:k]], angle)
+
+    lines += map(_Once(encode), circuit.gates)
     return "\n".join(lines) + "\n"

@@ -121,10 +121,11 @@ def evolve(circuit: Circuit, initial=None):
     _guard(state[0])
     yield state
     for gate in circuit.gates:
-        bits = tuple(1 << circuit.qubit_index(t) for t in gate.targets)
-        controls = [(circuit.qubit_index(c.qubit), c.value) for c in gate.controls]
-        mask = sum(1 << q for q, _ in controls)
-        value = sum(v << q for q, v in controls)
+        qubits = circuit.gate_qubits(gate)  # targets, then controls
+        k = len(gate.targets)
+        bits = tuple(1 << q for q in qubits[:k])
+        mask = sum(1 << q for q in qubits[k:])
+        value = sum(c.value << q for q, c in zip(qubits[k:], gate.controls))
         state = _apply(state, gate, bits, mask, value)
         yield state
 

@@ -1,5 +1,7 @@
 """Circuit IR: numbering, validation, value controls, depth, counting."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,3 +221,77 @@ def test_primitive_multiset():
     c.append(gate_x(QubitRef("q", 0, 0)))
     c.append(gate_h(QubitRef("q", 0, 1)))
     assert primitive_multiset(c) == {"X": 2, "H": 1}
+
+
+def test_canonical_refs_are_shared_and_resolve_like_any_ref():
+    c = Circuit([("d", 2, 3), ("a", 1, 2)])
+    r = c.ref("d", 1, 2)
+    assert r is c.ref("d", 1, 2) and r == QubitRef("d", 1, 2)
+    assert c.qubit_index(r) == c.qubit_index(QubitRef("d", 1, 2)) == 5
+    assert c.ref("a", None, 0) is not c.ref("a", 0, 0)  # sub=None stays None in the output
+    assert [c.ref_of(q) for q in range(c.num_qubits)] == [c.ref_of(q) for q in range(c.num_qubits)]
+    assert all(c.ref_of(q) is c.ref_of(q) for q in range(c.num_qubits))
+    assert c.copy_empty().ref("d", 1, 2) is r  # same registers, same table
+    for bad in (("d", 2, 0), ("b", 0, 0), ("d", [1], 0), ("d", 0, {"bit": 1})):
+        with pytest.raises(ValueError):
+            c.ref(*bad)
+
+
+def test_canonical_refs_are_made_lazily():
+    # an eager table of every qubit would not fit: fuzzed circuit files
+    # declare registers of 2**40 qubits
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        c = Circuit([("q", 2**40, 1), ("a", 1, 2)])
+        last = c.ref("q", 2**40 - 1, 0)
+        index = c.qubit_index(c.ref("a", 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.qubit_index(last) == 2**40 - 1 and index == 2**40 + 1
+    assert peak < 2**16, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("sub", [True, 1.0], ids=["bool", "float"])
+def test_a_canonical_ref_never_admits_an_equal_ref_of_another_type(sub):
+    # QubitRef("perm", True, 0) == QubitRef("perm", 1, 0) and they hash alike;
+    # neither it nor 1.0 may resolve through the canonical perm[1].0
+    c = Circuit([("perm", 2, 2)])
+    c.append(gate_x(c.ref("perm", 1, 0)))
+    c.append(gate_x(QubitRef("perm", 1, 0)))
+    alias = QubitRef("perm", sub, 0)
+    assert alias == c.ref("perm", 1, 0)
+    for bad in (lambda: c.append(gate_x(alias)), lambda: c.qubit_index(alias),
+                lambda: c.ref("perm", sub, 0), lambda: c.ref("perm", 1, sub),
+                lambda: c.append(gate_x(c.ref("perm", 0, 0), (ctrl(alias),)))):
+        with pytest.raises(ValueError):
+            bad()
+    assert len(c.gates) == 2
+
+
+def test_a_rejected_gate_is_rejected_again():
+    c = Circuit([("a", 1, 2)])
+    t = c.ref("a", 0, 0)
+    good = gate_x(t)
+    overlap = gate_x(t, (ctrl(t),))
+    nan = Gate("RZ", float("nan"), (t,))
+    for bad in (overlap, nan):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                c.append(bad)
+            with pytest.raises(ValueError):
+                c.extend([good, bad, good])
+    assert c.gates == [good] * 4  # each extend stopped at the bad gate
+
+
+def test_extend_checks_each_distinct_gate_object_once(monkeypatch):
+    c = Circuit([("a", 1, 2)])
+    x, h = gate_x(c.ref("a", 0, 0)), gate_h(c.ref("a", 0, 1))
+    checked = []
+    append = Circuit.append
+    monkeypatch.setattr(Circuit, "append", lambda self, g: checked.append(g) or append(self, g))
+    c.extend([x, h, x, x, h, gate_x(c.ref("a", 0, 0))])
+    assert len(c.gates) == 6 and len(checked) == 3
+    c.extend([x])  # a new call checks again
+    assert len(checked) == 4

@@ -202,7 +202,23 @@ def test_sample_rejects_negative_shots(capsys):
     assert err.value.code == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == "qshuffle: error: --shots must be >= 0"
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: qshuffle sample ")  # the subcommand's usage, not the root's
+    assert lines[-1] == "qshuffle sample: error: --shots must be >= 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "4", "--shots", "-5"), ("sample", "--n", "0"),
+    ("simulate", "--circuit", "c.json", "--shots", "-5"), ("prep", "--i", "0"),
+    ("build", "--variant", "A", "--n", "0"), ("table", "--variant", "A", "--n-max", "1"),
+], ids=["sample-shots", "sample-n", "simulate-shots", "prep-i", "build-n", "table-n-max"])
+def test_usage_errors_name_the_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 64
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: qshuffle {argv[0]} ")
+    assert lines[-1].startswith(f"qshuffle {argv[0]}: error: ")
 
 
 def test_build_over_the_size_cap_exits_2_before_building(capsys):

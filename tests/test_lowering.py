@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qshuffle.builders import BuildSpec, build
+from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
 from qshuffle.circuit import (
     Circuit,
     Control,
@@ -266,6 +268,29 @@ def test_full_lowering_helpers_are_the_first_idle_qubits(spec, mode):
     # ascending order: the lowered circuit is gate for gate the same
     circuit = build(spec)
     assert lower_circuit(circuit, "full", mode).gates == _reference_full(circuit, mode).gates
+
+
+@given(st.sampled_from(VARIANTS), st.sampled_from(ENCODINGS), st.integers(1, 6),
+       st.integers(1, 2), st.sampled_from(["borrowed", "clean"]))
+@settings(max_examples=40, deadline=None)
+def test_memoised_full_lowering_equals_the_reference_random(variant, encoding, n, m, mode):
+    spec = BuildSpec(variant, n, m if variant in ("B", "Bt", "C") else None, encoding)
+    circuit = build(spec)
+    assert lower_circuit(circuit, "full", mode).gates == _reference_full(circuit, mode).gates
+
+
+@pytest.mark.parametrize("mode", ["borrowed", "clean"])
+def test_equal_lowered_gates_are_one_object(monkeypatch, mode):
+    # repeated Toffoli networks, flips and pass-through gates are shared, and
+    # each shared object is checked once
+    circuit = build(BuildSpec("A", 8))
+    checked = []
+    append = Circuit.append
+    monkeypatch.setattr(Circuit, "append", lambda self, g: checked.append(g) or append(self, g))
+    gates = lower_circuit(circuit, "full", mode).gates
+    objects = {id(g): g for g in gates}
+    assert len(objects) == len(set(gates)) < len(gates) // 20
+    assert len(checked) == len(objects)
 
 
 def test_lower_circuit_rejects_unknown_level():

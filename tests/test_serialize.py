@@ -3,6 +3,8 @@ against the reference encoders in ``oracles``."""
 
 import json
 import tracemalloc
+from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 
 from qshuffle import simulator
 from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
-from qshuffle.circuit import Circuit, Control, Gate, QubitRef, Register, ctrl, gate_ry, gate_swap
+from qshuffle.circuit import (Circuit, Control, Gate, QubitRef, Register, ctrl, gate_ry, gate_rz,
+                              gate_swap)
 from qshuffle.lowering import lower_circuit
 from qshuffle.serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
 from oracles import circuit_from_qasm, circuit_to_dict, run
@@ -125,6 +128,48 @@ def test_json_text_of_edge_values():
     c.append(Gate("RZ", 3, (QubitRef(q.reg, 1, 0),), (Control(q, 0),)))
     c.append(gate_swap(QubitRef(q.reg, 1, 0), QubitRef(q.reg, 1, 1), (ctrl(q),)))
     assert circuit_to_json(c) == json.dumps(circuit_to_dict(c))
+
+
+def test_angle_texts_keep_negative_zero_apart():
+    # the emitters encode each angle once per call; -0.0 == 0.0 and 1 == 1.0,
+    # so a cache that found angles by value would hand one the other's text
+    c = Circuit([("q", 1, 2)])
+    a, b = c.ref("q", 0, 0), c.ref("q", 0, 1)
+    neg, zero = -0.0, 0.0
+    c.extend([gate_rz(neg, a), gate_rz(zero, a), gate_rz(neg, b), Gate("RZ", 1, (a,)),
+              gate_rz(1.0, b), gate_rz(zero, b)])
+    assert circuit_to_json(c) == json.dumps(circuit_to_dict(c))
+    assert circuit_to_qasm(c).splitlines()[3:] == [
+        "rz(-0.0) q[0];", "rz(0.0) q[0];", "rz(-0.0) q[1];", "rz(1) q[0];", "rz(1.0) q[1];",
+        "rz(0.0) q[1];"]
+
+
+# SHA-256 of the JSON and QASM text of every variant and encoding at n <= 6,
+# m in {1, 2}, at the counting level and fully lowered in both MCX modes, as
+# the emitters wrote them before gates were shared.  Rewrite the file only
+# for a deliberate change of the output.
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+
+def _digests(variant, encoding):
+    out = {}
+    for spec in _specs(variant, encoding, range(1, 7)):
+        for c in _lowerings(spec):
+            level = " ".join(str(c.metadata[k]) for k in ("lowering", "mcx_mode") if k in c.metadata)
+            name = f"{variant} n{spec.n}" + (f" m{spec.m}" if spec.m else "") + f" {encoding} {level}"
+            out[f"{name} json"] = sha256(circuit_to_json(c).encode()).hexdigest()
+            out[f"{name} qasm"] = sha256(circuit_to_qasm(c).encode()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_output_matches_the_golden_digests(variant, encoding):
+    golden = json.loads(GOLDEN.read_text())
+    want = {k: v for k, v in golden.items() if k.startswith(f"{variant} ") and f" {encoding} " in k}
+    got = _digests(variant, encoding)
+    assert len(want) == len(got) > 0
+    assert [k for k in want if got.get(k) != want[k]] == []
 
 
 def _resolved(c):
