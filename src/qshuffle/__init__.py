@@ -12,7 +12,6 @@ from .circuit import (
     Circuit,
     Control,
     Gate,
-    QubitRef,
     Register,
     count_primitives,
     primitive_class,

@@ -104,14 +104,14 @@ def init_identity_word(circuit: Circuit, n: int) -> Circuit:
     for k in range(1, n):
         for bit in range(k.bit_length()):
             if (k >> bit) & 1:
-                circuit.append(gate_x(circuit.ref(PERM, k, bit)))
+                circuit.append(gate_x(circuit.qubit(PERM, k, bit)))
     return circuit
 
 
 def _controlled_pairwise_swap(circuit: Circuit, reg: str, j: int, i: int, width: int, controls) -> None:
-    ref = circuit.ref
+    q = circuit.qubit
     circuit.extend(g for bit in range(width)
-                   for g in lower_controlled_swap(gate_swap(ref(reg, j, bit), ref(reg, i, bit), controls)))
+                   for g in lower_controlled_swap(gate_swap(q(reg, j, bit), q(reg, i, bit), controls)))
 
 
 def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
@@ -121,11 +121,12 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     metadata = {"variant": spec.variant, "n": n, "m": spec.m, "encoding": spec.encoding,
                 "lowering": "counting"}
     circuit = Circuit(register_layout(spec), metadata)
-    ref, conditions = circuit.ref, {}
+    q, conditions = circuit.qubit, {}
 
-    def controls(*key):  # value_controls(reg, sub, value, width), one tuple per build
+    def controls(reg, sub, value, width):  # (reg, sub) holds value on its low bits
+        key = (reg, sub, value, width)  # one tuple per condition per build
         if key not in conditions:
-            conditions[key] = value_controls(*key, ref)
+            conditions[key] = value_controls([q(reg, sub, k) for k in range(width)], value)
         return conditions[key]
 
     if spec.has_perm:
@@ -135,15 +136,13 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
         checkpoints.append(len(circuit))
         b = i.bit_length()
         anc = ANC if spec.disentangling else f"{ANC}{i}"
-        if spec.encoding == "binary":
-            circuit.extend(u_gates(i, anc, 0, ref))
-        else:
-            circuit.extend(v_gates(i, anc, 0, ref))
+        prep = u_gates if spec.encoding == "binary" else v_gates
+        circuit.extend(prep(i, circuit.register_qubits(anc)))
         for j in range(i):
             if spec.encoding == "binary":
                 draw_controls = controls(anc, 0, j, b)
             else:
-                draw_controls = (ctrl(ref(anc, 0, j), 1),)
+                draw_controls = (ctrl(q(anc, 0, j), 1),)
             if spec.has_data:
                 _controlled_pairwise_swap(circuit, DATA, j, i, spec.m, draw_controls)
             if spec.has_perm:
@@ -153,10 +152,10 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
                 for j in range(1, i + 1):
                     for bit in range(b):
                         if (j >> bit) & 1:
-                            circuit.append(gate_x(ref(ANC, 0, bit), controls(PERM, j, i, b)))
+                            circuit.append(gate_x(q(ANC, 0, bit), controls(PERM, j, i, b)))
             else:
                 for j in range(i):
-                    circuit.append(gate_x(ref(ANC, 0, j), controls(PERM, j, i, b)))
+                    circuit.append(gate_x(q(ANC, 0, j), controls(PERM, j, i, b)))
     checkpoints.append(len(circuit))
     return circuit, tuple(checkpoints)
 

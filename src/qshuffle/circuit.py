@@ -7,10 +7,12 @@ significant bit of the integer it stores.  Gates are primitives from
 which requires a qubit to be 0 or 1 (negative controls are first-class, so
 value-controlled gates need no X-conjugation until full lowering).
 
-IR objects are immutable and shared: a circuit hands out one ``QubitRef``
-per qubit (``Circuit.ref``), checked once and then resolved by identity, and
-a gate list may hold one ``Gate`` object many times; ``extend`` checks each
-distinct object once per call.
+Gates name their qubits by global index, a plain int.  ``Circuit.qubit``
+turns a (register, subregister, bit) address into its index, checked, where a
+name enters the pipeline (builders, circuit files); ``ref_of`` turns an index
+back into its address for text output.  IR objects are immutable, and a gate
+list may hold one ``Gate`` object many times; ``extend`` checks each distinct
+object once per call.
 
 Also provides the cost classes of the counting alphabet and weighted
 primitive counting.
@@ -37,21 +39,8 @@ class Register:
 
 
 @dataclass(frozen=True, slots=True)
-class QubitRef:
-    """A qubit addressed as (register, subregister, bit).
-
-    ``sub=None`` is accepted and means subregister 0, for single-subregister
-    registers.  ``bit`` counts from the least significant bit.
-    """
-
-    reg: str
-    sub: int | None
-    bit: int
-
-
-@dataclass(frozen=True, slots=True)
 class Control:
-    qubit: QubitRef
+    qubit: int  # global index
     value: int  # required bit value, 0 or 1
 
 
@@ -59,42 +48,42 @@ class Control:
 class Gate:
     primitive: str
     angle: float | None
-    targets: tuple[QubitRef, ...]
+    targets: tuple[int, ...]  # global indices
     controls: tuple[Control, ...] = ()
 
     def with_controls(self, extra: tuple[Control, ...]) -> "Gate":
         return replace(self, controls=self.controls + tuple(extra))
 
 
-def ctrl(qubit: QubitRef, value: int = 1) -> Control:
+def ctrl(qubit: int, value: int = 1) -> Control:
     return Control(qubit, value)
 
 
-def gate_x(target: QubitRef, controls: tuple[Control, ...] = ()) -> Gate:
+def gate_x(target: int, controls: tuple[Control, ...] = ()) -> Gate:
     return Gate("X", None, (target,), tuple(controls))
 
 
-def gate_h(target: QubitRef, controls: tuple[Control, ...] = ()) -> Gate:
+def gate_h(target: int, controls: tuple[Control, ...] = ()) -> Gate:
     return Gate("H", None, (target,), tuple(controls))
 
 
-def gate_ry(angle: float, target: QubitRef, controls: tuple[Control, ...] = ()) -> Gate:
+def gate_ry(angle: float, target: int, controls: tuple[Control, ...] = ()) -> Gate:
     return Gate("RY", angle, (target,), tuple(controls))
 
 
-def gate_rz(angle: float, target: QubitRef, controls: tuple[Control, ...] = ()) -> Gate:
+def gate_rz(angle: float, target: int, controls: tuple[Control, ...] = ()) -> Gate:
     return Gate("RZ", angle, (target,), tuple(controls))
 
 
-def gate_swap(a: QubitRef, b: QubitRef, controls: tuple[Control, ...] = ()) -> Gate:
+def gate_swap(a: int, b: int, controls: tuple[Control, ...] = ()) -> Gate:
     return Gate("SWAP", None, (a, b), tuple(controls))
 
 
-def value_controls(reg: str, sub: int, value: int, width: int, ref=QubitRef) -> tuple[Control, ...]:
-    """Controls requiring subregister (reg, sub) to hold ``value`` on its low ``width`` bits."""
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"control value {value} does not fit in {width} bits")
-    return tuple(Control(ref(reg, sub, k), (value >> k) & 1) for k in range(width))
+def value_controls(qubits, value: int) -> tuple[Control, ...]:
+    """Controls requiring ``qubits`` (least significant bit first) to hold ``value``."""
+    if value < 0 or value >= (1 << len(qubits)):
+        raise ValueError(f"control value {value} does not fit in {len(qubits)} bits")
+    return tuple(Control(q, (value >> k) & 1) for k, q in enumerate(qubits))
 
 
 class Circuit:
@@ -124,8 +113,6 @@ class Circuit:
         self.registers: tuple[Register, ...] = tuple(regs)
         self.metadata: dict = dict(metadata or {})
         self.gates: list[Gate] = []
-        self._refs: dict[tuple, QubitRef] = {}  # (reg, sub, bit, their types) -> ref, made lazily
-        self._known: dict[int, int] = {}  # id of a canonical ref (kept by _refs) -> index
 
     def register(self, name: str) -> Register:
         reg = self._by_name.get(name)
@@ -133,46 +120,27 @@ class Circuit:
             raise ValueError(f"unknown register {name!r}")
         return reg
 
-    def ref(self, reg: str, sub: int | None, bit: int) -> QubitRef:
-        """The circuit's one QubitRef for (reg, sub, bit), checked when first made.
-        The key carries the types, so ``sub=True`` or ``1.0`` never finds ``reg[1]``."""
-        key = (reg, sub, bit, type(sub), type(bit))
-        try:
-            ref = self._refs.get(key)
-        except TypeError:  # an unhashable sub or bit: the check below names it
-            ref = None
-        if ref is None:
-            ref = QubitRef(reg, sub, bit)
-            self._known[id(ref)] = self._resolve(ref)
-            self._refs[key] = ref
-        return ref
-
-    def qubit_index(self, ref: QubitRef) -> int:
-        """Global index: a canonical ref by identity, any other by the full check."""
-        index = self._known.get(id(ref))
-        return self._resolve(ref) if index is None else index
-
-    def _resolve(self, ref: QubitRef) -> int:
-        entry = self._layout.get(ref.reg)
+    def qubit(self, reg: str, sub: int | None, bit: int) -> int:
+        """Global index of ``bit`` (from the LSB) of subregister ``sub`` of
+        ``reg``; ``sub=None`` means subregister 0."""
+        entry = self._layout.get(reg)
         if entry is None:
-            raise ValueError(f"unknown register {ref.reg!r}")
+            raise ValueError(f"unknown register {reg!r}")
         offset, count, width = entry
-        sub = 0 if ref.sub is None else ref.sub
+        sub = 0 if sub is None else sub
         if type(sub) is not int or not 0 <= sub < count:
-            raise ValueError(f"subregister {ref.reg}:{sub!r} not an int in range (count {count})")
-        bit = ref.bit
+            raise ValueError(f"subregister {reg}:{sub!r} not an int in range (count {count})")
         if type(bit) is not int or not 0 <= bit < width:
-            raise ValueError(f"bit {bit!r} not an int in range for {ref.reg} (width {width})")
+            raise ValueError(f"bit {bit!r} not an int in range for {reg} (width {width})")
         return offset + sub * width + bit
 
-    def ref_of(self, index: int) -> QubitRef:
-        """Inverse of qubit_index."""
+    def ref_of(self, index: int) -> tuple[str, int, int]:
+        """The (register, subregister, bit) address of a global index: the inverse of ``qubit``."""
         if not 0 <= index < self.num_qubits:
             raise ValueError(f"qubit index {index} out of range")
         for name, (offset, count, width) in self._layout.items():
             if index < offset + count * width:
-                local = index - offset
-                return self.ref(name, local // width, local % width)
+                return (name, *divmod(index - offset, width))
         raise AssertionError("unreachable")
 
     def register_qubits(self, name: str) -> list[int]:
@@ -182,11 +150,7 @@ class Circuit:
 
     def gate_qubits(self, gate: Gate) -> tuple[int, ...]:
         """Global indices touched by a gate: targets then control qubits."""
-        known = self._known
-        try:  # every ref canonical: one lookup each
-            return tuple([known[id(q)] for q in gate.targets] + [known[id(c.qubit)] for c in gate.controls])
-        except KeyError:
-            return tuple([self.qubit_index(q) for q in (*gate.targets, *[c.qubit for c in gate.controls])])
+        return (*gate.targets, *[c.qubit for c in gate.controls])
 
     def append(self, gate: Gate) -> "Circuit":
         if gate.primitive not in PRIMITIVES:
@@ -206,6 +170,9 @@ class Circuit:
             if type(c.value) is not int or c.value not in (0, 1):
                 raise ValueError(f"control value must be the int 0 or 1, got {c.value!r}")
         touched = self.gate_qubits(gate)
+        for q in touched:
+            if type(q) is not int or not 0 <= q < self.num_qubits:
+                raise ValueError(f"qubit {q!r} is not an int in range({self.num_qubits})")
         if len(set(touched)) != len(touched):
             raise ValueError(f"gate targets/controls overlap: {gate}")
         self.gates.append(gate)
@@ -222,9 +189,7 @@ class Circuit:
         return self
 
     def copy_empty(self) -> "Circuit":
-        out = Circuit(self.registers, self.metadata)
-        out._refs, out._known = self._refs, self._known
-        return out
+        return Circuit(self.registers, self.metadata)
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -51,6 +52,11 @@ def _make_spec(parser, args) -> BuildSpec:
         spec = BuildSpec(args.variant, args.n, args.m, args.encoding)
     except ValueError as exc:
         parser.error(str(exc))
+    # every variant spends at least 3 gates per swap pair j < i: refuse in O(1)
+    least = 3 * spec.n * (spec.n - 1) // 2
+    if least > MAX_GATES:
+        parser.exit(EX_CAP, f"{PROG}: {spec.variant} n={spec.n} has at least {least} gates, "
+                            f"over the size cap of {MAX_GATES}\n")
     gates = gate_count_formula(spec.variant, spec.n, spec.m, spec.encoding)
     if gates > MAX_GATES:
         parser.exit(EX_CAP, f"{PROG}: {spec.variant} n={spec.n} has {gates} gates, "
@@ -121,16 +127,11 @@ def cmd_simulate(parser, args) -> int:
     }
     if args.shots:
         histogram = simulator.sample(state, args.shots, args.seed, circuit)
-        names = [r.name for r in circuit.registers]
         counts = {}
         for key, count in sorted(histogram.items()):
-            values = list(key)
-            parts = []
-            for name in names:
-                reg = circuit.register(name)
-                vals, values = values[: reg.count], values[reg.count:]
-                parts.append(f"{name}=" + ",".join(map(str, vals)))
-            counts["|".join(parts)] = count
+            values = iter(key)  # the subregister values of every register, in order
+            counts["|".join(f"{r.name}=" + ",".join(map(str, islice(values, r.count)))
+                            for r in circuit.registers)] = count
         payload["histogram"] = counts
     _write_output(json.dumps(payload, indent=2), args.out)
     return EX_OK

@@ -34,7 +34,7 @@ from dataclasses import replace
 from itertools import islice
 from math import pi
 
-from .circuit import Circuit, Control, Gate, QubitRef, ctrl, gate_h, gate_rz, gate_x
+from .circuit import Circuit, Control, Gate, ctrl, gate_h, gate_rz, gate_x
 
 LOWERING_LEVELS = ("counting", "full")
 
@@ -95,11 +95,11 @@ def lower_toffoli(gate: Gate) -> list[Gate]:
     ]
 
 
-def _toffoli(c1: QubitRef, c2: QubitRef, t: QubitRef) -> Gate:
+def _toffoli(c1: int, c2: int, t: int) -> Gate:
     return gate_x(t, (ctrl(c1, 1), ctrl(c2, 1)))
 
 
-def _toggle_ladder(controls: list[QubitRef], helpers: list[QubitRef], target: QubitRef) -> list[Gate]:
+def _toggle_ladder(controls: list[int], helpers: list[int], target: int) -> list[Gate]:
     """One toggle pass: applied twice it implements C^mX with arbitrary helpers."""
     m = len(controls)
     half = [_toffoli(controls[m - 1], helpers[m - 3], target)]
@@ -154,7 +154,7 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
     counting lowers only (controlled) swaps; full additionally lowers every
     X with >= 2 controls down to {X, H, RY, RZ, CX, CH, CRY}, borrowing or
     requiring clean idle qubits per ``mode``.  Output gates are hash-consed
-    on primitive, angle repr and the identity of their qubit references.
+    on primitive, angle repr, target indices and (index, value) of each control.
     """
     if level not in LOWERING_LEVELS:
         raise ValueError(f"unknown lowering level {level!r}")
@@ -163,15 +163,15 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
     if level == "full":
         out.metadata["mcx_mode"] = mode
     made: dict[tuple, Gate] = {}  # hash-cons key -> the one gate with it
-    networks: dict[tuple, list[Gate]] = {}  # ids of a Toffoli's qubits -> its network
+    networks: dict[tuple, list[Gate]] = {}  # a Toffoli's qubits -> its network
     rewrites: dict[int, list[Gate]] = {}  # id of an input gate (kept by circuit.gates) -> rewrite
 
     def share(g: Gate) -> Gate:  # the angle by repr, so -0.0 and 0.0 stay apart
-        key = (g.primitive, repr(g.angle), *map(id, g.targets), *[(id(c.qubit), c.value) for c in g.controls])
+        key = (g.primitive, repr(g.angle), g.targets, *[(c.qubit, c.value) for c in g.controls])
         return made.setdefault(key, g)
 
     def network(toffoli: Gate) -> list[Gate]:
-        key = (*[id(c.qubit) for c in toffoli.controls], id(toffoli.targets[0]))
+        key = (*[c.qubit for c in toffoli.controls], toffoli.targets[0])
         if key not in networks:
             networks[key] = [share(g) for g in lower_toffoli(toffoli)]
         return networks[key]
@@ -183,7 +183,7 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
             return network(g)
         support = set(out.gate_qubits(g))
         idle = islice((q for q in range(out.num_qubits) if q not in support), len(g.controls) - 2)
-        return [h for t in lower_mcx(g, mode, [out.ref_of(q) for q in idle]) for h in network(t)]
+        return [h for t in lower_mcx(g, mode, idle) for h in network(t)]
 
     def rewrite(gate: Gate) -> list[Gate]:
         if id(gate) not in rewrites:

@@ -17,7 +17,8 @@ them.
 
 Notation: b(i) = bitlen(i) ancilla bits carry iteration i's draw,
 hamming(k) counts set bits (the X-cascade writing or clearing |k>), and
-w = ceil(log2 n) is the permutation subregister width.
+w = ceil(log2 n) is the permutation subregister width (1 at n = 1, where the
+builders pad every register to one qubit, the one-hot ancilla too).
 
 The four formulas and ``scaling_table`` read one sweep over the builders'
 iterations i = 1..n-1, which keeps running sums of the per-iteration terms
@@ -168,12 +169,12 @@ def _sweep(variant: str, n_values, m: int | None, encoding: str,
             uncompute += (cum_hamming if binary else i) * p.cost("X", i.bit_length())
             ancilla += i.bit_length() if binary else i
         done = n
-        w = ceil_log2(n)
+        w = max(ceil_log2(n), 1)  # the builders' widths: n = 1 still gets one-qubit registers
         width = (w if spec.has_perm else 0) + (m if spec.has_data else 0)
         gates = prep_gates + width * swap
         cycles = width * swap
         if spec.disentangling:
-            qubits = w if binary else n - 1
+            qubits = w if binary else max(n - 1, 1)
             gates += uncompute
             cycles += prep_cycles + uncompute
         else:
@@ -267,14 +268,15 @@ def resource_report(spec: BuildSpec, profile: CostProfile | None = None,
                     circuit: Circuit | None = None) -> ResourceReport:
     p = profile or CostProfile.unit()
     measured = measure_circuit(circuit if circuit is not None else build(spec), p)
+    _, qubits, gates, cycles = next(_sweep(spec.variant, [spec.n], spec.m, spec.encoding, p))
     return ResourceReport(
         variant=spec.variant,
         n=spec.n,
         m=spec.m,
         encoding=spec.encoding,
-        qubits_formula=qubit_count_formula(spec.variant, spec.n, spec.m, spec.encoding),
-        gates_formula=gate_count_formula(spec.variant, spec.n, spec.m, spec.encoding, p),
-        cycles_formula=cycle_count_formula(spec.variant, spec.n, spec.m, spec.encoding, p),
+        qubits_formula=qubits,
+        gates_formula=gates,
+        cycles_formula=cycles,
         qubits_measured=measured.qubits,
         gates_measured=measured.gates,
         depth_measured=measured.depth,

@@ -6,11 +6,14 @@ JSON schema (field order fixed):
               "controls": [{"reg", "sub", "bit", "value"}]}],
    "metadata": {...}}
 Angles are radians, written with full float precision so a round trip
-reproduces simulations bit-identically.  The text is ``json.dumps`` of that
-schema byte for byte, but written without the nested dicts: each distinct
-qubit reference and control is encoded once per call and its fragment reused.
-Both emitters also encode each distinct gate object and each distinct angle
-object once per call (by identity, so shared gates cost one lookup each).
+reproduces simulations bit-identically.  Gates hold global qubit indices;
+the writer turns each index into its reg/sub/bit text (``Circuit.ref_of``)
+and the reader each address into its index (``Circuit.qubit``, which checks
+it).  The text is ``json.dumps`` of that schema byte for byte, but written
+without the nested dicts: each distinct qubit and control is encoded once per
+call and its fragment reused.  Both emitters also encode each distinct gate
+object and each distinct angle object once per call (by identity, so shared
+gates cost one lookup each).
 
 The QASM emitter writes one flat qubit array plus a comment mapping register
 names to index ranges.  Single positive controls on X become cx; every other
@@ -21,17 +24,21 @@ from __future__ import annotations
 
 import json
 
-from .circuit import Circuit, Control, Gate, QubitRef
+from .circuit import Circuit, Control, Gate
 
 
 class _Texts(dict):
-    """JSON text of each QubitRef, Control and primitive name, encoded on first use."""
+    """JSON text of each qubit index, Control and primitive name of one
+    circuit, encoded on first use."""
+
+    def __init__(self, circuit: Circuit):
+        self.ref_of = circuit.ref_of
 
     def __missing__(self, key) -> str:
-        if type(key) is QubitRef:
-            text = (f'{{"reg": {json.dumps(key.reg)}, "sub": {json.dumps(key.sub)}, '
-                    f'"bit": {json.dumps(key.bit)}}}')
-        elif type(key) is Control:  # the qubit's object, reopened for the value
+        if type(key) is int:
+            reg, sub, bit = self.ref_of(key)
+            text = f'{{"reg": {json.dumps(reg)}, "sub": {sub}, "bit": {bit}}}'
+        elif type(key) is Control:  # the qubit's text, reopened for the value
             text = f'{self[key.qubit][:-1]}, "value": {json.dumps(key.value)}}}'
         else:
             text = json.dumps(key)
@@ -54,7 +61,7 @@ class _Once(dict):
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    text = _Texts().__getitem__
+    text = _Texts(circuit).__getitem__
     angle = _Once(json.dumps)
 
     def encode(g: Gate) -> str:
@@ -72,10 +79,10 @@ def circuit_from_json(text: str) -> Circuit:
     data = json.loads(text)
     circuit = Circuit([(r["name"], r["count"], r["width"]) for r in data["registers"]],
                       data.get("metadata") or {})
-    ref = circuit.ref  # one checked QubitRef per qubit address
+    q = circuit.qubit  # checks each address
     for g in data["gates"]:
-        targets = tuple(ref(t["reg"], t["sub"], t["bit"]) for t in g["targets"])
-        controls = tuple(Control(ref(c["reg"], c["sub"], c["bit"]), c["value"])
+        targets = tuple(q(t["reg"], t["sub"], t["bit"]) for t in g["targets"])
+        controls = tuple(Control(q(c["reg"], c["sub"], c["bit"]), c["value"])
                          for c in g.get("controls", ()))
         circuit.append(Gate(g["primitive"], g["angle"], targets, controls))
     return circuit

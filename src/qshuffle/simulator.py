@@ -27,7 +27,7 @@ from collections import Counter, deque
 
 import numpy as np
 
-from .circuit import Circuit, Gate, QubitRef
+from .circuit import Circuit, Gate
 
 MAX_QUBITS = 63  # basis indices are int64
 MAX_BRANCHES = 10 ** 6  # memory guard: refuse states with more live branches
@@ -73,7 +73,7 @@ def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarra
             for sub, value in enumerate(values):
                 if not 0 <= value < (1 << reg.width):
                     raise ValueError(f"value {value} does not fit register {name!r} width {reg.width}")
-                index |= value << circuit.qubit_index(QubitRef(name, sub, 0))
+                index |= value << circuit.qubit(name, sub, 0)
     return np.array([index], dtype=np.int64), np.ones(1, dtype=complex)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import simulator
 from .builders import ANC, DATA, PERM, BuildSpec, build_with_checkpoints
-from .circuit import Circuit, QubitRef
+from .circuit import Circuit
 from .resources import resource_report
 
 DEFAULT_SEED = 0
@@ -83,12 +83,12 @@ def replay_models(spec: BuildSpec, circuit: Circuit, inputs: list[int] | None):
         index = np.zeros(len(words), dtype=np.int64)
         for k in range(n):
             if spec.has_data:
-                index |= data[words[:, k]] << circuit.qubit_index(QubitRef(DATA, k, 0))
+                index |= data[words[:, k]] << circuit.qubit(DATA, k, 0)
             if spec.has_perm:
-                index |= words[:, k] << circuit.qubit_index(QubitRef(PERM, k, 0))
+                index |= words[:, k] << circuit.qubit(PERM, k, 0)
         if not spec.disentangling:
             for k in range(1, n):
-                index |= record[:, k - 1] << circuit.qubit_index(QubitRef(f"{ANC}{k}", 0, 0))
+                index |= record[:, k - 1] << circuit.qubit(f"{ANC}{k}", 0, 0)
         yield i, np.sort(index)
 
 
@@ -153,11 +153,8 @@ def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_S
     report = resource_report(spec, circuit=circuit)
     checks.append(Check("gate_count_formula", report.gates_consistent,
                         float(report.gates_measured), float(report.gates_formula)))
-    if n > 1:
-        # n = 1 is degenerate: the closed forms give 0 qubits while the
-        # builder pads registers to width 1 to avoid zero-width registers
-        checks.append(Check("qubit_count_formula", report.qubits_measured == report.qubits_formula,
-                            float(report.qubits_measured), float(report.qubits_formula)))
+    checks.append(Check("qubit_count_formula", report.qubits_measured == report.qubits_formula,
+                        float(report.qubits_measured), float(report.qubits_formula)))
     checks.append(Check("depth_within_cycle_bound", report.depth_bounded,
                         float(report.depth_measured), float(report.cycles_formula)))
 

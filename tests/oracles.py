@@ -25,7 +25,7 @@ from collections import deque
 import numpy as np
 
 from qshuffle import simulator
-from qshuffle.circuit import Circuit, Control, Gate, QubitRef, value_controls
+from qshuffle.circuit import Circuit, Control, Gate, value_controls
 
 BLOCK_BITS = 14  # gates run on blocks of 2^14 amplitudes: four fit a 2 MiB L2 cache
 AMPLITUDE_TOL = 1e-10
@@ -131,9 +131,8 @@ def dense_evolve(circuit: Circuit, initial=None):
     scratch = np.empty(min(state.size, 2 << BLOCK_BITS), dtype=complex)  # every gate's temporaries
     yield state
     for gate in circuit.gates:
-        targets = tuple(circuit.qubit_index(t) for t in gate.targets)
-        controls = tuple((circuit.qubit_index(c.qubit), c.value) for c in gate.controls)
-        _apply_inplace(state, n, gate, targets, controls, scratch)
+        controls = tuple((c.qubit, c.value) for c in gate.controls)
+        _apply_inplace(state, n, gate, gate.targets, controls, scratch)
         yield state
 
 
@@ -216,7 +215,8 @@ def emit_value_controlled(
     """
     if width > circuit.register(reg).width:
         raise ValueError(f"control width {width} exceeds register {reg!r} width")
-    return circuit.append(gate.with_controls(value_controls(reg, sub, value, width)))
+    qubits = [circuit.qubit(reg, sub, k) for k in range(width)]
+    return circuit.append(gate.with_controls(value_controls(qubits, value)))
 
 
 def word_of_permutation(sigma) -> tuple[int, ...]:
@@ -234,6 +234,11 @@ def word_of_permutation(sigma) -> tuple[int, ...]:
 def circuit_to_dict(circuit: Circuit) -> dict:
     """The circuit JSON schema as nested dicts: ``json.dumps`` of it is the
     reference text ``serialize.circuit_to_json`` must write byte for byte."""
+
+    def address(q):
+        reg, sub, bit = circuit.ref_of(q)
+        return {"reg": reg, "sub": sub, "bit": bit}
+
     return {
         "registers": [
             {"name": r.name, "count": r.count, "width": r.width} for r in circuit.registers
@@ -242,11 +247,8 @@ def circuit_to_dict(circuit: Circuit) -> dict:
             {
                 "primitive": g.primitive,
                 "angle": g.angle,
-                "targets": [{"reg": t.reg, "sub": t.sub, "bit": t.bit} for t in g.targets],
-                "controls": [
-                    {"reg": c.qubit.reg, "sub": c.qubit.sub, "bit": c.qubit.bit, "value": c.value}
-                    for c in g.controls
-                ],
+                "targets": [address(t) for t in g.targets],
+                "controls": [address(c.qubit) | {"value": c.value} for c in g.controls],
             }
             for g in circuit.gates
         ],
@@ -272,7 +274,7 @@ def circuit_from_qasm(text: str) -> Circuit:
         if match is None:
             raise ValueError(f"not in the QASM subset: {line!r}")
         modifiers, name, angle, operands = match.groups()
-        qubits = [QubitRef("q", 0, int(k)) for k in re.findall(r"\d+", operands)]
+        qubits = [int(k) for k in re.findall(r"\d+", operands)]
         values = [int(m == "ctrl") for m in re.findall(r"(negctrl|ctrl) @", modifiers)]
         if name == "cx":
             name, values = "x", [1]

@@ -200,7 +200,8 @@ def test_onehot_swaps_have_two_controls():
     # one-hot draw encoding: every swap middle is controlled on a single
     # ancilla qubit plus the partner, never on a full value pattern
     c = build(BuildSpec("A", 4, encoding="onehot"))
+    anc, perm = set(c.register_qubits("anc")), set(c.register_qubits("perm"))
     swap_middles = [g for g in c.gates if g.primitive == "X"
-                    and any(x.qubit.reg == "anc" for x in g.controls)
-                    and any(x.qubit.reg == "perm" for x in g.controls)]
+                    and any(x.qubit in anc for x in g.controls)
+                    and any(x.qubit in perm for x in g.controls)]
     assert swap_middles and all(len(g.controls) == 2 for g in swap_middles)

@@ -226,11 +226,24 @@ def test_build_over_the_size_cap_exits_2_before_building(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("build", "--variant", "A", "--n", "100000")
     assert err.value.code == 2
-    assert time.perf_counter() - start < 10  # the formula is O(n); a build would not end
+    assert time.perf_counter() - start < 1  # the lower bound is O(1); a build would not end
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("qshuffle: A n=100000 has 293953369591 gates, "
+    assert captured.err == ("qshuffle: A n=100000 has at least 14999850000 gates, "
                             "over the size cap of 1000000\n")
+
+
+@pytest.mark.parametrize("command", ["build", "count", "verify"])
+def test_size_cap_refuses_a_huge_n_at_once(capsys, command):
+    # the O(n) formula would sweep 10^8 iterations: the 3-gates-per-swap-pair
+    # bound refuses first
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, "--variant", "C", "--n", str(10**8), "--m", "1", "--encoding", "onehot")
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ("qshuffle: C n=100000000 has at least 14999999850000000 gates, "
+                                       "over the size cap of 1000000\n")
 
 
 @pytest.mark.parametrize("command", ["build", "count", "verify"])
@@ -302,9 +315,16 @@ _INT_NAME = ('{"registers": [{"name": 1, "count": 1, "width": 1}, '
     (_ONE_QUBIT % ("1", _RY % "true"), "0", 74),
     (_INT_NAME, "1", 74),
     (_ONE_QUBIT % ("1", _RY % "0.5"), "-5", 64),  # the file itself is valid
+    # True == 1 == 1.0: none of them may address subregister or bit 1
+    (_ONE_QUBIT % ("2", _X % ("true", "0")), "0", 74),
+    (_ONE_QUBIT % ("2", _X % ("1.0", "0")), "0", 74),
+    (_ONE_QUBIT % ("2", _X % ("0.5", "0")), "0", 74),
+    (_CX.replace('"bit": 1', '"bit": true') % "1", "0", 74),
+    (_CX.replace('"bit": 1', '"bit": 1.0') % "1", "0", 74),
 ], ids=["string-count", "string-angle", "top-level-list", "nan-angle", "float-bit", "float-sub",
         "float-control-value", "huge-int-angle", "bool-angle", "int-register-name",
-        "negative-shots"])
+        "negative-shots", "bool-sub", "float-one-sub", "half-sub", "bool-control-bit",
+        "float-one-control-bit"])
 def test_simulate_bad_input_exit_codes(tmp_path, capsys, text, shots, code):
     path = tmp_path / "c.json"
     path.write_text(text)
@@ -329,12 +349,12 @@ def test_io_error_exit_74(capsys):
     (21, 21, "branches exceed"),  # 2^21 branches: the guard stops it after the 20th H
 ])
 def test_simulate_cap_exit_code(tmp_path, capsys, qubits, hadamards, message):
-    from qshuffle.circuit import Circuit, QubitRef, gate_h
+    from qshuffle.circuit import Circuit, gate_h
     from qshuffle.serialize import circuit_to_json
 
     c = Circuit([("q", 1, qubits)])
     for k in range(hadamards):
-        c.append(gate_h(QubitRef("q", 0, k)))
+        c.append(gate_h(c.qubit("q", 0, k)))
     path = tmp_path / "wide.json"
     path.write_text(circuit_to_json(c))
     assert run_cli("simulate", "--circuit", str(path)) == 2

@@ -17,11 +17,11 @@ def sparse_apply(state: dict, gate, width: int) -> dict:
     """Dict-based simulator, independent of qshuffle.simulator."""
     out = {}
     for index, amp in state.items():
-        fire = all(((index >> c.qubit.bit) & 1) == c.value for c in gate.controls)
+        fire = all(((index >> c.qubit) & 1) == c.value for c in gate.controls)
         if not fire:
             out[index] = out.get(index, 0) + amp
             continue
-        bit = gate.targets[0].bit
+        (bit,) = gate.targets
         if gate.primitive == "X":
             out[index ^ (1 << bit)] = out.get(index ^ (1 << bit), 0) + amp
         elif gate.primitive == "H":
@@ -140,7 +140,7 @@ def test_v_state_dense(i):
 def test_v_state_sparse_oracle(i):
     # the chain only ever populates i+1 basis states, so a dict simulator
     # verifies sizes a dense statevector cannot reach
-    state = sparse_state(v_gates(i), i)
+    state = sparse_state(v_gates(i, range(i)), i)
     assert set(state) == {0} | {1 << k for k in range(i)}
     assert max(abs(a - 1 / sqrt(i + 1)) for a in state.values()) < TOL
 
@@ -161,7 +161,7 @@ def test_v_rejects_nonpositive():
 @pytest.mark.parametrize("i", range(1, 16))
 def test_u_sparse_oracle_agrees_with_dense(i):
     dense = run(build_u(i))
-    sparse = sparse_state(u_gates(i), binary_width(i))
+    sparse = sparse_state(u_gates(i, range(binary_width(i))), binary_width(i))
     rebuilt = np.zeros(len(dense), dtype=complex)
     for k, v in sparse.items():
         rebuilt[k] = v

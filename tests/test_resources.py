@@ -27,6 +27,11 @@ def test_qubit_formula_examples():
     assert qubit_count_formula("C", 3, 1) == 6        # (1+2) + 3
     assert qubit_count_formula("B", 4, 2) == 18
     assert qubit_count_formula("Bt", 4, 1) == 17
+    # n = 1: no iterations, but the builders give perm, anc and every data
+    # subregister one qubit each, the one-hot ancilla too
+    for encoding in ENCODINGS:
+        assert [qubit_count_formula(*args, encoding=encoding) for args in
+                (("A", 1), ("At", 1), ("B", 1, 3), ("Bt", 1, 3), ("C", 1, 3))] == [2, 1, 5, 4, 3]
 
 
 def test_qubit_formula_onehot():
@@ -129,7 +134,7 @@ def test_report_fields_roundtrip():
 @pytest.mark.parametrize("variant,m", [("A", None), ("At", None), ("B", 1), ("B", 2),
                                        ("Bt", 1), ("Bt", 2), ("C", 1), ("C", 2)])
 def test_formula_measured_equality_grid(variant, m, encoding):
-    for n in range(2, 9):
+    for n in range(1, 9):  # n = 1 too: the builders pad its registers to one qubit
         spec = BuildSpec(variant, n, m, encoding)
         r = resource_report(spec)
         assert r.gates_measured == r.gates_formula, (variant, n, m, encoding)
@@ -197,6 +202,7 @@ def test_formulas_match_measured_over_random_profiles(profile, n, m):
             spec = BuildSpec(variant, n, m if variant in ("B", "Bt", "C") else None, encoding)
             r = resource_report(spec, profile)
             assert r.gates_formula == r.gates_measured, spec
+            assert r.qubits_formula == r.qubits_measured, spec
             assert r.depth_measured <= r.cycles_formula, spec
             row = (n, r.qubits_formula, r.gates_formula, r.cycles_formula)
             assert scaling_table(variant, [n], encoding, spec.m, profile) == [row], spec

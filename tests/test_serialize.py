@@ -12,8 +12,7 @@ from hypothesis import given, settings
 
 from qshuffle import simulator
 from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
-from qshuffle.circuit import (Circuit, Control, Gate, QubitRef, Register, ctrl, gate_ry, gate_rz,
-                              gate_swap)
+from qshuffle.circuit import Circuit, Control, Gate, Register, ctrl, gate_ry, gate_rz, gate_swap
 from qshuffle.lowering import lower_circuit
 from qshuffle.serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
 from oracles import circuit_from_qasm, circuit_to_dict, run
@@ -60,7 +59,7 @@ def test_json_rejects_invalid_gate():
 
 def test_angle_roundtrip_is_exact():
     c = Circuit([("q", 1, 1)])
-    c.append(gate_ry(2.0 * np.arccos(np.sqrt(1 / 3)), QubitRef("q", 0, 0)))
+    c.append(gate_ry(2.0 * np.arccos(np.sqrt(1 / 3)), 0))
     back = circuit_from_json(circuit_to_json(c))
     assert back.gates[0].angle == c.gates[0].angle
 
@@ -80,8 +79,8 @@ def test_qasm_basic_shape():
 
 def test_qasm_rotation_and_swap():
     c = Circuit([("q", 1, 3)])
-    c.append(gate_ry(0.5, QubitRef("q", 0, 0)))
-    c.append(gate_swap(QubitRef("q", 0, 0), QubitRef("q", 0, 1), (ctrl(QubitRef("q", 0, 2)),)))
+    c.append(gate_ry(0.5, 0))
+    c.append(gate_swap(0, 1, (ctrl(2),)))
     text = circuit_to_qasm(c)
     assert "ry(0.5) q[0];" in text
     assert "ctrl @ swap q[2], q[0], q[1];" in text
@@ -123,18 +122,21 @@ def test_json_text_equals_the_reference_encoder(variant, encoding):
 
 def test_json_text_of_edge_values():
     c = Circuit([("r\u00e9g \"q\"", 2, 2)], {"note": "\u2192", "nested": {"k": [1, 2.5, None]}})
-    q = QubitRef("r\u00e9g \"q\"", None, 1)
+    name = "r\u00e9g \"q\""
+    q, r, s = c.qubit(name, None, 1), c.qubit(name, 1, 0), c.qubit(name, 1, 1)
     c.append(gate_ry(-0.0, q))
-    c.append(Gate("RZ", 3, (QubitRef(q.reg, 1, 0),), (Control(q, 0),)))
-    c.append(gate_swap(QubitRef(q.reg, 1, 0), QubitRef(q.reg, 1, 1), (ctrl(q),)))
+    c.append(Gate("RZ", 3, (r,), (Control(q, 0),)))
+    c.append(gate_swap(r, s, (ctrl(q),)))
     assert circuit_to_json(c) == json.dumps(circuit_to_dict(c))
+    # an address read with sub=None is written back as subregister 0
+    assert json.loads(circuit_to_json(c))["gates"][0]["targets"] == [{"reg": name, "sub": 0, "bit": 1}]
 
 
 def test_angle_texts_keep_negative_zero_apart():
     # the emitters encode each angle once per call; -0.0 == 0.0 and 1 == 1.0,
     # so a cache that found angles by value would hand one the other's text
     c = Circuit([("q", 1, 2)])
-    a, b = c.ref("q", 0, 0), c.ref("q", 0, 1)
+    a, b = c.qubit("q", 0, 0), c.qubit("q", 0, 1)
     neg, zero = -0.0, 0.0
     c.extend([gate_rz(neg, a), gate_rz(zero, a), gate_rz(neg, b), Gate("RZ", 1, (a,)),
               gate_rz(1.0, b), gate_rz(zero, b)])
@@ -204,8 +206,7 @@ def test_qasm_reader_rejects_text_outside_the_subset():
 
 
 def test_ir_objects_carry_no_instance_dict():
-    q = QubitRef("a", 0, 0)
-    for obj in (Register("a", 1, 1), q, Control(q, 1), gate_ry(0.5, q)):
+    for obj in (Register("a", 1, 1), Control(0, 1), gate_ry(0.5, 0)):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 

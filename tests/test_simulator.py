@@ -25,14 +25,14 @@ from oracles import (
 )
 from qshuffle import simulator
 from qshuffle.builders import BuildSpec, build
-from qshuffle.circuit import Circuit, Control, Gate, QubitRef, gate_h, gate_ry, gate_rz, gate_swap, gate_x
+from qshuffle.circuit import Circuit, Control, Gate, gate_h, gate_ry, gate_rz, gate_swap, gate_x
 from qshuffle.simulator import SimulationCapExceeded
 
 TOL = 1e-10
 
 
-def q(bit):
-    return QubitRef("q", 0, bit)
+def q(bit):  # one register "q": bit b is global qubit b
+    return bit
 
 
 def test_apply_h_on_zero():
@@ -97,7 +97,7 @@ def test_initial_state_register_values():
 
 def test_disentangled_plus_zero():
     c = Circuit([("a", 1, 1), ("b", 1, 1)])
-    c.append(gate_h(QubitRef("a", 0, 0)))
+    c.append(gate_h(c.qubit("a", 0, 0)))
     state = run(c)
     ok, leak = assert_register_disentangled(state, c, "b")
     assert ok and leak == 0.0
@@ -205,7 +205,7 @@ def test_value_controlled_gate_fires_iff_register_matches(stored, required):
     from qshuffle.circuit import gate_x as gx, value_controls
 
     c = Circuit([("a", 1, 3), ("t", 1, 1)])
-    c.append(gx(QubitRef("t", 0, 0), value_controls("a", 0, required, 3)))
+    c.append(gx(c.qubit("t", 0, 0), value_controls(c.register_qubits("a"), required)))
     state = run(c, {"a": [stored]})
     rows = branch_table(state, c)
     assert len(rows) == 1

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qshuffle import simulator, verify
 from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build_with_checkpoints
-from qshuffle.circuit import QubitRef
 from qshuffle.permutations import replay_reversed_fisher_yates
 from oracles import draw_sequences
 
@@ -23,14 +22,14 @@ def _scalar_model(spec, circuit, i, inputs):
         index = 0
         for k, w in enumerate(word):
             if spec.has_data:
-                index |= inputs[w] << circuit.qubit_index(QubitRef("data", k, 0))
+                index |= inputs[w] << circuit.qubit("data", k, 0)
             if spec.has_perm:
-                index |= w << circuit.qubit_index(QubitRef("perm", k, 0))
+                index |= w << circuit.qubit("perm", k, 0)
         if not spec.disentangling:
             for k in range(1, i):
                 j = draws[k - 1]
                 value = j if spec.encoding == "binary" else (0 if j == k else 1 << j)
-                index |= value << circuit.qubit_index(QubitRef(f"anc{k}", 0, 0))
+                index |= value << circuit.qubit(f"anc{k}", 0, 0)
         indices.append(index)
     return sorted(indices)
 
@@ -59,6 +58,16 @@ def test_passing_verify_decodes_no_branch(monkeypatch, spec):
     report = verify.verify_spec(spec)
     assert report.overall is True
     assert all(c.detail is None for c in report.checks)
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_verify_checks_the_qubit_formula_at_n1(variant, encoding):
+    report = verify.verify_spec(BuildSpec(variant, 1, 2 if variant in ("B", "Bt", "C") else None, encoding))
+    checks = {c.name: c for c in report.checks}
+    assert report.overall is True
+    assert checks["qubit_count_formula"].passed
+    assert checks["qubit_count_formula"].metric == checks["qubit_count_formula"].tolerance > 0
 
 
 @pytest.mark.parametrize("spec,registers", [
