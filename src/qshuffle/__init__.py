@@ -44,7 +44,6 @@ from .resources import (
     scaling_table,
     u_cycle_count_formula,
     u_gate_count_formula,
-    v_cycle_count_formula,
     v_gate_count_formula,
 )
 from .serialize import circuit_from_json, circuit_to_json, circuit_to_qasm

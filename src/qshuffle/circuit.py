@@ -21,7 +21,7 @@ primitive counting.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 
 PRIMITIVES = ("X", "H", "RY", "RZ", "SWAP")
@@ -50,9 +50,6 @@ class Gate:
     angle: float | None
     targets: tuple[int, ...]  # global indices
     controls: tuple[Control, ...] = ()
-
-    def with_controls(self, extra: tuple[Control, ...]) -> "Gate":
-        return replace(self, controls=self.controls + tuple(extra))
 
 
 def ctrl(qubit: int, value: int = 1) -> Control:

@@ -69,6 +69,8 @@ class CostProfile:
         for name, cost in costs + [(f"mcx[{m}]", cost) for m, cost in self.mcx.items()]:
             if isinstance(cost, bool) or not isinstance(cost, int) or cost < 0:
                 raise ValueError(f"cost {name} must be a nonnegative integer, got {cost!r}")
+        if any(type(m) is not int or m < 2 for m in self.mcx):
+            raise ValueError(f"mcx arities must be integers >= 2, got {list(self.mcx)}")
         if self.mcx_rule not in ("unit", "derived"):
             raise ValueError(f"unknown mcx rule {self.mcx_rule!r}")
 
@@ -104,6 +106,8 @@ class CostProfile:
             if not isinstance(data["mcx"], dict):
                 raise ValueError("mcx must map arities to costs")
             kwargs["mcx"] = {int(k): v for k, v in data["mcx"].items()}
+            if len(kwargs["mcx"]) != len(data["mcx"]):
+                raise ValueError(f"mcx keys {sorted(data['mcx'])} name one arity twice")
         if "mcx_rule" in data:
             kwargs["mcx_rule"] = data["mcx_rule"]
         return cls(**kwargs)
@@ -136,11 +140,6 @@ def v_gate_count_formula(i: int, profile: CostProfile | None = None) -> int:
     return p.ry + (i - 1) * (p.cry + p.cx)
 
 
-def v_cycle_count_formula(i: int, profile: CostProfile | None = None) -> int:
-    """The one-hot prep chain is fully sequential: its depth is its gate count."""
-    return v_gate_count_formula(i, profile)
-
-
 def _sweep(variant: str, n_values, m: int | None, encoding: str,
            profile: CostProfile | None):
     """Yield (n, qubits, gates, cycles) for each requested n, ascending."""
@@ -153,7 +152,7 @@ def _sweep(variant: str, n_values, m: int | None, encoding: str,
     spec = BuildSpec(variant, wanted[-1], m, encoding)
     binary = encoding == "binary"
     prep_gate = u_gate_count_formula if binary else v_gate_count_formula
-    prep_cycle = u_cycle_count_formula if binary else v_cycle_count_formula
+    prep_cycle = u_cycle_count_formula if binary else v_gate_count_formula  # one-hot: a sequential chain
     init = prep_gates = prep_cycles = prep_cycles_max = swap = uncompute = ancilla = 0
     cum_hamming = 0  # sum hamming(j), j <= i
     done = 1         # iterations 1..done-1 are in the sums

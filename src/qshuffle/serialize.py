@@ -6,14 +6,17 @@ JSON schema (field order fixed):
               "controls": [{"reg", "sub", "bit", "value"}]}],
    "metadata": {...}}
 Angles are radians, written with full float precision so a round trip
-reproduces simulations bit-identically.  Gates hold global qubit indices;
-the writer turns each index into its reg/sub/bit text (``Circuit.ref_of``)
-and the reader each address into its index (``Circuit.qubit``, which checks
-it).  The text is ``json.dumps`` of that schema byte for byte, but written
-without the nested dicts: each distinct qubit and control is encoded once per
-call and its fragment reused.  Both emitters also encode each distinct gate
-object and each distinct angle object once per call (by identity, so shared
-gates cost one lookup each).
+reproduces simulations bit-identically.  Gates hold global qubit indices; the
+writer turns each index into its reg/sub/bit text (``Circuit.ref_of``) and the
+reader each address into its index (``Circuit.qubit``, which checks it).  The
+reader resolves each int address once and makes one ``Gate`` per distinct
+record, keyed on the angle's repr (-0.0 is not 0.0) and on int control values
+only (True == 1 == 1.0), so ``extend`` checks each once.  The text is
+``json.dumps`` of that schema byte for byte, but written without the nested
+dicts: each distinct qubit and control is encoded once per call and its
+fragment reused.  Both emitters also encode each distinct gate object and each
+distinct angle object once per call (by identity, so shared gates cost one
+lookup each).
 
 The QASM emitter writes one flat qubit array plus a comment mapping register
 names to index ranges.  Single positive controls on X become cx; every other
@@ -79,13 +82,27 @@ def circuit_from_json(text: str) -> Circuit:
     data = json.loads(text)
     circuit = Circuit([(r["name"], r["count"], r["width"]) for r in data["registers"]],
                       data.get("metadata") or {})
-    q = circuit.qubit  # checks each address
-    for g in data["gates"]:
-        targets = tuple(q(t["reg"], t["sub"], t["bit"]) for t in g["targets"])
-        controls = tuple(Control(q(c["reg"], c["sub"], c["bit"]), c["value"])
-                         for c in g.get("controls", ()))
-        circuit.append(Gate(g["primitive"], g["angle"], targets, controls))
-    return circuit
+    indices, gates = {}, {}
+
+    def index(ref) -> int:  # Circuit.qubit checks each exact address once, any other each time
+        reg, sub, bit = address = ref["reg"], ref["sub"], ref["bit"]
+        if type(reg) is not str or type(sub) is not int or type(bit) is not int:
+            return circuit.qubit(*address)  # True == 1 == 1.0: no memo for them
+        if address not in indices:
+            indices[address] = circuit.qubit(*address)
+        return indices[address]
+
+    def read(g) -> Gate:  # one Gate per distinct record
+        targets = tuple(map(index, g["targets"]))
+        controls = tuple([(index(c), c["value"]) for c in g.get("controls", ())])
+        primitive, angle = g["primitive"], g["angle"]
+        exact = type(primitive) is str and all([type(v) is int for _, v in controls])  # True == 1
+        key = (primitive, repr(angle), targets, controls) if exact else id(g)  # repr: -0.0 == 0.0
+        if key not in gates:
+            gates[key] = Gate(primitive, angle, targets, tuple(Control(*c) for c in controls))
+        return gates[key]
+
+    return circuit.extend(map(read, data["gates"]))  # reads and checks the gates in file order
 
 
 _QASM_NAMES = {"X": "x", "H": "h", "RY": "ry", "RZ": "rz", "SWAP": "swap"}

@@ -7,9 +7,10 @@ the circuit's register numbering.  A correct shuffle build holds i! branches
 before iteration i, far fewer than 2^qubits, and every gate costs time linear
 in the live branches.
 
-Each gate is resolved once to its target bits and a control mask/value.  X and
-SWAP permute indices (an XOR of the target bits where the controls hold, and
-for SWAP where its two bits differ), RZ multiplies each controlled amplitude by
+Each distinct gate object is resolved once per call (by identity) to its
+target bits, control mask/value and RZ phases or H/RY matrix.  X and SWAP
+permute indices (an XOR of the target bits where the controls hold, and for
+SWAP where its two bits differ), RZ multiplies each controlled amplitude by
 the phase of its target bit, and H/RY send each controlled branch to both
 target values and merge equal indices, dropping |amplitude| <= BRANCH_TOL.
 ``SimulationCapExceeded`` is raised above MAX_QUBITS qubits or as soon as a
@@ -77,39 +78,53 @@ def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarra
     return np.array([index], dtype=np.int64), np.ones(1, dtype=complex)
 
 
-def _mixing_matrix(gate: Gate) -> tuple:
-    """H or RY as rows (to target bit 0, to target bit 1) of (from 0, from 1)."""
-    if gate.primitive == "H":
+def _resolve(gate: Gate) -> tuple:
+    """(primitive, target bits, control mask, control value, coefficients): RZ's phases
+    on target bit (1, 0), or H/RY as rows (to bit 0, to bit 1) of (from 0, from 1)."""
+    coefficients, angle = None, gate.angle
+    if gate.primitive == "RZ":
+        coefficients = np.exp(0.5j * angle), np.exp(-0.5j * angle)
+    elif gate.primitive == "H":
         r = 1.0 / math.sqrt(2.0)
-        return (r, r), (r, -r)
-    c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-    return (c, -s), (s, c)
+        coefficients = (r, r), (r, -r)
+    elif gate.primitive == "RY":
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        coefficients = (c, -s), (s, c)
+    return (gate.primitive, tuple(1 << q for q in gate.targets), sum(1 << c.qubit for c in gate.controls),
+            sum(c.value << c.qubit for c in gate.controls), coefficients)
 
 
-def _apply(state, gate: Gate, bits: tuple[int, ...], mask: int, value: int):
-    """The state after one gate, whose targets are the basis-index bits ``bits``
-    and which acts where ``indices & mask == value``."""
+def _apply(state, gate: tuple):
+    """The state after one resolved gate, which acts where ``indices & mask ==
+    value``.  An uncontrolled gate (mask 0) skips that pass."""
     indices, amplitudes = state
-    hit = (indices & mask) == value
-    if gate.primitive in ("X", "SWAP"):
-        if gate.primitive == "SWAP":  # exchanges |01> and |10>: the bits must differ
-            hit &= ((indices & bits[0]) == 0) != ((indices & bits[1]) == 0)
-        return np.where(hit, indices ^ sum(bits), indices), amplitudes
+    primitive, bits, mask, value, coefficients = gate
+    hit = (indices & mask) == value if mask else None
+    if primitive == "SWAP":  # exchanges |01> and |10>: the bits must differ
+        differ = ((indices & bits[0]) == 0) != ((indices & bits[1]) == 0)
+        hit = differ if hit is None else hit & differ
+    if primitive in ("X", "SWAP"):
+        flipped = indices ^ sum(bits)
+        return (flipped if hit is None else np.where(hit, flipped, indices)), amplitudes
     (bit,) = bits
     one = (indices & bit) != 0
-    if gate.primitive == "RZ":
-        phase = np.where(one, np.exp(0.5j * gate.angle), np.exp(-0.5j * gate.angle))
-        return indices, np.where(hit, amplitudes * phase, amplitudes)
-    (a, b), (c, d) = _mixing_matrix(gate)
-    source, amps, one = indices[hit], amplitudes[hit], one[hit]
-    outputs = np.concatenate((source & ~bit, source | bit))
-    weights = np.concatenate((np.where(one, b, a) * amps, np.where(one, d, c) * amps))
+    if primitive == "RZ":
+        phased = amplitudes * np.where(one, *coefficients)
+        return indices, (phased if hit is None else np.where(hit, phased, amplitudes))
+    (a, b), (c, d) = coefficients
+    if hit is not None:  # mix only the branches it acts on; the others come first, unchanged
+        skipped = indices[~hit], amplitudes[~hit]
+        indices, amplitudes, one = indices[hit], amplitudes[hit], one[hit]
+    outputs = np.concatenate((indices & ~bit, indices | bit))
+    weights = np.concatenate((np.where(one, b, a) * amplitudes, np.where(one, d, c) * amplitudes))
     merged, inverse = np.unique(outputs, return_inverse=True)
     sums = np.bincount(inverse, weights.real) + 1j * np.bincount(inverse, weights.imag)
     live = np.abs(sums) > BRANCH_TOL
-    indices = np.concatenate((indices[~hit], merged[live]))
+    indices, amplitudes = merged[live], sums[live]
+    if hit is not None:
+        indices, amplitudes = np.concatenate((skipped[0], indices)), np.concatenate((skipped[1], amplitudes))
     _guard(indices)
-    return indices, np.concatenate((amplitudes[~hit], sums[live]))
+    return indices, amplitudes
 
 
 def evolve(circuit: Circuit, initial=None):
@@ -120,13 +135,11 @@ def evolve(circuit: Circuit, initial=None):
     state = initial_state(circuit, initial)
     _guard(state[0])
     yield state
+    resolved = {}  # id -> _resolve(gate); circuit.gates keeps every gate alive
     for gate in circuit.gates:
-        qubits = circuit.gate_qubits(gate)  # targets, then controls
-        k = len(gate.targets)
-        bits = tuple(1 << q for q in qubits[:k])
-        mask = sum(1 << q for q in qubits[k:])
-        value = sum(c.value << q for q, c in zip(qubits[k:], gate.controls))
-        state = _apply(state, gate, bits, mask, value)
+        if id(gate) not in resolved:
+            resolved[id(gate)] = _resolve(gate)
+        state = _apply(state, resolved[id(gate)])
         yield state
 
 

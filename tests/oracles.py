@@ -21,6 +21,7 @@ import itertools
 import math
 import re
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -216,7 +217,7 @@ def emit_value_controlled(
     if width > circuit.register(reg).width:
         raise ValueError(f"control width {width} exceeds register {reg!r} width")
     qubits = [circuit.qubit(reg, sub, k) for k in range(width)]
-    return circuit.append(gate.with_controls(value_controls(qubits, value)))
+    return circuit.append(replace(gate, controls=gate.controls + value_controls(qubits, value)))
 
 
 def word_of_permutation(sigma) -> tuple[int, ...]:

@@ -282,7 +282,9 @@ def test_usage_errors_exit_64(capsys):
 @pytest.mark.parametrize("command", [("count", "--variant", "A", "--n", "3"),
                                      ("table", "--variant", "A", "--n-max", "4")])
 @pytest.mark.parametrize("profile", [{"CNOT": 39}, {"mcx": {"3": -1}}, {"mcx": {"3": 2.5}},
-                                     {"mcx": {"3": "7"}}, [1, 2]])
+                                     {"mcx": {"3": "7"}}, [1, 2], {"mcx": {"1": 3}},
+                                     {"mcx": {"-3": 3}}, {"mcx": {"0": 3}},
+                                     {"mcx": {"3": 1, "03": 2}}])
 def test_bad_profile_exits_64(tmp_path, capsys, command, profile):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(profile))
@@ -293,12 +295,55 @@ def test_bad_profile_exits_64(tmp_path, capsys, command, profile):
     assert message.count("\n") == 1 and "bad cost profile" in message
 
 
+def _captured(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+_json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.just(2 ** 70), st.floats(),
+                         st.text(max_size=3))
+_json_any = st.recursive(_json_leaves, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+_arities = st.sampled_from(("2", "3", "03", "12", "1", "0", "-3", "+4", " 5", "2.0", "x", ""))
+_profile_fields = st.one_of(st.integers(0, 9), st.just("derived"),
+                            st.dictionaries(_arities, st.one_of(st.integers(-1, 40), _json_any),
+                                            max_size=4),
+                            _json_any)
+_profiles = st.one_of(_json_any, st.dictionaries(
+    st.sampled_from(("X", "H", "RY", "RZ", "CX", "CH", "CRY", "mcx", "mcx_rule", "CNOT", "x")),
+    _profile_fields, max_size=5))
+
+
+@given(_profiles)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_profile_exit_codes(profile):
+    # any JSON value as --profile: count and table run (0) or refuse it with one line (64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(profile, handle)
+        for command in (("count", "--variant", "A", "--n", "3"),
+                        ("table", "--variant", "C", "--n-max", "4", "--m", "2")):
+            code, _, err = _captured(*command, "--profile", path)
+            assert (code, err) == (0, "") or (
+                code == 64 and err.count("\n") == 1 and err.startswith("qshuffle: bad cost profile"))
+
+
 _ONE_QUBIT = '{"registers": [{"name": "q", "count": %s, "width": 1}], "gates": [%s]}'
 _RY = '{"primitive": "RY", "angle": %s, "targets": [{"reg": "q", "sub": 0, "bit": 0}]}'
 _X = '{"primitive": "X", "angle": null, "targets": [{"reg": "q", "sub": %s, "bit": %s}]}'
 _CX = ('{"registers": [{"name": "q", "count": 1, "width": 2}], "gates": [{"primitive": "X", '
        '"angle": null, "targets": [{"reg": "q", "sub": 0, "bit": 0}], '
        '"controls": [{"reg": "q", "sub": 0, "bit": 1, "value": %s}]}]}')
+_PAIR = '{"registers": [{"name": "q", "count": 2, "width": 2}], "gates": [%s, %s]}'
+_CX_AT = ('{"primitive": "X", "angle": null, "targets": [{"reg": "q", "sub": %s, "bit": %s}], '
+          '"controls": [{"reg": "q", "sub": 0, "bit": 0, "value": %s}]}')
 _INT_NAME = ('{"registers": [{"name": 1, "count": 1, "width": 1}, '
              '{"name": "1", "count": 1, "width": 1}], "gates": []}')
 
@@ -321,10 +366,15 @@ _INT_NAME = ('{"registers": [{"name": 1, "count": 1, "width": 1}, '
     (_ONE_QUBIT % ("2", _X % ("0.5", "0")), "0", 74),
     (_CX.replace('"bit": 1', '"bit": true') % "1", "0", 74),
     (_CX.replace('"bit": 1', '"bit": 1.0') % "1", "0", 74),
+    # a valid CX, then a copy with one int written as an equal bool or float: the
+    # reader shares one Gate per distinct record, but must not hand the copy that one
+    (_PAIR % (_CX_AT % (1, 1, 1), _CX_AT % ("true", 1, 1)), "0", 74),
+    (_PAIR % (_CX_AT % (1, 1, 1), _CX_AT % (1, "1.0", 1)), "0", 74),
+    (_PAIR % (_CX_AT % (1, 1, 1), _CX_AT % (1, 1, "true")), "0", 74),
 ], ids=["string-count", "string-angle", "top-level-list", "nan-angle", "float-bit", "float-sub",
         "float-control-value", "huge-int-angle", "bool-angle", "int-register-name",
         "negative-shots", "bool-sub", "float-one-sub", "half-sub", "bool-control-bit",
-        "float-one-control-bit"])
+        "float-one-control-bit", "bool-sub-copy", "float-one-bit-copy", "bool-value-copy"])
 def test_simulate_bad_input_exit_codes(tmp_path, capsys, text, shots, code):
     path = tmp_path / "c.json"
     path.write_text(text)
@@ -411,13 +461,11 @@ def test_simulate_fuzzed_file_exit_codes(field, value):
     for key in field[:-1]:
         owner = owner[key]
     owner[field[-1]] = value
-    stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(data, handle)
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = run_cli("simulate", "--circuit", path, "--shots", "3")
+        code, _, err = _captured("simulate", "--circuit", path, "--shots", "3")
     assert code in (0, 2, 74)
     if code == 74:
-        assert stderr.getvalue().count("\n") == 1
+        assert err.count("\n") == 1

@@ -50,6 +50,23 @@ def test_json_roundtrip_random(c):
     assert circuit_from_json(circuit_to_json(c)).gates == c.gates
 
 
+def test_reader_shares_one_gate_per_distinct_record():
+    # full A n=12 repeats 965 distinct gate records 51,126 times
+    text = circuit_to_json(lower_circuit(build(BuildSpec("A", 12)), "full", "borrowed"))
+    back = circuit_from_json(text)
+    assert len(back.gates) == 51126 and len({id(g) for g in back.gates}) == 965
+    assert circuit_to_json(back) == text
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_reloaded_circuit_simulates_bit_identically(variant, encoding):
+    for spec in _specs(variant, encoding, range(1, 6)):
+        for c in _lowerings(spec):
+            (wi, wa), (gi, ga) = simulator.run(c), simulator.run(circuit_from_json(circuit_to_json(c)))
+            assert np.array_equal(wi, gi) and np.array_equal(wa, ga), (spec, c.metadata)
+
+
 def test_json_rejects_invalid_gate():
     data = circuit_to_dict(build(BuildSpec("A", 2)))
     data["gates"][0]["targets"][0]["bit"] = 99
@@ -133,17 +150,22 @@ def test_json_text_of_edge_values():
 
 
 def test_angle_texts_keep_negative_zero_apart():
-    # the emitters encode each angle once per call; -0.0 == 0.0 and 1 == 1.0,
-    # so a cache that found angles by value would hand one the other's text
+    # the emitters encode each angle once per call, and the reader makes one
+    # Gate per distinct record; -0.0 == 0.0 and 1 == 1.0, so a cache that found
+    # angles by value would hand one the other's text or gate
     c = Circuit([("q", 1, 2)])
     a, b = c.qubit("q", 0, 0), c.qubit("q", 0, 1)
     neg, zero = -0.0, 0.0
     c.extend([gate_rz(neg, a), gate_rz(zero, a), gate_rz(neg, b), Gate("RZ", 1, (a,)),
-              gate_rz(1.0, b), gate_rz(zero, b)])
-    assert circuit_to_json(c) == json.dumps(circuit_to_dict(c))
+              gate_rz(1.0, a), gate_rz(zero, b)])
+    text = circuit_to_json(c)
+    assert text == json.dumps(circuit_to_dict(c))
     assert circuit_to_qasm(c).splitlines()[3:] == [
-        "rz(-0.0) q[0];", "rz(0.0) q[0];", "rz(-0.0) q[1];", "rz(1) q[0];", "rz(1.0) q[1];",
+        "rz(-0.0) q[0];", "rz(0.0) q[0];", "rz(-0.0) q[1];", "rz(1) q[0];", "rz(1.0) q[0];",
         "rz(0.0) q[1];"]
+    back = circuit_from_json(text)
+    assert circuit_to_json(back) == text
+    assert [repr(g.angle) for g in back.gates] == ["-0.0", "0.0", "-0.0", "1", "1.0", "0.0"]
 
 
 # SHA-256 of the JSON and QASM text of every variant and encoding at n <= 6,

@@ -334,14 +334,22 @@ def random_circuits(draw):
     n = draw(st.integers(1, 8))
     primitives = ("X", "H", "RY", "RZ", "SWAP") if n >= 2 else ("X", "H", "RY", "RZ")
     c = Circuit([("q", 1, n)])
-    for _ in range(draw(st.integers(0, 30))):
+
+    def gate():
         primitive = draw(st.sampled_from(primitives))
         width = 2 if primitive == "SWAP" else 1
         qubits = draw(st.permutations(range(n)))
         num_controls = draw(st.integers(0, min(2, n - width)))
         controls = tuple(Control(q(k), draw(st.integers(0, 1))) for k in qubits[width:width + num_controls])
         angle = draw(st.floats(-2 * np.pi, 2 * np.pi)) if primitive in ("RY", "RZ") else None
-        c.append(Gate(primitive, angle, tuple(q(t) for t in qubits[:width]), controls))
+        return Gate(primitive, angle, tuple(q(t) for t in qubits[:width]), controls)
+
+    # half the circuits draw every gate from a pool of shared Gate objects, so one
+    # object recurs on changed states, as in a lowered circuit: the simulator
+    # resolves each object once per call
+    pool = [gate() for _ in range(draw(st.integers(1, 3)))] if draw(st.booleans()) else None
+    for _ in range(draw(st.integers(0, 30))):
+        c.append(draw(st.sampled_from(pool)) if pool else gate())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps[rng.random(1 << n) < draw(st.sampled_from((0.0, 0.5, 0.9)))] = 0.0  # some sparse starts
