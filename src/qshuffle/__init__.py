@@ -14,8 +14,6 @@ from .circuit import (
     Gate,
     Register,
     count_primitives,
-    primitive_class,
-    primitive_multiset,
     value_controls,
 )
 from .lowering import (

@@ -22,8 +22,13 @@ controlled on perm:j == i returns it to zero.
 Controls are economical: iteration i only ever compares values <= i, so
 b_i = bitlen(i) ancilla bits (binary) or one ancilla qubit (one-hot)
 suffice, and the uncompute controls read only the low b_i bits of perm:j.
-Controlled swaps are emitted pre-lowered (2 CX + one multi-controlled X per
-qubit pair) so the gate list is already in the counting alphabet.
+Controlled swaps are emitted pre-lowered, so the gate list is already in the
+counting alphabet: each qubit pair becomes the triple CX, multi-controlled X,
+CX of ``lowering.swap_gates``, the helper ``lower_controlled_swap`` uses too,
+and no SWAP gate is built first.  A build resolves (and checks) every
+subregister's qubits once, shares one positive ``Control`` per qubit and one
+control tuple per condition, and hands each iteration's gates to
+``Circuit.extend`` in one call.
 
 One-hot draw encoding: ancilla bit j set means draw j (swap (j, i)); the
 all-zero ancilla state is draw i (no swap), so every swap needs only a
@@ -34,8 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Register, ctrl, gate_swap, gate_x, value_controls
-from .lowering import lower_controlled_swap
+from .circuit import Circuit, Register, ctrl, gate_x, value_controls
+from .lowering import swap_gates
 from .prep import u_gates, v_gates
 
 VARIANTS = ("A", "At", "B", "Bt", "C")
@@ -101,32 +106,27 @@ def register_layout(spec: BuildSpec) -> list[Register]:
 
 def init_identity_word(circuit: Circuit, n: int) -> Circuit:
     """Write |k> into permutation subregister k, for k = 1..n-1 (one X per set bit)."""
-    for k in range(1, n):
-        for bit in range(k.bit_length()):
-            if (k >> bit) & 1:
-                circuit.append(gate_x(circuit.qubit(PERM, k, bit)))
-    return circuit
-
-
-def _controlled_pairwise_swap(circuit: Circuit, reg: str, j: int, i: int, width: int, controls) -> None:
-    q = circuit.qubit
-    circuit.extend(g for bit in range(width)
-                   for g in lower_controlled_swap(gate_swap(q(reg, j, bit), q(reg, i, bit), controls)))
+    return circuit.extend(gate_x(circuit.qubit(PERM, k, bit))
+                          for k in range(1, n) for bit in range(k.bit_length()) if (k >> bit) & 1)
 
 
 def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     """Build the circuit plus the gate index at the start of each iteration
     (and the end index), for mid-circuit state checks."""
-    n, w = spec.n, spec.word_width
+    n, binary = spec.n, spec.encoding == "binary"
     metadata = {"variant": spec.variant, "n": n, "m": spec.m, "encoding": spec.encoding,
                 "lowering": "counting"}
     circuit = Circuit(register_layout(spec), metadata)
-    q, conditions = circuit.qubit, {}
+    qubits = {r.name: [[circuit.qubit(r.name, k, bit) for bit in range(r.width)] for k in range(r.count)]
+              for r in circuit.registers}  # every subregister resolved, and checked, once
+    pos = [ctrl(k) for k in range(circuit.num_qubits)]  # one positive control per qubit
+    swapped = [[[pos[k] for k in sub] for sub in qubits[reg]] for reg in (DATA, PERM) if reg in qubits]
+    conditions = {}
 
-    def controls(reg, sub, value, width):  # (reg, sub) holds value on its low bits
-        key = (reg, sub, value, width)  # one tuple per condition per build
+    def holds(sub, value, width):  # controls: the low width qubits of sub hold value
+        key = (sub[0], value, width)  # one tuple per condition per build
         if key not in conditions:
-            conditions[key] = value_controls([q(reg, sub, k) for k in range(width)], value)
+            conditions[key] = value_controls(sub[:width], value)
         return conditions[key]
 
     if spec.has_perm:
@@ -135,27 +135,19 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     for i in range(1, n):
         checkpoints.append(len(circuit))
         b = i.bit_length()
-        anc = ANC if spec.disentangling else f"{ANC}{i}"
-        prep = u_gates if spec.encoding == "binary" else v_gates
-        circuit.extend(prep(i, circuit.register_qubits(anc)))
+        anc = qubits[ANC if spec.disentangling else f"{ANC}{i}"][0]
+        gates = u_gates(i, anc) if binary else v_gates(i, anc)
         for j in range(i):
-            if spec.encoding == "binary":
-                draw_controls = controls(anc, 0, j, b)
-            else:
-                draw_controls = (ctrl(q(anc, 0, j), 1),)
-            if spec.has_data:
-                _controlled_pairwise_swap(circuit, DATA, j, i, spec.m, draw_controls)
-            if spec.has_perm:
-                _controlled_pairwise_swap(circuit, PERM, j, i, w, draw_controls)
-        if spec.disentangling:
-            if spec.encoding == "binary":
-                for j in range(1, i + 1):
-                    for bit in range(b):
-                        if (j >> bit) & 1:
-                            circuit.append(gate_x(q(ANC, 0, bit), controls(PERM, j, i, b)))
-            else:
-                for j in range(i):
-                    circuit.append(gate_x(q(ANC, 0, j), controls(PERM, j, i, b)))
+            draw = holds(anc, j, b) if binary else (pos[anc[j]],)
+            for reg in swapped:
+                for x, y in zip(reg[j], reg[i]):
+                    gates += swap_gates(x, y, draw)
+        if spec.disentangling:  # clear draw j's ancilla pattern where perm:j holds i
+            for j in range(1, i + 1) if binary else range(i):
+                cleared = holds(qubits[PERM][j], i, b)
+                bits = [bit for bit in range(b) if (j >> bit) & 1] if binary else [j]
+                gates += [gate_x(anc[bit], cleared) for bit in bits]
+        circuit.extend(gates)
     checkpoints.append(len(circuit))
     return circuit, tuple(checkpoints)
 

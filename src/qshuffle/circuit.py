@@ -11,8 +11,8 @@ Gates name their qubits by global index, a plain int.  ``Circuit.qubit``
 turns a (register, subregister, bit) address into its index, checked, where a
 name enters the pipeline (builders, circuit files); ``ref_of`` turns an index
 back into its address for text output.  IR objects are immutable, and a gate
-list may hold one ``Gate`` object many times; ``extend`` checks each distinct
-object once per call.
+list may hold one ``Gate`` object many times; ``extend`` runs ``check``, the
+checks of ``append``, once per distinct object per call.
 
 Also provides the cost classes of the counting alphabet and weighted
 primitive counting.
@@ -70,10 +70,6 @@ def gate_ry(angle: float, target: int, controls: tuple[Control, ...] = ()) -> Ga
 
 def gate_rz(angle: float, target: int, controls: tuple[Control, ...] = ()) -> Gate:
     return Gate("RZ", angle, (target,), tuple(controls))
-
-
-def gate_swap(a: int, b: int, controls: tuple[Control, ...] = ()) -> Gate:
-    return Gate("SWAP", None, (a, b), tuple(controls))
 
 
 def value_controls(qubits, value: int) -> tuple[Control, ...]:
@@ -149,40 +145,50 @@ class Circuit:
         """Global indices touched by a gate: targets then control qubits."""
         return (*gate.targets, *[c.qubit for c in gate.controls])
 
-    def append(self, gate: Gate) -> "Circuit":
-        if gate.primitive not in PRIMITIVES:
-            raise ValueError(f"unknown primitive {gate.primitive!r}")
-        want = _TARGET_COUNT[gate.primitive]
-        if len(gate.targets) != want:
-            raise ValueError(f"{gate.primitive} takes {want} target(s), got {len(gate.targets)}")
-        if (gate.angle is not None) != (gate.primitive in ROTATIONS):
-            raise ValueError(f"angle must be present iff primitive is a rotation ({gate.primitive})")
-        try:
-            finite = gate.angle is None or (type(gate.angle) is not bool and isfinite(gate.angle))
-        except (TypeError, OverflowError):  # not a real number, or an int beyond float range
-            finite = False
-        if not finite:
-            raise ValueError(f"rotation angle must be a finite real number, got {gate.angle!r}")
+    def check(self, gate: Gate) -> None:
+        """Raise ValueError unless ``gate`` is a well-formed primitive on this circuit's qubits."""
+        primitive, angle = gate.primitive, gate.angle
+        if primitive not in PRIMITIVES:
+            raise ValueError(f"unknown primitive {primitive!r}")
+        touched = [*gate.targets]  # then the control qubits
+        want = _TARGET_COUNT[primitive]
+        if len(touched) != want:
+            raise ValueError(f"{primitive} takes {want} target(s), got {len(touched)}")
+        if angle is not None or primitive in ROTATIONS:
+            if angle is None or primitive not in ROTATIONS:
+                raise ValueError(f"angle must be present iff primitive is a rotation ({primitive})")
+            try:
+                finite = type(angle) is not bool and isfinite(angle)
+            except (TypeError, OverflowError):  # not a real number, or an int beyond float range
+                finite = False
+            if not finite:
+                raise ValueError(f"rotation angle must be a finite real number, got {angle!r}")
         for c in gate.controls:
             if type(c.value) is not int or c.value not in (0, 1):
                 raise ValueError(f"control value must be the int 0 or 1, got {c.value!r}")
-        touched = self.gate_qubits(gate)
+            touched.append(c.qubit)
         for q in touched:
             if type(q) is not int or not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q!r} is not an int in range({self.num_qubits})")
         if len(set(touched)) != len(touched):
             raise ValueError(f"gate targets/controls overlap: {gate}")
+
+    def append(self, gate: Gate) -> "Circuit":
+        self.check(gate)
         self.gates.append(gate)
         return self
 
     def extend(self, gates) -> "Circuit":
-        checked = set()  # ids of the gates appended in this call, kept alive by self.gates
-        for g in gates:
-            if id(g) in checked:
-                self.gates.append(g)
-            else:
-                self.append(g)
-                checked.add(id(g))
+        """Append ``gates`` in order, checking each distinct object once; a
+        gate that fails raises after the gates before it are appended."""
+        gates = list(gates)  # keeps each object alive while its id is a key
+        for g in {id(g): g for g in gates}.values():
+            try:
+                self.check(g)
+            except Exception:
+                self.gates += gates[:[id(h) for h in gates].index(id(g))]
+                raise
+        self.gates += gates
         return self
 
     def copy_empty(self) -> "Circuit":
@@ -213,23 +219,8 @@ def cost_class(primitive: str, num_controls: int) -> str:
     return cls
 
 
-def _class_name(primitive: str, m: int) -> str:
-    cls = cost_class(primitive, m)
-    return f"C{m}X" if cls == "mcx" else cls.upper()
-
-
-def primitive_class(gate: Gate) -> str:
-    """Class name of a gate: X, CX, C{m}X (m >= 2), H, CH, RY, CRY, RZ."""
-    return _class_name(gate.primitive, len(gate.controls))
-
-
 def _arity_counts(circuit: Circuit) -> Counter:
     return Counter((g.primitive, len(g.controls)) for g in circuit.gates)
-
-
-def primitive_multiset(circuit: Circuit) -> Counter:
-    """Multiset of counting-alphabet classes over the gate list."""
-    return Counter({_class_name(p, m): k for (p, m), k in _arity_counts(circuit).items()})
 
 
 def count_primitives(circuit: Circuit, profile) -> int | float:

@@ -2,8 +2,9 @@
 
 Subcommands: build, simulate, verify, count, table, sample, prep.
 Exit codes: 0 success, 1 verification failure, 2 size cap (a simulation of
-more than 63 qubits or more than simulator.MAX_BRANCHES live branches, or a
-build, count or verify of more than MAX_GATES counting-level gates), 64 usage
+more than 63 qubits or more than simulator.MAX_BRANCHES live branches, a
+build, count or verify of more than MAX_GATES counting-level gates, a prep of
+more than MAX_GATES gates, or a table of more than MAX_ROWS rows), 64 usage
 error, 74 I/O error or malformed circuit file.
 """
 
@@ -22,14 +23,16 @@ from .builders import ENCODINGS, VARIANTS, BuildSpec, build
 from .lowering import lower_circuit
 from .permutations import sample_fisher_yates
 from .prep import build_u, build_v
-from .resources import CostProfile, gate_count_formula, resource_report, scaling_table
+from .resources import (CostProfile, gate_count_formula, resource_report, scaling_table,
+                        u_gate_count_formula, v_gate_count_formula)
 from .serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
 from .simulator import SimulationCapExceeded
 from .verify import DEFAULT_SEED, DEFAULT_TOL, verify_spec
 
 EX_OK, EX_FAIL, EX_CAP = 0, 1, 2
 EX_USAGE, EX_IOERR = 64, 74
-MAX_GATES = 10**6  # counting-level gates a build, count or verify may have
+MAX_GATES = 10**6  # counting-level gates a build, count or verify may have, and gates of a prep
+MAX_ROWS = 10**5  # rows a table may have
 PROG = "qshuffle"  # prefix of the refusals that are not argparse usage errors
 
 
@@ -101,6 +104,10 @@ def cmd_build(parser, args) -> int:
 def cmd_prep(parser, args) -> int:
     if args.i < 1:
         parser.error("--i must be >= 1")
+    gates = (u_gate_count_formula if args.encoding == "binary" else v_gate_count_formula)(args.i)
+    if gates > MAX_GATES:
+        parser.exit(EX_CAP, f"{PROG}: prep --i {args.i} has {gates} gates, "
+                            f"over the size cap of {MAX_GATES}\n")
     circuit = build_u(args.i) if args.encoding == "binary" else build_v(args.i)
     _emit_circuit(circuit, args.format, args.out)
     return EX_OK
@@ -159,6 +166,9 @@ def cmd_table(parser, args) -> int:
     profile = _load_profile(parser, args.profile)
     if args.n_max < 2:
         parser.error("--n-max must be >= 2")
+    if args.n_max - 1 > MAX_ROWS:
+        parser.exit(EX_CAP, f"{PROG}: table to n={args.n_max} has {args.n_max - 1} rows, "
+                            f"over the row cap of {MAX_ROWS}\n")
     try:
         rows = scaling_table(args.variant, range(2, args.n_max + 1), args.encoding,
                              args.m, profile)

@@ -39,18 +39,24 @@ from .circuit import Circuit, Control, Gate, ctrl, gate_h, gate_rz, gate_x
 LOWERING_LEVELS = ("counting", "full")
 
 
-def lower_controlled_swap(gate: Gate) -> list[Gate]:
-    """SWAP(a, b) with k >= 0 controls -> CX(a->b), controlled X on a, CX(a->b).
+def swap_gates(a: Control, b: Control, controls: tuple[Control, ...]) -> tuple[Gate, Gate, Gate]:
+    """SWAP of qubits a.qubit and b.qubit under ``controls``, as CX(a->b), X on
+    a controlled on ``controls`` and b, CX(a->b); ``a`` and ``b`` are the
+    positive controls on the two qubits, so callers may share them.
 
     Only the middle gate carries the swap's controls (plus b), so a swap
     controlled on c qubits costs 2 CX + one X with c+1 controls.
     """
+    outer = Gate("X", None, (b.qubit,), (a,))
+    return outer, Gate("X", None, (a.qubit,), (*controls, b)), outer
+
+
+def lower_controlled_swap(gate: Gate) -> list[Gate]:
+    """SWAP(a, b) with k >= 0 controls -> its ``swap_gates`` triple."""
     if gate.primitive != "SWAP":
         raise ValueError(f"expected SWAP, got {gate.primitive}")
     a, b = gate.targets
-    outer = gate_x(b, (ctrl(a, 1),))
-    middle = gate_x(a, gate.controls + (ctrl(b, 1),))
-    return [outer, middle, outer]
+    return list(swap_gates(ctrl(a, 1), ctrl(b, 1), gate.controls))
 
 
 def eliminate_negative_controls(gate: Gate) -> list[Gate]:

@@ -42,10 +42,6 @@ from .builders import BuildSpec, build
 from .circuit import Circuit, cost_class, count_primitives
 
 
-def hamming(k: int) -> int:
-    return bin(k).count("1")
-
-
 def ceil_log2(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -117,11 +113,11 @@ def _u_counts(i: int, profile: CostProfile | None) -> tuple[int, int]:
     """(gates, cycles) of the binary uniform prep over 0..i; its H prefix is one layer."""
     p = profile or CostProfile.unit()
     m = i + 1
-    s = [bit for bit in range(m.bit_length()) if (m >> bit) & 1]
-    if len(s) == 1:  # m = 2^s0: an H on each of the s0 bits
-        return s[0] * p.h, p.h
-    rest = p.ry + (len(s) - 1) * p.cry + (s[-1] - s[0]) * p.ch
-    return s[0] * p.h + rest, min(1, s[0]) * p.h + rest
+    s0, top = (m & -m).bit_length() - 1, m.bit_length() - 1  # lowest and highest set bit
+    if s0 == top:  # m = 2^s0: an H on each of the s0 bits
+        return s0 * p.h, p.h
+    rest = p.ry + (m.bit_count() - 1) * p.cry + (top - s0) * p.ch
+    return s0 * p.h + rest, min(1, s0) * p.h + rest
 
 
 def u_gate_count_formula(i: int, profile: CostProfile | None = None) -> int:
@@ -151,22 +147,25 @@ def _sweep(variant: str, n_values, m: int | None, encoding: str,
         raise ValueError("n must be >= 1")
     spec = BuildSpec(variant, wanted[-1], m, encoding)
     binary = encoding == "binary"
-    prep_gate = u_gate_count_formula if binary else v_gate_count_formula
-    prep_cycle = u_cycle_count_formula if binary else v_gate_count_formula  # one-hot: a sequential chain
+    x_cost = [p.cost("X", k) for k in range(wanted[-1].bit_length() + 2)]  # by number of controls
     init = prep_gates = prep_cycles = prep_cycles_max = swap = uncompute = ancilla = 0
     cum_hamming = 0  # sum hamming(j), j <= i
     done = 1         # iterations 1..done-1 are in the sums
     for n in wanted:
         for i in range(done, n):
-            init += hamming(i) * p.x
-            prep_gates += prep_gate(i, p)
-            c = prep_cycle(i, p)
+            b, h = i.bit_length(), i.bit_count()
+            init += h * p.x
+            if binary:
+                g, c = _u_counts(i, p)
+            else:  # one-hot: a sequential chain
+                g = c = v_gate_count_formula(i, p)
+            prep_gates += g
             prep_cycles += c
             prep_cycles_max = max(prep_cycles_max, c)
-            swap += i * (2 * p.cx + p.cost("X", i.bit_length() + 1 if binary else 2))
-            cum_hamming += hamming(i)
-            uncompute += (cum_hamming if binary else i) * p.cost("X", i.bit_length())
-            ancilla += i.bit_length() if binary else i
+            swap += i * (2 * p.cx + x_cost[b + 1 if binary else 2])
+            cum_hamming += h
+            uncompute += (cum_hamming if binary else i) * x_cost[b]
+            ancilla += b if binary else i
         done = n
         w = max(ceil_log2(n), 1)  # the builders' widths: n = 1 still gets one-qubit registers
         width = (w if spec.has_perm else 0) + (m if spec.has_data else 0)

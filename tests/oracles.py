@@ -7,9 +7,11 @@ against.  ``initial_state``, ``evolve``, ``run``, ``branch_table`` and
 ``sample`` take and give 2^n vectors but simulate with ``qshuffle.simulator``,
 so tests that read dense vectors keep exercising the shipping simulator.  The
 remaining helpers read dense vectors, decode draw records, build classical
-and gate fixtures, or encode and read circuit text the simple way
-(``circuit_to_dict``, ``circuit_from_qasm``); none has a caller outside the
-tests.
+and gate fixtures, encode and read circuit text the simple way
+(``circuit_to_dict``, ``circuit_from_qasm``), build circuits the old way
+(``build_via_swap_gates``), name gate classes (``primitive_multiset``) or
+sum the cost formulas iteration by iteration (``sweep_rows``); none has a
+caller outside the tests.
 
 Amplitude indexing: bit g of a basis-state index is global qubit g (qubit 0
 is the least significant bit), matching the circuit's register numbering.
@@ -20,13 +22,16 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 
 import numpy as np
 
 from qshuffle import simulator
-from qshuffle.circuit import Circuit, Control, Gate, value_controls
+from qshuffle.builders import ANC, DATA, PERM, BuildSpec, register_layout
+from qshuffle.circuit import Circuit, Control, Gate, cost_class, gate_x, value_controls
+from qshuffle.lowering import lower_controlled_swap
+from qshuffle.prep import u_gates, v_gates
 
 BLOCK_BITS = 14  # gates run on blocks of 2^14 amplitudes: four fit a 2 MiB L2 cache
 AMPLITUDE_TOL = 1e-10
@@ -284,3 +289,129 @@ def circuit_from_qasm(text: str) -> Circuit:
                     tuple(qubits[len(values):]), controls)
         circuit.append(gate)
     return circuit
+
+
+def gate_swap(a: int, b: int, controls: tuple[Control, ...] = ()) -> Gate:
+    return Gate("SWAP", None, (a, b), tuple(controls))
+
+
+def _class_name(primitive: str, m: int) -> str:
+    cls = cost_class(primitive, m)
+    return f"C{m}X" if cls == "mcx" else cls.upper()
+
+
+def primitive_class(gate: Gate) -> str:
+    """Class name of a gate: X, CX, C{m}X (m >= 2), H, CH, RY, CRY, RZ."""
+    return _class_name(gate.primitive, len(gate.controls))
+
+
+def primitive_multiset(circuit: Circuit) -> Counter:
+    """Multiset of counting-alphabet classes over the gate list."""
+    return Counter(_class_name(g.primitive, len(g.controls)) for g in circuit.gates)
+
+
+def build_via_swap_gates(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
+    """``builders.build_with_checkpoints`` the way it was first written: every
+    address resolved through ``Circuit.qubit`` where it is used, each
+    controlled swap emitted as a SWAP gate and rewritten by
+    ``lower_controlled_swap``, and one ``append`` per uncompute gate."""
+    n, w = spec.n, spec.word_width
+    metadata = {"variant": spec.variant, "n": n, "m": spec.m, "encoding": spec.encoding,
+                "lowering": "counting"}
+    circuit = Circuit(register_layout(spec), metadata)
+    q = circuit.qubit
+
+    def controls(reg, sub, value, width):  # (reg, sub) holds value on its low bits
+        return value_controls([q(reg, sub, k) for k in range(width)], value)
+
+    def swap(reg, j, i, width, draw):
+        for bit in range(width):
+            circuit.extend(lower_controlled_swap(gate_swap(q(reg, j, bit), q(reg, i, bit), draw)))
+
+    if spec.has_perm:
+        for k in range(1, n):
+            for bit in range(k.bit_length()):
+                if (k >> bit) & 1:
+                    circuit.append(gate_x(q(PERM, k, bit)))
+    checkpoints = []
+    for i in range(1, n):
+        checkpoints.append(len(circuit))
+        b = i.bit_length()
+        anc = ANC if spec.disentangling else f"{ANC}{i}"
+        prep = u_gates if spec.encoding == "binary" else v_gates
+        circuit.extend(prep(i, circuit.register_qubits(anc)))
+        for j in range(i):
+            if spec.encoding == "binary":
+                draw = controls(anc, 0, j, b)
+            else:
+                draw = (Control(q(anc, 0, j), 1),)
+            if spec.has_data:
+                swap(DATA, j, i, spec.m, draw)
+            if spec.has_perm:
+                swap(PERM, j, i, w, draw)
+        if spec.disentangling:
+            if spec.encoding == "binary":
+                for j in range(1, i + 1):
+                    for bit in range(b):
+                        if (j >> bit) & 1:
+                            circuit.append(gate_x(q(ANC, 0, bit), controls(PERM, j, i, b)))
+            else:
+                for j in range(i):
+                    circuit.append(gate_x(q(ANC, 0, j), controls(PERM, j, i, b)))
+    checkpoints.append(len(circuit))
+    return circuit, tuple(checkpoints)
+
+
+def _prep_counts(i: int, binary: bool, p) -> tuple[int, int]:
+    """(gates, cycles) of the uniform prep over 0..i, read off the gate lists
+    in the ``prep`` module docstring."""
+    if not binary:  # RY, then (CRY, CX) per extra state: a sequential chain
+        gates = p.cost("RY", 0) + (i - 1) * (p.cost("RY", 1) + p.cost("X", 1))
+        return gates, gates
+    m = i + 1
+    s = [bit for bit in range(m.bit_length()) if (m >> bit) & 1]
+    if len(s) == 1:  # one layer of Hadamards on the s_0 = bitlen(i) qubits
+        return s[0] * p.cost("H", 0), p.cost("H", 0)
+    rest = p.cost("RY", 0) + (len(s) - 1) * p.cost("RY", 1) + (s[-1] - s[0]) * p.cost("H", 1)
+    return s[0] * p.cost("H", 0) + rest, min(s[0], 1) * p.cost("H", 0) + rest
+
+
+def sweep_rows(variant: str, n_values, m, encoding: str, p) -> list[tuple[int, int, int, int]]:
+    """The rows ``resources.scaling_table`` must give: for each n, the terms
+    of the ``resources`` module docstring summed over iterations i = 1..n-1
+    from scratch, with a fresh ``p.cost`` per use."""
+    binary = encoding == "binary"
+    rows = []
+    for n in sorted(set(n_values)):
+        spec = BuildSpec(variant, n, m, encoding)
+        init = prep_gates = prep_cycles = prep_cycles_max = swap = uncompute = ancilla = 0
+        cum_hamming = 0  # sum hamming(j), j <= i
+        for i in range(1, n):
+            b = i.bit_length()
+            init += bin(i).count("1") * p.cost("X", 0)
+            gates, cycles = _prep_counts(i, binary, p)
+            prep_gates += gates
+            prep_cycles += cycles
+            prep_cycles_max = max(prep_cycles_max, cycles)
+            swap += i * (2 * p.cost("X", 1) + p.cost("X", b + 1 if binary else 2))
+            cum_hamming += bin(i).count("1")
+            uncompute += (cum_hamming if binary else i) * p.cost("X", b)
+            ancilla += b if binary else i
+        w = max((n - 1).bit_length(), 1)
+        width = (w if spec.has_perm else 0) + (m if spec.has_data else 0)
+        gates, cycles = prep_gates + width * swap, width * swap
+        if spec.disentangling:
+            qubits = w if binary else max(n - 1, 1)
+            gates += uncompute
+            cycles += prep_cycles + uncompute
+        else:
+            qubits = ancilla
+            cycles += prep_cycles_max
+        if spec.has_perm:
+            qubits += n * w
+            gates += init
+            cycles += p.cost("X", 0) if n > 1 else 0
+        if spec.has_data:
+            qubits += m * n
+        rows.append((n, qubits, gates, cycles))
+    return rows

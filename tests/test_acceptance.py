@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import chi2
 
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints
-from qshuffle.circuit import Circuit, Control, Gate, primitive_multiset
+from qshuffle.circuit import Circuit, Control, Gate
 from qshuffle.lowering import lower_circuit, lower_mcx, lower_toffoli
 from qshuffle.permutations import (
     enumerate_sn,
@@ -29,6 +29,7 @@ from oracles import (
     decode_draws,
     evolve,
     marginal_probabilities,
+    primitive_multiset,
     run,
     sample,
     states_equal_up_to_phase,

@@ -5,11 +5,13 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
-from qshuffle.builders import BuildSpec, build, build_with_checkpoints, init_identity_word, register_layout
-from qshuffle.circuit import Circuit, primitive_multiset
+from qshuffle.builders import (ENCODINGS, VARIANTS, BuildSpec, build, build_with_checkpoints, init_identity_word,
+                               register_layout)
+from qshuffle.circuit import Circuit
 from qshuffle.permutations import enumerate_sn, replay_reversed_fisher_yates
 from qshuffle.resources import measure_circuit
-from oracles import assert_register_disentangled, branch_table, decode_draws, evolve, marginal_probabilities, run
+from oracles import (assert_register_disentangled, branch_table, build_via_swap_gates, decode_draws,
+                     evolve, marginal_probabilities, primitive_multiset, run)
 
 TOL = 1e-10
 
@@ -205,3 +207,29 @@ def test_onehot_swaps_have_two_controls():
                     and any(x.qubit in anc for x in g.controls)
                     and any(x.qubit in perm for x in g.controls)]
     assert swap_middles and all(len(g.controls) == 2 for g in swap_middles)
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_builders_equal_the_emit_swap_then_lower_path(variant, encoding):
+    # the builders write each swap triple directly; it must be, gate for gate,
+    # what emitting a SWAP and lowering it gave
+    for n in range(1, 7):
+        for m in (1, 2) if variant in ("B", "Bt", "C") else (None,):
+            spec = BuildSpec(variant, n, m, encoding)
+            circuit, checkpoints = build_with_checkpoints(spec)
+            want, want_checkpoints = build_via_swap_gates(spec)
+            assert circuit.gates == want.gates, spec
+            assert [repr(g.angle) for g in circuit.gates] == [repr(g.angle) for g in want.gates], spec
+            assert checkpoints == want_checkpoints, spec
+            assert (circuit.registers, circuit.metadata) == (want.registers, want.metadata), spec
+
+
+def test_every_distinct_gate_object_of_a_build_is_checked(monkeypatch):
+    checked = []
+    check = Circuit.check
+    monkeypatch.setattr(Circuit, "check", lambda self, g: checked.append(g) or check(self, g))
+    for spec in (BuildSpec("A", 6), BuildSpec("Bt", 4, 2), BuildSpec("C", 5, 2, "onehot")):
+        checked.clear()
+        gates = build(spec).gates
+        assert {id(g) for g in checked} == {id(g) for g in gates}, spec

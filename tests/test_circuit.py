@@ -13,14 +13,11 @@ from qshuffle.circuit import (
     count_primitives,
     ctrl,
     gate_h,
-    gate_swap,
     gate_x,
-    primitive_class,
-    primitive_multiset,
     value_controls,
 )
 from qshuffle.resources import CostProfile, measure_circuit
-from oracles import emit_value_controlled
+from oracles import emit_value_controlled, gate_swap, primitive_class, primitive_multiset
 
 
 def test_global_numbering_order():
@@ -279,8 +276,8 @@ def test_extend_checks_each_distinct_gate_object_once(monkeypatch):
     c = Circuit([("a", 1, 2)])
     x, h = gate_x(0), gate_h(1)
     checked = []
-    append = Circuit.append
-    monkeypatch.setattr(Circuit, "append", lambda self, g: checked.append(g) or append(self, g))
+    check = Circuit.check
+    monkeypatch.setattr(Circuit, "check", lambda self, g: checked.append(g) or check(self, g))
     c.extend([x, h, x, x, h, gate_x(0)])
     assert len(c.gates) == 6 and len(checked) == 3
     c.extend([x])  # a new call checks again

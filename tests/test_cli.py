@@ -259,6 +259,44 @@ def test_size_cap_boundary(capsys, monkeypatch, command):
     assert capsys.readouterr().err == f"qshuffle: A n=5 has {over} gates, over the size cap of {cap}\n"
 
 
+def test_prep_cap_refuses_before_building(capsys, monkeypatch):
+    # a one-hot prep over 0..i has 2i-1 gates: i = 10^8 would build 2 * 10^8
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run_cli("prep", "--i", str(10**8), "--encoding", "onehot")
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qshuffle: prep --i 100000000 has 199999999 gates, over the size cap of 1000000\n"
+    monkeypatch.setattr(cli, "MAX_GATES", 7)  # the boundary: 2*4-1 gates pass, 2*5-1 do not
+    assert run_cli("prep", "--i", "4", "--encoding", "onehot") == 0
+    assert run_cli("prep", "--i", "127") == 0  # binary: 7 Hadamards
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        run_cli("prep", "--i", "5", "--encoding", "onehot")
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "qshuffle: prep --i 5 has 9 gates, over the size cap of 7\n"
+
+
+def test_table_row_cap_refuses_before_sweeping(capsys, monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run_cli("table", "--variant", "A", "--n-max", str(10**8))
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qshuffle: table to n=100000000 has 99999999 rows, over the row cap of 100000\n"
+    monkeypatch.setattr(cli, "MAX_ROWS", 3)  # rows n = 2..4 pass, 2..5 do not
+    assert run_cli("table", "--variant", "A", "--n-max", "4") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+    with pytest.raises(SystemExit) as err:
+        run_cli("table", "--variant", "A", "--n-max", "5")
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "qshuffle: table to n=5 has 4 rows, over the row cap of 3\n"
+
+
 def test_prep_commands(capsys):
     assert run_cli("prep", "--i", "4") == 0
     data = json.loads(capsys.readouterr().out)

@@ -5,10 +5,9 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from qshuffle.circuit import primitive_multiset
 from qshuffle.prep import binary_width, build_u, build_v, u_gates, v_gates
 from qshuffle.resources import measure_circuit, u_cycle_count_formula, u_gate_count_formula
-from oracles import run
+from oracles import primitive_multiset, run
 
 TOL = 1e-10
 

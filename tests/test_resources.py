@@ -19,6 +19,7 @@ from qshuffle.resources import (
     u_gate_count_formula,
     v_gate_count_formula,
 )
+from oracles import sweep_rows
 
 
 def test_qubit_formula_examples():
@@ -206,3 +207,13 @@ def test_formulas_match_measured_over_random_profiles(profile, n, m):
             assert r.depth_measured <= r.cycles_formula, spec
             row = (n, r.qubits_formula, r.gates_formula, r.cycles_formula)
             assert scaling_table(variant, [n], encoding, spec.m, profile) == [row], spec
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=30, deadline=None)
+@given(profile=profiles, n_values=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4),
+       m=st.integers(min_value=1, max_value=8))
+def test_scaling_table_equals_the_per_iteration_oracle(variant, encoding, profile, n_values, m):
+    m = m if variant in ("B", "Bt", "C") else None
+    assert scaling_table(variant, n_values, encoding, m, profile) == sweep_rows(variant, n_values, m, encoding, profile)

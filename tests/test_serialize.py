@@ -12,10 +12,10 @@ from hypothesis import given, settings
 
 from qshuffle import simulator
 from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
-from qshuffle.circuit import Circuit, Control, Gate, Register, ctrl, gate_ry, gate_rz, gate_swap
+from qshuffle.circuit import Circuit, Control, Gate, Register, ctrl, gate_ry, gate_rz
 from qshuffle.lowering import lower_circuit
 from qshuffle.serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
-from oracles import circuit_from_qasm, circuit_to_dict, run
+from oracles import circuit_from_qasm, circuit_to_dict, gate_swap, run
 
 from test_circuit import random_circuits
 

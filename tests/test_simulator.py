@@ -17,6 +17,7 @@ from oracles import (
     dense_evolve,
     dense_run,
     evolve,
+    gate_swap,
     initial_state,
     norm_squared,
     run,
@@ -25,7 +26,7 @@ from oracles import (
 )
 from qshuffle import simulator
 from qshuffle.builders import BuildSpec, build
-from qshuffle.circuit import Circuit, Control, Gate, gate_h, gate_ry, gate_rz, gate_swap, gate_x
+from qshuffle.circuit import Circuit, Control, Gate, gate_h, gate_ry, gate_rz, gate_x
 from qshuffle.simulator import SimulationCapExceeded
 
 TOL = 1e-10
