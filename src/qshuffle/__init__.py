@@ -19,7 +19,6 @@ from .circuit import (
 from .lowering import (
     eliminate_negative_controls,
     lower_circuit,
-    lower_controlled_swap,
     lower_mcx,
     lower_toffoli,
 )

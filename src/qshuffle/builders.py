@@ -22,10 +22,9 @@ controlled on perm:j == i returns it to zero.
 Controls are economical: iteration i only ever compares values <= i, so
 b_i = bitlen(i) ancilla bits (binary) or one ancilla qubit (one-hot)
 suffice, and the uncompute controls read only the low b_i bits of perm:j.
-Controlled swaps are emitted pre-lowered, so the gate list is already in the
-counting alphabet: each qubit pair becomes the triple CX, multi-controlled X,
-CX of ``lowering.swap_gates``, the helper ``lower_controlled_swap`` uses too,
-and no SWAP gate is built first.  A build resolves (and checks) every
+Each controlled swap is written as X gates, so the gate list is already in
+the counting alphabet: each qubit pair becomes the triple CX, multi-controlled
+X, CX of ``lowering.swap_gates``.  A build resolves (and checks) every
 subregister's qubits once, shares one positive ``Control`` per qubit and one
 control tuple per condition, and hands each iteration's gates to
 ``Circuit.extend`` in one call.

@@ -2,10 +2,11 @@
 
 A circuit is an ordered gate list over named registers.  Each register is a
 block of equally sized subregisters; bit 0 of a subregister is the least
-significant bit of the integer it stores.  Gates are primitives from
-{X, H, RY, RZ, SWAP} plus an arbitrary list of control conditions, each of
-which requires a qubit to be 0 or 1 (negative controls are first-class, so
-value-controlled gates need no X-conjugation until full lowering).
+significant bit of the integer it stores.  A gate is one of the primitives
+X, H, RY, RZ on one target qubit plus an arbitrary list of control
+conditions, each of which requires a qubit to be 0 or 1 (negative controls
+are first-class, so value-controlled gates need no X-conjugation until full
+lowering).  A register swap is written as X gates (``lowering.swap_gates``).
 
 Gates name their qubits by global index, a plain int.  ``Circuit.qubit``
 turns a (register, subregister, bit) address into its index, checked, where a
@@ -24,9 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import isfinite
 
-PRIMITIVES = ("X", "H", "RY", "RZ", "SWAP")
+PRIMITIVES = ("X", "H", "RY", "RZ")
 ROTATIONS = ("RY", "RZ")
-_TARGET_COUNT = {"X": 1, "H": 1, "RY": 1, "RZ": 1, "SWAP": 2}
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +48,7 @@ class Control:
 class Gate:
     primitive: str
     angle: float | None
-    targets: tuple[int, ...]  # global indices
+    target: int  # global index
     controls: tuple[Control, ...] = ()
 
 
@@ -57,19 +57,19 @@ def ctrl(qubit: int, value: int = 1) -> Control:
 
 
 def gate_x(target: int, controls: tuple[Control, ...] = ()) -> Gate:
-    return Gate("X", None, (target,), tuple(controls))
+    return Gate("X", None, target, tuple(controls))
 
 
 def gate_h(target: int, controls: tuple[Control, ...] = ()) -> Gate:
-    return Gate("H", None, (target,), tuple(controls))
+    return Gate("H", None, target, tuple(controls))
 
 
 def gate_ry(angle: float, target: int, controls: tuple[Control, ...] = ()) -> Gate:
-    return Gate("RY", angle, (target,), tuple(controls))
+    return Gate("RY", angle, target, tuple(controls))
 
 
 def gate_rz(angle: float, target: int, controls: tuple[Control, ...] = ()) -> Gate:
-    return Gate("RZ", angle, (target,), tuple(controls))
+    return Gate("RZ", angle, target, tuple(controls))
 
 
 def value_controls(qubits, value: int) -> tuple[Control, ...]:
@@ -142,18 +142,14 @@ class Circuit:
         return list(range(base, base + reg.count * reg.width))
 
     def gate_qubits(self, gate: Gate) -> tuple[int, ...]:
-        """Global indices touched by a gate: targets then control qubits."""
-        return (*gate.targets, *[c.qubit for c in gate.controls])
+        """Global indices touched by a gate: control qubits, then the target."""
+        return (*[c.qubit for c in gate.controls], gate.target)
 
     def check(self, gate: Gate) -> None:
         """Raise ValueError unless ``gate`` is a well-formed primitive on this circuit's qubits."""
         primitive, angle = gate.primitive, gate.angle
         if primitive not in PRIMITIVES:
             raise ValueError(f"unknown primitive {primitive!r}")
-        touched = [*gate.targets]  # then the control qubits
-        want = _TARGET_COUNT[primitive]
-        if len(touched) != want:
-            raise ValueError(f"{primitive} takes {want} target(s), got {len(touched)}")
         if angle is not None or primitive in ROTATIONS:
             if angle is None or primitive not in ROTATIONS:
                 raise ValueError(f"angle must be present iff primitive is a rotation ({primitive})")
@@ -166,12 +162,12 @@ class Circuit:
         for c in gate.controls:
             if type(c.value) is not int or c.value not in (0, 1):
                 raise ValueError(f"control value must be the int 0 or 1, got {c.value!r}")
-            touched.append(c.qubit)
+        touched = self.gate_qubits(gate)
         for q in touched:
             if type(q) is not int or not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q!r} is not an int in range({self.num_qubits})")
         if len(set(touched)) != len(touched):
-            raise ValueError(f"gate targets/controls overlap: {gate}")
+            raise ValueError(f"gate target/controls overlap: {gate}")
 
     def append(self, gate: Gate) -> "Circuit":
         self.check(gate)
@@ -207,8 +203,8 @@ def cost_class(primitive: str, num_controls: int) -> str:
     """Cost class of a gate in the counting alphabet, as a ``CostProfile``
     field name: x, cx, h, ch, ry, cry, rz, or mcx for X with m >= 2 controls.
 
-    (Controlled) SWAPs, controlled RZ and multiply-controlled H/RY have no
-    class and must be decomposed before counting.
+    Controlled RZ and multiply-controlled H/RY have no class and must be
+    decomposed before counting.
     """
     cls = _COST_CLASS.get((primitive, num_controls))
     if cls is None:

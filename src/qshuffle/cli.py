@@ -4,8 +4,10 @@ Subcommands: build, simulate, verify, count, table, sample, prep.
 Exit codes: 0 success, 1 verification failure, 2 size cap (a simulation of
 more than 63 qubits or more than simulator.MAX_BRANCHES live branches, a
 build, count or verify of more than MAX_GATES counting-level gates, a prep of
-more than MAX_GATES gates, or a table of more than MAX_ROWS rows), 64 usage
-error, 74 I/O error or malformed circuit file.
+more than MAX_GATES gates, a table of more than MAX_ROWS rows, a simulate of
+more than MAX_SHOTS shots, or a sample of more than MAX_SHOTS word entries),
+64 usage error (a bad cost profile too), 74 I/O error or malformed circuit
+file.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ EX_OK, EX_FAIL, EX_CAP = 0, 1, 2
 EX_USAGE, EX_IOERR = 64, 74
 MAX_GATES = 10**6  # counting-level gates a build, count or verify may have, and gates of a prep
 MAX_ROWS = 10**5  # rows a table may have
+MAX_SHOTS = 10**6  # shots a simulate may sample, and word entries (n x shots) a sample may draw
 PROG = "qshuffle"  # prefix of the refusals that are not argparse usage errors
 
 
@@ -83,7 +86,7 @@ def _load_profile(parser, path: str | None) -> CostProfile:
     with open(path, encoding="utf-8") as handle:
         try:
             return CostProfile.from_dict(json.load(handle))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
             parser.exit(EX_USAGE, f"{PROG}: bad cost profile {path}: {exc}\n")
 
 
@@ -116,13 +119,14 @@ def cmd_prep(parser, args) -> int:
 def cmd_simulate(parser, args) -> int:
     if args.shots < 0:
         parser.error("--shots must be >= 0")
+    if args.shots > MAX_SHOTS:
+        parser.exit(EX_CAP, f"{PROG}: simulate --shots {args.shots} is over the shot cap of {MAX_SHOTS}\n")
     with open(args.circuit, encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        circuit = circuit_from_json(text)
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        sys.stderr.write(f"cannot read circuit {args.circuit}: {exc}\n")
-        return EX_IOERR
+        try:
+            circuit = circuit_from_json(handle.read())
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # Unicode/JSONDecodeError too
+            sys.stderr.write(f"cannot read circuit {args.circuit}: {exc}\n")
+            return EX_IOERR
     state = simulator.run(circuit)
     branches = simulator.branch_table(state, circuit)
     payload = {
@@ -185,6 +189,9 @@ def cmd_sample(parser, args) -> int:
         parser.error("--n must be >= 1")
     if args.shots < 0:
         parser.error("--shots must be >= 0")
+    if args.n * args.shots > MAX_SHOTS:
+        parser.exit(EX_CAP, f"{PROG}: sample --n {args.n} --shots {args.shots} draws "
+                            f"{args.n * args.shots} entries, over the shot cap of {MAX_SHOTS}\n")
     rng = np.random.default_rng(args.seed)
     out = []
     for _ in range(args.shots):

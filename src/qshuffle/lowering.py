@@ -2,14 +2,14 @@
 
 Two levels:
 
-* "counting" rewrites every (controlled) SWAP into three CX-shaped gates,
-  only the middle one carrying the controls, and stops at the alphabet
+* "counting" rewrites nothing: builds are already in the alphabet
   {X, H, RY, RZ, CX, CH, CRY, C^mX} in which the closed-form gate counts
-  are stated.  Mixed-polarity controls stay as they are; the count classes
-  do not distinguish polarity.
+  are stated, each register swap written as the three X gates of
+  ``swap_gates``.  Mixed-polarity controls stay as they are; the count
+  classes do not distinguish polarity.
 
-* "full" additionally X-conjugates the negative controls of every gate
-  away and rewrites every multiply-controlled X: X with m >= 3 controls
+* "full" X-conjugates the negative controls of every gate away and
+  rewrites every multiply-controlled X: X with m >= 3 controls
   becomes a Toffoli ladder (clean or borrowed-qubit mode), and every
   Toffoli becomes the ancilla-free 6-CX + 9-single-qubit network (equal to
   the Toffoli up to global phase).
@@ -24,8 +24,9 @@ without checking their state.  Borrowed mode is therefore exact; clean mode
 is wrong for m >= 4 when a helper of its AND chain is not |0> (a fully
 lowered A n=5 in clean mode is one such circuit).
 
-``lower_circuit`` shares repeats: it rewrites each distinct input gate and
-each distinct Toffoli once per call, and equal output gates are one object.
+``lower_circuit`` at the full level shares repeats: it rewrites each
+distinct input gate and each distinct Toffoli once per call, and equal
+output gates are one object.
 """
 
 from __future__ import annotations
@@ -41,22 +42,15 @@ LOWERING_LEVELS = ("counting", "full")
 
 def swap_gates(a: Control, b: Control, controls: tuple[Control, ...]) -> tuple[Gate, Gate, Gate]:
     """SWAP of qubits a.qubit and b.qubit under ``controls``, as CX(a->b), X on
-    a controlled on ``controls`` and b, CX(a->b); ``a`` and ``b`` are the
-    positive controls on the two qubits, so callers may share them.
+    a controlled on ``controls`` and b, CX(a->b) (the Fredkin identity); ``a``
+    and ``b`` are the positive controls on the two qubits, so callers may
+    share them.
 
     Only the middle gate carries the swap's controls (plus b), so a swap
     controlled on c qubits costs 2 CX + one X with c+1 controls.
     """
-    outer = Gate("X", None, (b.qubit,), (a,))
-    return outer, Gate("X", None, (a.qubit,), (*controls, b)), outer
-
-
-def lower_controlled_swap(gate: Gate) -> list[Gate]:
-    """SWAP(a, b) with k >= 0 controls -> its ``swap_gates`` triple."""
-    if gate.primitive != "SWAP":
-        raise ValueError(f"expected SWAP, got {gate.primitive}")
-    a, b = gate.targets
-    return list(swap_gates(ctrl(a, 1), ctrl(b, 1), gate.controls))
+    outer = Gate("X", None, b.qubit, (a,))
+    return outer, Gate("X", None, a.qubit, (*controls, b)), outer
 
 
 def eliminate_negative_controls(gate: Gate) -> list[Gate]:
@@ -78,8 +72,7 @@ def lower_toffoli(gate: Gate) -> list[Gate]:
         raise ValueError("lower_toffoli expects an X gate with exactly 2 controls")
     if any(c.value != 1 for c in gate.controls):
         raise ValueError("lower_toffoli expects positive controls; eliminate negatives first")
-    a, b = gate.controls[0].qubit, gate.controls[1].qubit
-    t = gate.targets[0]
+    a, b, t = gate.controls[0].qubit, gate.controls[1].qubit, gate.target
     quarter = pi / 4.0
     cx = lambda c, tgt: gate_x(tgt, (ctrl(c, 1),))
     return [
@@ -136,7 +129,7 @@ def lower_mcx(gate: Gate, mode: str, idle_qubits) -> list[Gate]:
         raise ValueError(f"C^{m}X needs {m - 2} idle qubits, got {len(helpers)}")
     helpers = helpers[: m - 2]
     controls = [c.qubit for c in gate.controls]
-    target = gate.targets[0]
+    target = gate.target
     if mode == "borrowed":
         half = _toggle_ladder(controls, helpers, target)
         return half + half
@@ -157,33 +150,35 @@ def lower_mcx(gate: Gate, mode: str, idle_qubits) -> list[Gate]:
 def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrowed") -> Circuit:
     """Rewrite a circuit to the requested lowering level.
 
-    counting lowers only (controlled) swaps; full additionally lowers every
-    X with >= 2 controls down to {X, H, RY, RZ, CX, CH, CRY}, borrowing or
-    requiring clean idle qubits per ``mode``.  Output gates are hash-consed
-    on primitive, angle repr, target indices and (index, value) of each control.
+    counting copies the gate list; full X-conjugates negative controls away
+    and lowers every X with >= 2 controls down to {X, H, RY, RZ, CX, CH, CRY},
+    borrowing or requiring clean idle qubits per ``mode``.  Output gates are
+    hash-consed on primitive, angle repr, target index and (index, value) of
+    each control.
     """
     if level not in LOWERING_LEVELS:
         raise ValueError(f"unknown lowering level {level!r}")
     out = circuit.copy_empty()
     out.metadata["lowering"] = level
-    if level == "full":
-        out.metadata["mcx_mode"] = mode
+    if level == "counting":
+        return out.extend(circuit.gates)
+    out.metadata["mcx_mode"] = mode
     made: dict[tuple, Gate] = {}  # hash-cons key -> the one gate with it
     networks: dict[tuple, list[Gate]] = {}  # a Toffoli's qubits -> its network
     rewrites: dict[int, list[Gate]] = {}  # id of an input gate (kept by circuit.gates) -> rewrite
 
     def share(g: Gate) -> Gate:  # the angle by repr, so -0.0 and 0.0 stay apart
-        key = (g.primitive, repr(g.angle), g.targets, *[(c.qubit, c.value) for c in g.controls])
+        key = (g.primitive, repr(g.angle), g.target, *[(c.qubit, c.value) for c in g.controls])
         return made.setdefault(key, g)
 
     def network(toffoli: Gate) -> list[Gate]:
-        key = (*[c.qubit for c in toffoli.controls], toffoli.targets[0])
+        key = out.gate_qubits(toffoli)
         if key not in networks:
             networks[key] = [share(g) for g in lower_toffoli(toffoli)]
         return networks[key]
 
     def expand(g: Gate) -> list[Gate]:
-        if level == "counting" or g.primitive != "X" or len(g.controls) < 2:
+        if g.primitive != "X" or len(g.controls) < 2:
             return [share(g)]
         if len(g.controls) == 2:
             return network(g)
@@ -193,10 +188,7 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
 
     def rewrite(gate: Gate) -> list[Gate]:
         if id(gate) not in rewrites:
-            seq = lower_controlled_swap(gate) if gate.primitive == "SWAP" else [gate]
-            if level == "full":
-                seq = [h for g in seq for h in eliminate_negative_controls(g)]
-            rewrites[id(gate)] = [h for g in seq for h in expand(g)]
+            rewrites[id(gate)] = [h for g in eliminate_negative_controls(gate) for h in expand(g)]
         return rewrites[id(gate)]
 
     return out.extend(g for gate in circuit.gates for g in rewrite(gate))

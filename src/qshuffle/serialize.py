@@ -8,12 +8,14 @@ JSON schema (field order fixed):
 Angles are radians, written with full float precision so a round trip
 reproduces simulations bit-identically.  Gates hold global qubit indices; the
 writer turns each index into its reg/sub/bit text (``Circuit.ref_of``) and the
-reader each address into its index (``Circuit.qubit``, which checks it).  The
-reader resolves each int address once and makes one ``Gate`` per distinct
-record, keyed on the angle's repr (-0.0 is not 0.0) and on int control values
-only (True == 1 == 1.0), so ``extend`` checks each once.  The text is
-``json.dumps`` of that schema byte for byte, but written without the nested
-dicts: each distinct qubit and control is encoded once per call and its
+reader each address into its index (``Circuit.qubit``, which checks it).  A
+gate record has one target, except that a SWAP record with two targets and no
+angle is read as the three X gates of ``lowering.swap_gates``; the IR has no
+SWAP.  The reader resolves each int address once and makes the gates of each
+distinct record once, keyed on the angle's repr (-0.0 is not 0.0) and on int
+control values only (True == 1 == 1.0), so ``extend`` checks each once.  The
+text is ``json.dumps`` of that schema byte for byte, but written without the
+nested dicts: each distinct qubit and control is encoded once per call and its
 fragment reused.  Both emitters also encode each distinct gate object and each
 distinct angle object once per call (by identity, so shared gates cost one
 lookup each).
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 
 from .circuit import Circuit, Control, Gate
+from .lowering import swap_gates
 
 
 class _Texts(dict):
@@ -69,7 +72,7 @@ def circuit_to_json(circuit: Circuit) -> str:
 
     def encode(g: Gate) -> str:
         return (f'{{"primitive": {text(g.primitive)}, "angle": {angle(g.angle)}, '
-                f'"targets": [{", ".join(map(text, g.targets))}], '
+                f'"targets": [{text(g.target)}], '
                 f'"controls": [{", ".join(map(text, g.controls))}]}}')
 
     gates = ", ".join(list(map(_Once(encode), circuit.gates)))  # the memo goes before the join
@@ -92,20 +95,25 @@ def circuit_from_json(text: str) -> Circuit:
             indices[address] = circuit.qubit(*address)
         return indices[address]
 
-    def read(g) -> Gate:  # one Gate per distinct record
+    def read(g) -> tuple[Gate, ...]:  # the gates of one distinct record, made once
         targets = tuple(map(index, g["targets"]))
         controls = tuple([(index(c), c["value"]) for c in g.get("controls", ())])
         primitive, angle = g["primitive"], g["angle"]
         exact = type(primitive) is str and all([type(v) is int for _, v in controls])  # True == 1
         key = (primitive, repr(angle), targets, controls) if exact else id(g)  # repr: -0.0 == 0.0
         if key not in gates:
-            gates[key] = Gate(primitive, angle, targets, tuple(Control(*c) for c in controls))
+            controls = tuple(Control(*c) for c in controls)
+            if primitive == "SWAP" and angle is None and len(targets) == 2:
+                gates[key] = swap_gates(Control(targets[0], 1), Control(targets[1], 1), controls)
+            elif len(targets) == 1:
+                gates[key] = (Gate(primitive, angle, targets[0], controls),)
+            else:
+                raise ValueError(f"a {primitive!r} record has {len(targets)} targets: a gate takes 1, "
+                                 "a SWAP without angle 2")
         return gates[key]
 
-    return circuit.extend(map(read, data["gates"]))  # reads and checks the gates in file order
-
-
-_QASM_NAMES = {"X": "x", "H": "h", "RY": "ry", "RZ": "rz", "SWAP": "swap"}
+    # reads and checks the gates in file order
+    return circuit.extend(gate for record in data["gates"] for gate in read(record))
 
 
 def _qasm_gate(gate: Gate, operands: list[str], angle) -> str:
@@ -113,7 +121,7 @@ def _qasm_gate(gate: Gate, operands: list[str], angle) -> str:
     controls = gate.controls
     if gate.primitive == "X" and len(controls) == 1 and controls[0].value == 1:
         return f"cx {operands[0]}, {operands[1]};"
-    name = _QASM_NAMES[gate.primitive]
+    name = gate.primitive.lower()
     if gate.angle is not None:
         name += f"({angle(gate.angle)})"
     mods = "".join("ctrl @ " if c.value == 1 else "negctrl @ " for c in controls)
@@ -130,9 +138,7 @@ def circuit_to_qasm(circuit: Circuit) -> str:
     angle = _Once(repr)
 
     def encode(g: Gate) -> str:
-        qubits = circuit.gate_qubits(g)  # targets, then controls
-        k = len(g.targets)
-        return _qasm_gate(g, [names[q] for q in qubits[k:] + qubits[:k]], angle)
+        return _qasm_gate(g, [names[q] for q in circuit.gate_qubits(g)], angle)  # controls, then target
 
     lines += map(_Once(encode), circuit.gates)
     return "\n".join(lines) + "\n"

@@ -8,11 +8,11 @@ before iteration i, far fewer than 2^qubits, and every gate costs time linear
 in the live branches.
 
 Each distinct gate object is resolved once per call (by identity) to its
-target bits, control mask/value and RZ phases or H/RY matrix.  X and SWAP
-permute indices (an XOR of the target bits where the controls hold, and for
-SWAP where its two bits differ), RZ multiplies each controlled amplitude by
-the phase of its target bit, and H/RY send each controlled branch to both
-target values and merge equal indices, dropping |amplitude| <= BRANCH_TOL.
+target bit, control mask/value and RZ phases or H/RY matrix.  X moves indices
+(an XOR of the target bit where the controls hold), RZ multiplies each
+controlled amplitude by the phase of its target bit, and H/RY send each
+controlled branch to both target values and merge equal indices, dropping
+|amplitude| <= BRANCH_TOL.
 ``SimulationCapExceeded`` is raised above MAX_QUBITS qubits or as soon as a
 state holds more than MAX_BRANCHES branches.
 
@@ -79,7 +79,7 @@ def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarra
 
 
 def _resolve(gate: Gate) -> tuple:
-    """(primitive, target bits, control mask, control value, coefficients): RZ's phases
+    """(primitive, target bit, control mask, control value, coefficients): RZ's phases
     on target bit (1, 0), or H/RY as rows (to bit 0, to bit 1) of (from 0, from 1)."""
     coefficients, angle = None, gate.angle
     if gate.primitive == "RZ":
@@ -90,7 +90,7 @@ def _resolve(gate: Gate) -> tuple:
     elif gate.primitive == "RY":
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
         coefficients = (c, -s), (s, c)
-    return (gate.primitive, tuple(1 << q for q in gate.targets), sum(1 << c.qubit for c in gate.controls),
+    return (gate.primitive, 1 << gate.target, sum(1 << c.qubit for c in gate.controls),
             sum(c.value << c.qubit for c in gate.controls), coefficients)
 
 
@@ -98,15 +98,11 @@ def _apply(state, gate: tuple):
     """The state after one resolved gate, which acts where ``indices & mask ==
     value``.  An uncontrolled gate (mask 0) skips that pass."""
     indices, amplitudes = state
-    primitive, bits, mask, value, coefficients = gate
+    primitive, bit, mask, value, coefficients = gate
     hit = (indices & mask) == value if mask else None
-    if primitive == "SWAP":  # exchanges |01> and |10>: the bits must differ
-        differ = ((indices & bits[0]) == 0) != ((indices & bits[1]) == 0)
-        hit = differ if hit is None else hit & differ
-    if primitive in ("X", "SWAP"):
-        flipped = indices ^ sum(bits)
+    if primitive == "X":
+        flipped = indices ^ bit
         return (flipped if hit is None else np.where(hit, flipped, indices)), amplitudes
-    (bit,) = bits
     one = (indices & bit) != 0
     if primitive == "RZ":
         phased = amplitudes * np.where(one, *coefficients)

@@ -30,7 +30,6 @@ import numpy as np
 from qshuffle import simulator
 from qshuffle.builders import ANC, DATA, PERM, BuildSpec, register_layout
 from qshuffle.circuit import Circuit, Control, Gate, cost_class, gate_x, value_controls
-from qshuffle.lowering import lower_controlled_swap
 from qshuffle.prep import u_gates, v_gates
 
 BLOCK_BITS = 14  # gates run on blocks of 2^14 amplitudes: four fit a 2 MiB L2 cache
@@ -83,13 +82,12 @@ def sample(state: np.ndarray, shots: int, seed: int, circuit: Circuit, register:
 
 _R = 1.0 / math.sqrt(2.0)
 _EXCHANGE = ((0.0, 1.0), (1.0, 0.0))
-_FIXED = {"X": _EXCHANGE, "SWAP": _EXCHANGE, "H": ((_R, _R), (_R, -_R))}
+_FIXED = {"X": _EXCHANGE, "H": ((_R, _R), (_R, -_R))}
 _BIT = (slice(0, 1), slice(1, 2))  # length-1 slices keep every index a view
 
 
 def _matrix(gate: Gate) -> tuple:
-    """The gate's 2x2 matrix over the two half-states it acts on: target bit
-    0/1, or for SWAP the |01>/|10> pair of its targets."""
+    """The gate's 2x2 matrix over the two half-states it acts on: target bit 0/1."""
     if gate.primitive in _FIXED:
         return _FIXED[gate.primitive]
     if gate.primitive == "RY":
@@ -100,13 +98,12 @@ def _matrix(gate: Gate) -> tuple:
     raise ValueError(f"unknown primitive {gate.primitive!r}")
 
 
-def _apply_inplace(state: np.ndarray, n: int, gate: Gate, targets: tuple[int, ...], controls, scratch) -> None:
+def _apply_inplace(state: np.ndarray, n: int, gate: Gate, controls, scratch) -> None:
     index = [slice(None)] * n
     for q, v in controls:
         index[n - 1 - q] = _BIT[v]
     lo, hi = list(index), list(index)
-    for k, q in enumerate(targets):  # lo: bit 0 (SWAP: 0 then 1), hi: the flip of each
-        lo[n - 1 - q], hi[n - 1 - q] = _BIT[k], _BIT[1 - k]
+    lo[n - 1 - gate.target], hi[n - 1 - gate.target] = _BIT  # target bit 0, target bit 1
     view = state.reshape((2,) * n)
     (a, b), (c, d) = m = _matrix(gate)
     outer = [axis for axis, s in enumerate(lo) if s == slice(None)][:-BLOCK_BITS]  # top free qubits
@@ -115,7 +112,7 @@ def _apply_inplace(state: np.ndarray, n: int, gate: Gate, targets: tuple[int, ..
             lo[axis] = hi[axis] = _BIT[(block >> k) & 1]
         s0, s1 = view[tuple(lo)], view[tuple(hi)]
         t, u = scratch[:2 * s0.size].reshape((2, *s0.shape))
-        if m is _EXCHANGE:  # X, SWAP
+        if m is _EXCHANGE:  # X
             np.copyto(t, s0)
             np.positive(s1, out=s0)  # s0[...] = s1 would copy s1 first: the halves interleave
             np.copyto(s1, t)
@@ -138,7 +135,7 @@ def dense_evolve(circuit: Circuit, initial=None):
     yield state
     for gate in circuit.gates:
         controls = tuple((c.qubit, c.value) for c in gate.controls)
-        _apply_inplace(state, n, gate, gate.targets, controls, scratch)
+        _apply_inplace(state, n, gate, controls, scratch)
         yield state
 
 
@@ -253,7 +250,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
             {
                 "primitive": g.primitive,
                 "angle": g.angle,
-                "targets": [address(t) for t in g.targets],
+                "targets": [address(g.target)],
                 "controls": [address(c.qubit) | {"value": c.value} for c in g.controls],
             }
             for g in circuit.gates
@@ -262,13 +259,13 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     }
 
 
-_QASM_STATEMENT = re.compile(r"((?:(?:neg)?ctrl @ )*)(x|h|ry|rz|swap|cx)(?:\((.+)\))? "
+_QASM_STATEMENT = re.compile(r"((?:(?:neg)?ctrl @ )*)(x|h|ry|rz|cx)(?:\((.+)\))? "
                              r"(q\[\d+\](?:, q\[\d+\])*);")
 
 
 def circuit_from_qasm(text: str) -> Circuit:
     """Read the OpenQASM 3 subset ``circuit_to_qasm`` writes: one flat array
-    ``q``, ``x h ry rz swap cx`` and ``ctrl @``/``negctrl @`` modifiers with
+    ``q``, ``x h ry rz cx`` and ``ctrl @``/``negctrl @`` modifiers with
     the controls first.  The circuit has one register ``q`` of one
     subregister, so q[k] is global qubit k as in the written circuit."""
     lines = text.splitlines()
@@ -285,14 +282,10 @@ def circuit_from_qasm(text: str) -> Circuit:
         if name == "cx":
             name, values = "x", [1]
         controls = tuple(Control(q, v) for q, v in zip(qubits, values))
-        gate = Gate(name.upper(), None if angle is None else float(angle),
-                    tuple(qubits[len(values):]), controls)
+        (target,) = qubits[len(values):]
+        gate = Gate(name.upper(), None if angle is None else float(angle), target, controls)
         circuit.append(gate)
     return circuit
-
-
-def gate_swap(a: int, b: int, controls: tuple[Control, ...] = ()) -> Gate:
-    return Gate("SWAP", None, (a, b), tuple(controls))
 
 
 def _class_name(primitive: str, m: int) -> str:
@@ -313,8 +306,9 @@ def primitive_multiset(circuit: Circuit) -> Counter:
 def build_via_swap_gates(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     """``builders.build_with_checkpoints`` the way it was first written: every
     address resolved through ``Circuit.qubit`` where it is used, each
-    controlled swap emitted as a SWAP gate and rewritten by
-    ``lower_controlled_swap``, and one ``append`` per uncompute gate."""
+    controlled swap of qubits a, b written out here as CX(a->b), X on a
+    controlled on the draw and b, CX(a->b) (not through
+    ``lowering.swap_gates``), and one ``append`` per gate outside a prep."""
     n, w = spec.n, spec.word_width
     metadata = {"variant": spec.variant, "n": n, "m": spec.m, "encoding": spec.encoding,
                 "lowering": "counting"}
@@ -326,7 +320,10 @@ def build_via_swap_gates(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
 
     def swap(reg, j, i, width, draw):
         for bit in range(width):
-            circuit.extend(lower_controlled_swap(gate_swap(q(reg, j, bit), q(reg, i, bit), draw)))
+            a, b = q(reg, j, bit), q(reg, i, bit)
+            circuit.append(gate_x(b, (Control(a, 1),)))
+            circuit.append(gate_x(a, draw + (Control(b, 1),)))
+            circuit.append(gate_x(b, (Control(a, 1),)))
 
     if spec.has_perm:
         for k in range(1, n):

@@ -148,7 +148,7 @@ def test_criterion_06_mcx_decompositions():
         return b
 
     def mcx(m, target, controls):
-        return Gate("X", None, (q(target),), tuple(Control(q(b), 1) for b in controls))
+        return Gate("X", None, q(target), tuple(Control(q(b), 1) for b in controls))
 
     ok = True
     # Toffoli: full 8x8 action equals the permutation matrix up to global phase

@@ -1,5 +1,6 @@
 """Circuit IR: numbering, validation, value controls, depth, counting."""
 
+import json
 import tracemalloc
 
 import pytest
@@ -17,7 +18,16 @@ from qshuffle.circuit import (
     value_controls,
 )
 from qshuffle.resources import CostProfile, measure_circuit
-from oracles import emit_value_controlled, gate_swap, primitive_class, primitive_multiset
+from qshuffle.serialize import circuit_from_json
+from oracles import emit_value_controlled, primitive_class, primitive_multiset
+
+
+def _swap_file(a: int, b: int, *controls: tuple[int, int]) -> str:
+    """A circuit file on one register of 3 qubits holding one (controlled) SWAP record."""
+    ref = lambda k, **value: {"reg": "q", "sub": 0, "bit": k, **value}
+    return json.dumps({"registers": [{"name": "q", "count": 1, "width": 3}], "gates": [
+        {"primitive": "SWAP", "angle": None, "targets": [ref(a), ref(b)],
+         "controls": [ref(k, value=v) for k, v in controls]}]})
 
 
 def test_global_numbering_order():
@@ -62,9 +72,12 @@ def test_append_x():
 
 
 def test_append_duplicate_swap_target_rejected():
-    c = Circuit([("p", 1, 2)])
+    # the IR has no SWAP; a file's SWAP record on one qubit twice reads as X
+    # gates whose target is their own control
     with pytest.raises(ValueError, match="overlap"):
-        c.append(gate_swap(0, 0))
+        circuit_from_json(_swap_file(0, 0))
+    with pytest.raises(ValueError, match="overlap"):
+        circuit_from_json(_swap_file(0, 1, (1, 1)))
 
 
 def test_append_target_control_overlap_rejected():
@@ -87,9 +100,9 @@ def test_append_unresolvable_ref_rejected():
 def test_angle_presence_enforced():
     c = Circuit([("a", 1, 1)])
     with pytest.raises(ValueError):
-        c.append(Gate("X", 0.5, (0,)))
+        c.append(Gate("X", 0.5, 0))
     with pytest.raises(ValueError):
-        c.append(Gate("RY", None, (0,)))
+        c.append(Gate("RY", None, 0))
 
 
 def test_none_subregister_means_zero():
@@ -106,7 +119,7 @@ def test_emit_value_controlled_single_positive():
 
 def test_emit_value_controlled_binary_of_two():
     c = Circuit([("d", 2, 1), ("a", 1, 2)])
-    emit_value_controlled(c, gate_swap(c.qubit("d", 0, 0), c.qubit("d", 1, 0)), "a", 0, 2, 2)
+    emit_value_controlled(c, gate_x(c.qubit("d", 0, 0)), "a", 0, 2, 2)
     (gate,) = c.gates
     assert gate.controls == (Control(c.qubit("a", 0, 0), 0), Control(c.qubit("a", 0, 1), 1))
 
@@ -192,10 +205,12 @@ def test_count_primitives_weighted_cx():
 
 
 def test_count_primitives_rejects_controlled_swap():
-    c = Circuit([("q", 1, 3)])
-    c.append(gate_swap(0, 1, (ctrl(2),)))
-    with pytest.raises(ValueError):
-        count_primitives(c, CostProfile.unit())
+    # a controlled SWAP has no cost class: no circuit holds one, and a file's
+    # SWAP record is counted as its CX, C2X, CX
+    with pytest.raises(ValueError, match="unknown primitive 'SWAP'"):
+        Circuit([("q", 1, 3)]).append(Gate("SWAP", None, 0, (ctrl(2),)))
+    c = circuit_from_json(_swap_file(0, 1, (2, 1)))
+    assert count_primitives(c, CostProfile(cx=39)) == 2 * 39 + 1
 
 
 def test_primitive_classes():
@@ -249,7 +264,7 @@ def test_huge_registers_are_resolved_without_tables():
 def test_append_rejects_an_operand_that_is_not_a_qubit_index(bad):
     # True == 1 == 1.0 and they hash alike, so a lookup by value would admit them
     c = Circuit([("perm", 2, 2)])
-    for gate in (gate_x(bad), gate_x(0, (ctrl(bad),)), gate_swap(0, bad), gate_swap(bad, 1, (ctrl(2),))):
+    for gate in (gate_x(bad), gate_x(0, (ctrl(bad),)), gate_h(bad, (ctrl(2),)), gate_x(0, (ctrl(2), ctrl(bad)))):
         with pytest.raises(ValueError, match="is not an int in range"):
             c.append(gate)
         with pytest.raises(ValueError, match="is not an int in range"):
@@ -261,7 +276,7 @@ def test_a_rejected_gate_is_rejected_again():
     c = Circuit([("a", 1, 2)])
     good = gate_x(0)
     overlap = gate_x(0, (ctrl(0),))
-    nan = Gate("RZ", float("nan"), (0,))
+    nan = Gate("RZ", float("nan"), 0)
     outside = gate_x(1, (ctrl(2),))
     for bad in (overlap, nan, outside):
         for _ in range(2):

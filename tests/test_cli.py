@@ -7,6 +7,7 @@ import os
 import tempfile
 import time
 from collections import Counter
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
@@ -55,7 +56,7 @@ def test_build_qasm_parses_as_subset(capsys):
     body = [l for l in text.strip().split("\n")[3:]]
     for line in body:
         op = line.split()[0]
-        assert op.split("(")[0] in {"x", "h", "ry", "rz", "cx", "swap", "ctrl", "negctrl"}
+        assert op.split("(")[0] in {"x", "h", "ry", "rz", "cx", "ctrl", "negctrl"}
 
 
 def test_simulate_matches_in_process(tmp_path, capsys):
@@ -297,6 +298,49 @@ def test_table_row_cap_refuses_before_sweeping(capsys, monkeypatch):
     assert capsys.readouterr().err == "qshuffle: table to n=5 has 4 rows, over the row cap of 3\n"
 
 
+def test_simulate_shot_cap_refuses_before_reading(tmp_path, capsys, monkeypatch):
+    # 10^13 shots once died in numpy's allocation of the draws; the cap refuses
+    # before the circuit file is opened (this one does not exist)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run_cli("simulate", "--circuit", str(tmp_path / "missing.json"), "--shots", str(10**13))
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qshuffle: simulate --shots 10000000000000 is over the shot cap of 1000000\n"
+    path = tmp_path / "c.json"
+    path.write_text(_ONE_QUBIT % ("1", _X % (0, 0)))
+    monkeypatch.setattr(cli, "MAX_SHOTS", 12)  # the boundary: 12 shots pass, 13 do not
+    assert run_cli("simulate", "--circuit", str(path), "--shots", "12") == 0
+    assert json.loads(capsys.readouterr().out)["histogram"] == {"q=1": 12}
+    with pytest.raises(SystemExit) as err:
+        run_cli("simulate", "--circuit", str(path), "--shots", "13")
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "qshuffle: simulate --shots 13 is over the shot cap of 12\n"
+
+
+def test_sample_cap_refuses_before_drawing(capsys, monkeypatch):
+    # one word of n = 10^8 would fill a list of 10^8 entries in a Python loop
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run_cli("sample", "--n", str(10**8))
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qshuffle: sample --n 100000000 --shots 1 draws 100000000 entries, "
+                            "over the shot cap of 1000000\n")
+    monkeypatch.setattr(cli, "MAX_SHOTS", 12)  # the boundary: 4 x 3 entries pass, 4 x 4 do not
+    assert run_cli("sample", "--n", "4", "--shots", "3") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    with pytest.raises(SystemExit) as err:
+        run_cli("sample", "--n", "4", "--shots", "4")
+    assert err.value.code == 2
+    assert capsys.readouterr().err == ("qshuffle: sample --n 4 --shots 4 draws 16 entries, "
+                                       "over the shot cap of 12\n")
+
+
 def test_prep_commands(capsys):
     assert run_cli("prep", "--i", "4") == 0
     data = json.loads(capsys.readouterr().out)
@@ -322,10 +366,13 @@ def test_usage_errors_exit_64(capsys):
 @pytest.mark.parametrize("profile", [{"CNOT": 39}, {"mcx": {"3": -1}}, {"mcx": {"3": 2.5}},
                                      {"mcx": {"3": "7"}}, [1, 2], {"mcx": {"1": 3}},
                                      {"mcx": {"-3": 3}}, {"mcx": {"0": 3}},
-                                     {"mcx": {"3": 1, "03": 2}}])
+                                     {"mcx": {"3": 1, "03": 2}},
+                                     # bytes: the file as is
+                                     pytest.param(b"[" * 100000, id="deep-nesting"),
+                                     pytest.param(b'{"X": "\xff"}', id="not-utf-8")])
 def test_bad_profile_exits_64(tmp_path, capsys, command, profile):
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(profile))
+    path.write_bytes(profile if isinstance(profile, bytes) else json.dumps(profile).encode())
     with pytest.raises(SystemExit) as err:
         run_cli(*command, "--profile", str(path))
     assert err.value.code == 64
@@ -382,6 +429,8 @@ _CX = ('{"registers": [{"name": "q", "count": 1, "width": 2}], "gates": [{"primi
 _PAIR = '{"registers": [{"name": "q", "count": 2, "width": 2}], "gates": [%s, %s]}'
 _CX_AT = ('{"primitive": "X", "angle": null, "targets": [{"reg": "q", "sub": %s, "bit": %s}], '
           '"controls": [{"reg": "q", "sub": 0, "bit": 0, "value": %s}]}')
+_TARGETS = '{"primitive": "%s", "angle": %s, "targets": [%s]}'
+_Q = '{"reg": "q", "sub": 0, "bit": %d}'
 _INT_NAME = ('{"registers": [{"name": 1, "count": 1, "width": 1}, '
              '{"name": "1", "count": 1, "width": 1}], "gates": []}')
 
@@ -409,13 +458,23 @@ _INT_NAME = ('{"registers": [{"name": 1, "count": 1, "width": 1}, '
     (_PAIR % (_CX_AT % (1, 1, 1), _CX_AT % ("true", 1, 1)), "0", 74),
     (_PAIR % (_CX_AT % (1, 1, 1), _CX_AT % (1, "1.0", 1)), "0", 74),
     (_PAIR % (_CX_AT % (1, 1, 1), _CX_AT % (1, 1, "true")), "0", 74),
+    ((_ONE_QUBIT % ("1", _X % (0, 0))).encode("utf-16"), "0", 74),  # not UTF-8
+    ("[" * 100000, "0", 74),  # nested past the parser's recursion limit
+    # only a SWAP record without angle may have two targets, and it must have two
+    (_ONE_QUBIT % ("3", _TARGETS % ("SWAP", "null", _Q % 0)), "0", 74),
+    (_ONE_QUBIT % ("3", _TARGETS % ("SWAP", "null", ", ".join(_Q % k for k in range(3)))), "0", 74),
+    (_ONE_QUBIT % ("3", _TARGETS % ("SWAP", "0.5", f"{_Q % 0}, {_Q % 1}")), "0", 74),
+    (_ONE_QUBIT % ("3", _TARGETS % ("X", "null", f"{_Q % 0}, {_Q % 1}")), "0", 74),
+    (_ONE_QUBIT % ("3", _TARGETS % ("X", "null", "")), "0", 74),
 ], ids=["string-count", "string-angle", "top-level-list", "nan-angle", "float-bit", "float-sub",
         "float-control-value", "huge-int-angle", "bool-angle", "int-register-name",
         "negative-shots", "bool-sub", "float-one-sub", "half-sub", "bool-control-bit",
-        "float-one-control-bit", "bool-sub-copy", "float-one-bit-copy", "bool-value-copy"])
+        "float-one-control-bit", "bool-sub-copy", "float-one-bit-copy", "bool-value-copy",
+        "not-utf-8", "deep-nesting", "swap-one-target", "swap-three-targets", "swap-angle",
+        "x-two-targets", "x-no-target"])
 def test_simulate_bad_input_exit_codes(tmp_path, capsys, text, shots, code):
     path = tmp_path / "c.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     try:
         got = run_cli("simulate", "--circuit", str(path), "--shots", shots)
     except SystemExit as exc:
@@ -472,6 +531,48 @@ def _fuzz_base():
         ],
         "metadata": {"variant": "A"},
     }
+
+
+def _gate(primitive, targets, *controls, angle=None):
+    return {"primitive": primitive, "angle": angle, "targets": targets, "controls": list(controls)}
+
+
+def _swaps():
+    """A file of four SWAP records, three with mixed-polarity controls, that
+    move bits in some branches of a superposition."""
+    return {
+        "registers": [{"name": "a", "count": 2, "width": 2}, {"name": "b", "count": 1, "width": 3},
+                      {"name": "c", "count": 1, "width": 1}],
+        "gates": [
+            _gate("X", [_ref("b", 0, 0)]),
+            _gate("X", [_ref("c", 0, 0)]),
+            _gate("H", [_ref("a", 0, 0)]),
+            _gate("H", [_ref("a", 0, 1)]),
+            _gate("RY", [_ref("b", 0, 2)], _ref("a", 0, 0, value=1), angle=0.7),
+            _gate("SWAP", [_ref("a", 1, 0), _ref("b", 0, 0)], _ref("a", 0, 0, value=0),
+                  _ref("a", 0, 1, value=1)),
+            _gate("SWAP", [_ref("b", 0, 1), _ref("b", 0, 2)], _ref("a", 0, 0, value=1)),
+            _gate("RZ", [_ref("a", 1, 0)], _ref("c", 0, 0, value=0), angle=0.3),
+            _gate("SWAP", [_ref("a", 1, 1), _ref("c", 0, 0)]),
+            _gate("SWAP", [_ref("a", 0, 1), _ref("a", 1, 0)], _ref("b", 0, 2, value=1),
+                  _ref("c", 0, 0, value=0)),
+            _gate("H", [_ref("b", 0, 1)], _ref("a", 1, 0, value=1)),
+        ],
+        "metadata": {"note": "controlled swaps"},
+    }
+
+
+# SHA-256 of `simulate --shots 500 --seed 5` stdout, taken when the simulator
+# still had a SWAP primitive; the reader now spells each record as X gates
+@pytest.mark.parametrize("data,digest", [
+    (_swaps(), "9affe0b640857f443f9f0509e44e2c02cf8f244b0c284ab7f98ef12c16ceeaa3"),
+    (_fuzz_base(), "264c3f917745b3983b7066d18c119d15dda995a6b4546f7bc2b04211681e6317"),
+], ids=["swaps", "fuzz-base"])
+def test_simulate_swap_records_prints_pinned_bytes(tmp_path, capsys, data, digest):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("simulate", "--circuit", str(path), "--shots", "500", "--seed", "5") == 0
+    assert sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 _FUZZ_FIELDS = (

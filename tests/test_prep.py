@@ -20,7 +20,7 @@ def sparse_apply(state: dict, gate, width: int) -> dict:
         if not fire:
             out[index] = out.get(index, 0) + amp
             continue
-        (bit,) = gate.targets
+        bit = gate.target
         if gate.primitive == "X":
             out[index ^ (1 << bit)] = out.get(index ^ (1 << bit), 0) + amp
         elif gate.primitive == "H":

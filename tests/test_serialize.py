@@ -15,7 +15,7 @@ from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
 from qshuffle.circuit import Circuit, Control, Gate, Register, ctrl, gate_ry, gate_rz
 from qshuffle.lowering import lower_circuit
 from qshuffle.serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
-from oracles import circuit_from_qasm, circuit_to_dict, gate_swap, run
+from oracles import circuit_from_qasm, circuit_to_dict, run
 
 from test_circuit import random_circuits
 
@@ -94,13 +94,13 @@ def test_qasm_basic_shape():
     assert "cx q[0], q[1];" in lines
 
 
-def test_qasm_rotation_and_swap():
+def test_qasm_rotation_and_controls():
     c = Circuit([("q", 1, 3)])
     c.append(gate_ry(0.5, 0))
-    c.append(gate_swap(0, 1, (ctrl(2),)))
+    c.append(gate_rz(-1.5, 1, (ctrl(2), Control(0, 0))))
     text = circuit_to_qasm(c)
     assert "ry(0.5) q[0];" in text
-    assert "ctrl @ swap q[2], q[0], q[1];" in text
+    assert "ctrl @ negctrl @ rz(-1.5) q[2], q[0], q[1];" in text
 
 
 def test_qasm_every_line_terminated():
@@ -142,8 +142,8 @@ def test_json_text_of_edge_values():
     name = "r\u00e9g \"q\""
     q, r, s = c.qubit(name, None, 1), c.qubit(name, 1, 0), c.qubit(name, 1, 1)
     c.append(gate_ry(-0.0, q))
-    c.append(Gate("RZ", 3, (r,), (Control(q, 0),)))
-    c.append(gate_swap(r, s, (ctrl(q),)))
+    c.append(Gate("RZ", 3, r, (Control(q, 0),)))
+    c.append(Gate("X", None, s, (ctrl(q), Control(r, 1))))
     assert circuit_to_json(c) == json.dumps(circuit_to_dict(c))
     # an address read with sub=None is written back as subregister 0
     assert json.loads(circuit_to_json(c))["gates"][0]["targets"] == [{"reg": name, "sub": 0, "bit": 1}]
@@ -156,7 +156,7 @@ def test_angle_texts_keep_negative_zero_apart():
     c = Circuit([("q", 1, 2)])
     a, b = c.qubit("q", 0, 0), c.qubit("q", 0, 1)
     neg, zero = -0.0, 0.0
-    c.extend([gate_rz(neg, a), gate_rz(zero, a), gate_rz(neg, b), Gate("RZ", 1, (a,)),
+    c.extend([gate_rz(neg, a), gate_rz(zero, a), gate_rz(neg, b), Gate("RZ", 1, a),
               gate_rz(1.0, a), gate_rz(zero, b)])
     text = circuit_to_json(c)
     assert text == json.dumps(circuit_to_dict(c))
@@ -197,8 +197,8 @@ def test_output_matches_the_golden_digests(variant, encoding):
 
 
 def _resolved(c):
-    """Each gate by global qubit index: primitive, angle, qubits (targets
-    first) and control values; the same for any register naming."""
+    """Each gate by global qubit index: primitive, angle, qubits (controls,
+    then the target) and control values; the same for any register naming."""
     return [(g.primitive, g.angle, c.gate_qubits(g), [k.value for k in g.controls]) for g in c.gates]
 
 

@@ -2,6 +2,7 @@
 decoding, sampling."""
 
 import cmath
+import json
 import tracemalloc
 from math import sqrt
 
@@ -17,7 +18,6 @@ from oracles import (
     dense_evolve,
     dense_run,
     evolve,
-    gate_swap,
     initial_state,
     norm_squared,
     run,
@@ -27,6 +27,7 @@ from oracles import (
 from qshuffle import simulator
 from qshuffle.builders import BuildSpec, build
 from qshuffle.circuit import Circuit, Control, Gate, gate_h, gate_ry, gate_rz, gate_x
+from qshuffle.serialize import circuit_from_json
 from qshuffle.simulator import SimulationCapExceeded
 
 TOL = 1e-10
@@ -55,11 +56,6 @@ def test_apply_positive_control_idle_on_zero():
 def test_apply_ry_pi():
     state = run(Circuit([("q", 1, 1)]).append(gate_ry(np.pi, q(0))))
     assert abs(abs(state[1]) - 1.0) < TOL
-
-
-def test_apply_swap():
-    state = run(Circuit([("q", 1, 2)]).append(gate_swap(q(0), q(1))), 0b01)
-    assert abs(state[0b10] - 1.0) < TOL
 
 
 def test_apply_is_pure():
@@ -215,22 +211,33 @@ def test_value_controlled_gate_fires_iff_register_matches(stored, required):
     assert abs(abs(amp) - 1.0) < TOL
 
 
-@given(st.integers(0, 2 ** 6 - 1), st.integers(0, 5))
-@settings(max_examples=40, deadline=None)
-def test_exact_multicontrol_matches_lowered_swap(basis, control_pattern):
-    # SWAP with exact value controls vs its 3-gate lowering, random basis states
-    from qshuffle.lowering import lower_controlled_swap
+@st.composite
+def swap_records(draw):
+    n = draw(st.integers(2, 6))
+    qubits = draw(st.permutations(range(n)))
+    controls = [(k, draw(st.integers(0, 1))) for k in qubits[2:2 + draw(st.integers(0, n - 2))]]
+    return n, qubits[0], qubits[1], controls, draw(st.integers(0, (1 << n) - 1))
 
-    c1 = Circuit([("q", 1, 6)])
-    controls = (Control(q(4), control_pattern & 1), Control(q(5), (control_pattern >> 1) & 1))
-    c1.append(gate_swap(q(0), q(1), controls))
-    c2 = Circuit([("q", 1, 6)])
-    c2.extend(lower_controlled_swap(gate_swap(q(0), q(1), controls)))
-    assert states_equal_up_to_phase(run(c1, basis), run(c2, basis))
+
+@given(swap_records())
+@settings(max_examples=200, deadline=None)
+def test_swap_record_exchanges_bits_where_controls_hold(case):
+    # a circuit file's controlled SWAP, read as X gates, exchanges bits a and b of
+    # a basis index exactly where every control holds its value
+    n, a, b, controls, basis = case
+    ref = lambda k, **value: {"reg": "q", "sub": 0, "bit": k, **value}
+    text = json.dumps({"registers": [{"name": "q", "count": 1, "width": n}], "gates": [
+        {"primitive": "SWAP", "angle": None, "targets": [ref(a), ref(b)],
+         "controls": [ref(k, value=v) for k, v in controls]}]})
+    want = basis
+    if all((basis >> k) & 1 == v for k, v in controls) and (basis >> a) & 1 != (basis >> b) & 1:
+        want = basis ^ (1 << a) ^ (1 << b)
+    indices, amplitudes = simulator.run(circuit_from_json(text), basis)
+    assert indices.tolist() == [want] and amplitudes.tolist() == [1.0]
 
 
 def _reference_matrix(primitive, angle):
-    if primitive in ("X", "SWAP"):
+    if primitive == "X":
         return ((0, 1), (1, 0))
     if primitive == "H":
         return ((1 / sqrt(2), 1 / sqrt(2)), (1 / sqrt(2), -1 / sqrt(2)))
@@ -239,22 +246,16 @@ def _reference_matrix(primitive, angle):
     return ((cmath.exp(-0.5j * angle), 0), (0, cmath.exp(0.5j * angle)))  # RZ
 
 
-def _reference_apply(amps, primitive, angle, targets, controls):
+def _reference_apply(amps, primitive, angle, target, controls):
     """Per basis index: where every control holds its value, the index pairs
-    with the one its gate flips (target bit, or both SWAP bits when they
-    differ) and takes that row of the gate's 2x2 matrix."""
+    with the one its gate flips (the target bit) and takes that row of the
+    gate's 2x2 matrix."""
     m = _reference_matrix(primitive, angle)
     out = list(amps)
     for i in range(len(amps)):
         if any((i >> q) & 1 != v for q, v in controls):
             continue
-        if primitive == "SWAP":
-            t0, t1 = targets
-            if (i >> t0) & 1 == (i >> t1) & 1:
-                continue
-            bit, partner = (i >> t0) & 1, i ^ (1 << t0) ^ (1 << t1)
-        else:
-            bit, partner = (i >> targets[0]) & 1, i ^ (1 << targets[0])
+        bit, partner = (i >> target) & 1, i ^ (1 << target)
         out[i] = m[bit][bit] * amps[i] + m[bit][1 - bit] * amps[partner]
     return out
 
@@ -262,29 +263,26 @@ def _reference_apply(amps, primitive, angle, targets, controls):
 @st.composite
 def one_gate_cases(draw):
     n = draw(st.integers(1, 5))
-    primitive = draw(st.sampled_from(("X", "H", "RY", "RZ", "SWAP") if n >= 2 else ("X", "H", "RY", "RZ")))
-    width = 2 if primitive == "SWAP" else 1
-    qubits = draw(st.permutations(range(n)))
-    targets = tuple(qubits[:width])
-    num_controls = draw(st.integers(0, min(2, n - width)))
-    controls = tuple((q, draw(st.integers(0, 1))) for q in qubits[width:width + num_controls])
+    primitive = draw(st.sampled_from(("X", "H", "RY", "RZ")))
+    target, *others = draw(st.permutations(range(n)))
+    num_controls = draw(st.integers(0, min(2, n - 1)))
+    controls = tuple((q, draw(st.integers(0, 1))) for q in others[:num_controls])
     angle = draw(st.floats(-2 * np.pi, 2 * np.pi)) if primitive in ("RY", "RZ") else None
     parts = draw(st.lists(st.floats(-1, 1), min_size=2 << n, max_size=2 << n))
     amps = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
     norm = sqrt(sum(abs(a) ** 2 for a in amps))
     assume(norm > 1e-3)
-    return n, primitive, angle, targets, controls, [a / norm for a in amps]
+    return n, primitive, angle, target, controls, [a / norm for a in amps]
 
 
 @given(one_gate_cases())
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_per_index_reference(case):
-    n, primitive, angle, targets, controls, amps = case
+    n, primitive, angle, target, controls, amps = case
     c = Circuit([("q", 1, n)])
-    refs = tuple(q(t) for t in targets)
-    c.append(Gate(primitive, angle, refs, tuple(Control(q(k), v) for k, v in controls)))
+    c.append(Gate(primitive, angle, q(target), tuple(Control(q(k), v) for k, v in controls)))
     got = dense_run(c, np.array(amps))
-    want = _reference_apply(amps, primitive, angle, targets, controls)
+    want = _reference_apply(amps, primitive, angle, target, controls)
     assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
@@ -298,17 +296,16 @@ def test_kernel_reuses_scratch_across_gate_sizes(monkeypatch, block_bits):
     rng = np.random.default_rng(5)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
-    cases = [("H", None, (3,), ()), ("X", None, (0,), ((7, 1), (2, 0))), ("RY", 0.7, (7,), ((1, 1),)),
-             ("SWAP", None, (1, 6), ()), ("RZ", -1.3, (2,), ((0, 0),)), ("H", None, (5,), ((4, 1), (3, 1))),
-             ("X", None, (4,), ()), ("RY", 2.1, (0,), ()), ("SWAP", None, (2, 5), ((7, 0),))]
+    cases = [("H", None, 3, ()), ("X", None, 0, ((7, 1), (2, 0))), ("RY", 0.7, 7, ((1, 1),)),
+             ("X", None, 6, ((1, 1),)), ("RZ", -1.3, 2, ((0, 0),)), ("H", None, 5, ((4, 1), (3, 1))),
+             ("X", None, 4, ()), ("RY", 2.1, 0, ()), ("X", None, 5, ((7, 0), (2, 1)))]
     c = Circuit([("q", 1, n)])
-    for primitive, angle, targets, controls in cases:
-        c.append(Gate(primitive, angle, tuple(q(t) for t in targets),
-                      tuple(Control(q(k), v) for k, v in controls)))
+    for primitive, angle, target, controls in cases:
+        c.append(Gate(primitive, angle, q(target), tuple(Control(q(k), v) for k, v in controls)))
     states = dense_evolve(c, amps)
     want = list(next(states))
-    for (primitive, angle, targets, controls), got in zip(cases, states):
-        want = _reference_apply(want, primitive, angle, targets, controls)
+    for (primitive, angle, target, controls), got in zip(cases, states):
+        want = _reference_apply(want, primitive, angle, target, controls)
         assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
@@ -317,7 +314,7 @@ def test_gate_loop_allocates_no_state_sized_memory():
     # allocate is numpy's fixed-size ufunc buffers, far below a quarter state
     c = Circuit([("q", 1, 18)])
     c.append(gate_h(q(1))).append(gate_x(q(7), (Control(q(9), 1),))).append(gate_ry(0.4, q(12)))
-    c.append(gate_rz(0.9, q(4))).append(gate_swap(q(2), q(3))).append(gate_x(q(0)))
+    c.append(gate_rz(0.9, q(4))).append(gate_x(q(3), (Control(q(2), 0),))).append(gate_x(q(0)))
     states = dense_evolve(c)
     state = next(states)
     tracemalloc.start()
@@ -333,17 +330,15 @@ def test_gate_loop_allocates_no_state_sized_memory():
 @st.composite
 def random_circuits(draw):
     n = draw(st.integers(1, 8))
-    primitives = ("X", "H", "RY", "RZ", "SWAP") if n >= 2 else ("X", "H", "RY", "RZ")
     c = Circuit([("q", 1, n)])
 
     def gate():
-        primitive = draw(st.sampled_from(primitives))
-        width = 2 if primitive == "SWAP" else 1
-        qubits = draw(st.permutations(range(n)))
-        num_controls = draw(st.integers(0, min(2, n - width)))
-        controls = tuple(Control(q(k), draw(st.integers(0, 1))) for k in qubits[width:width + num_controls])
+        primitive = draw(st.sampled_from(("X", "H", "RY", "RZ")))
+        target, *others = draw(st.permutations(range(n)))
+        num_controls = draw(st.integers(0, min(2, n - 1)))
+        controls = tuple(Control(q(k), draw(st.integers(0, 1))) for k in others[:num_controls])
         angle = draw(st.floats(-2 * np.pi, 2 * np.pi)) if primitive in ("RY", "RZ") else None
-        return Gate(primitive, angle, tuple(q(t) for t in qubits[:width]), controls)
+        return Gate(primitive, angle, q(target), controls)
 
     # half the circuits draw every gate from a pool of shared Gate objects, so one
     # object recurs on changed states, as in a lowered circuit: the simulator
