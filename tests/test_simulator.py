@@ -26,7 +26,8 @@ from oracles import (
 )
 from qshuffle import simulator
 from qshuffle.builders import BuildSpec, build
-from qshuffle.circuit import Circuit, Control, Gate, gate_h, gate_ry, gate_rz, gate_x
+from qshuffle.circuit import Circuit, Control, Gate, ctrl, gate_h, gate_ry, gate_rz, gate_x
+from qshuffle.lowering import lower_circuit, swap_gates
 from qshuffle.serialize import circuit_from_json
 from qshuffle.simulator import SimulationCapExceeded
 
@@ -56,6 +57,11 @@ def test_apply_positive_control_idle_on_zero():
 def test_apply_ry_pi():
     state = run(Circuit([("q", 1, 1)]).append(gate_ry(np.pi, q(0))))
     assert abs(abs(state[1]) - 1.0) < TOL
+
+
+def test_apply_swap():
+    state = run(Circuit([("q", 1, 2)]).extend(swap_gates(ctrl(q(0)), ctrl(q(1)), ())), 0b01)
+    assert abs(state[0b10] - 1.0) < TOL
 
 
 def test_apply_is_pure():
@@ -209,6 +215,19 @@ def test_value_controlled_gate_fires_iff_register_matches(stored, required):
     (regs, amp) = rows[0]
     assert regs["t"] == [1 if stored == required else 0]
     assert abs(abs(amp) - 1.0) < TOL
+
+
+@given(st.integers(0, 2 ** 6 - 1), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_exact_multicontrol_matches_lowered_swap(basis, control_pattern):
+    # a SWAP with exact value controls as its gate triple vs that triple
+    # lowered to elementary gates (q2, q3 idle), random basis states
+    c1 = Circuit([("q", 1, 6)])
+    controls = (Control(q(4), control_pattern & 1), Control(q(5), (control_pattern >> 1) & 1))
+    c1.extend(swap_gates(ctrl(q(0)), ctrl(q(1)), controls))
+    c2 = lower_circuit(c1, "full", "borrowed")
+    assert max(len(g.controls) for g in c2.gates) == 1
+    assert states_equal_up_to_phase(run(c1, basis), run(c2, basis))
 
 
 @st.composite
