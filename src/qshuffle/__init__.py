@@ -22,12 +22,6 @@ from .lowering import (
     lower_mcx,
     lower_toffoli,
 )
-from .permutations import (
-    enumerate_sn,
-    lemma1_extend,
-    replay_reversed_fisher_yates,
-    sample_fisher_yates,
-)
 from .prep import build_u, build_v, u_gates, v_gates
 from .resources import (
     CostProfile,

@@ -12,8 +12,8 @@ Gates name their qubits by global index, a plain int.  ``Circuit.qubit``
 turns a (register, subregister, bit) address into its index, checked, where a
 name enters the pipeline (builders, circuit files); ``ref_of`` turns an index
 back into its address for text output.  IR objects are immutable, and a gate
-list may hold one ``Gate`` object many times; ``extend`` runs ``check``, the
-checks of ``append``, once per distinct object per call.
+list may hold one ``Gate`` object many times.  ``Circuit.extend`` is the one
+way gates enter a circuit: it runs ``check`` once per distinct object per call.
 
 Also provides the cost classes of the counting alphabet and weighted
 primitive counting.
@@ -168,11 +168,6 @@ class Circuit:
                 raise ValueError(f"qubit {q!r} is not an int in range({self.num_qubits})")
         if len(set(touched)) != len(touched):
             raise ValueError(f"gate target/controls overlap: {gate}")
-
-    def append(self, gate: Gate) -> "Circuit":
-        self.check(gate)
-        self.gates.append(gate)
-        return self
 
     def extend(self, gates) -> "Circuit":
         """Append ``gates`` in order, checking each distinct object once; a

@@ -16,14 +16,12 @@ import argparse
 import json
 import math
 import sys
-from itertools import islice
 
 import numpy as np
 
 from . import simulator
 from .builders import ENCODINGS, VARIANTS, BuildSpec, build
 from .lowering import lower_circuit
-from .permutations import sample_fisher_yates
 from .prep import build_u, build_v
 from .resources import (CostProfile, gate_count_formula, resource_report, scaling_table,
                         u_gate_count_formula, v_gate_count_formula)
@@ -44,6 +42,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EX_USAGE)
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` type: numpy refuses a negative seed, so it is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _add_spec_arguments(parser):
@@ -73,7 +78,7 @@ def _make_spec(parser, args) -> BuildSpec:
 def _write_output(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
+        if text and not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as handle:
@@ -137,13 +142,11 @@ def cmd_simulate(parser, args) -> int:
         ],
     }
     if args.shots:
-        histogram = simulator.sample(state, args.shots, args.seed, circuit)
-        counts = {}
-        for key, count in sorted(histogram.items()):
-            values = iter(key)  # the subregister values of every register, in order
-            counts["|".join(f"{r.name}=" + ",".join(map(str, islice(values, r.count)))
-                            for r in circuit.registers)] = count
-        payload["histogram"] = counts
+        rows = sorted((list(simulator.decode_registers(index, circuit).values()), count)
+                      for index, count in simulator.sample(state, args.shots, args.seed).items())
+        payload["histogram"] = {"|".join(f"{r.name}=" + ",".join(map(str, subs))
+                                         for r, subs in zip(circuit.registers, values)): count
+                                for values, count in rows}
     _write_output(json.dumps(payload, indent=2), args.out)
     return EX_OK
 
@@ -192,12 +195,21 @@ def cmd_sample(parser, args) -> int:
     if args.n * args.shots > MAX_SHOTS:
         parser.exit(EX_CAP, f"{PROG}: sample --n {args.n} --shots {args.shots} draws "
                             f"{args.n * args.shots} entries, over the shot cap of {MAX_SHOTS}\n")
-    rng = np.random.default_rng(args.seed)
-    out = []
+    # the Fisher-Yates shuffle of the identity word: step i exchanges entries i
+    # and j, j uniform in 0..i; forward walks i = n-1 .. 1 (Durstenfeld),
+    # reversed i = 1 .. n-1.  One call draws every j, word after word; with
+    # every bound below 2^32 (the cap sees to it) numpy gives the same stream
+    # as one scalar draw per step
+    steps = range(args.n - 1, 0, -1) if args.direction == "forward" else range(1, args.n)
+    highs = np.tile(np.add(steps, 1), args.shots)
+    draws = iter(np.random.default_rng(args.seed).integers(0, highs).tolist())
+    identity, lines = [str(k) for k in range(args.n)], []  # a word is shuffled as its entries' text
     for _ in range(args.shots):
-        word = sample_fisher_yates(args.n, rng, args.direction)
-        out.append(json.dumps(list(word)))
-    _write_output("\n".join(out) + "\n", args.out)
+        word = identity[:]
+        for i, j in zip(steps, draws):
+            word[j], word[i] = word[i], word[j]
+        lines.append("[" + ", ".join(word) + "]\n")
+    _write_output("".join(lines), args.out)
     return EX_OK
 
 
@@ -228,13 +240,13 @@ def build_parser() -> _Parser:
     p = _command(sub, "simulate", cmd_simulate, "simulate a circuit file, list branches")
     p.add_argument("--circuit", required=True)
     p.add_argument("--shots", type=int, default=0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
 
     p = _command(sub, "verify", cmd_verify, "simulate a build and check every invariant")
     _add_spec_arguments(p)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
 
     p = _command(sub, "count", cmd_count, "formula vs measured resource report")
@@ -253,7 +265,7 @@ def build_parser() -> _Parser:
     p = _command(sub, "sample", cmd_sample, "classical Fisher-Yates word samples, one JSON array per line")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--shots", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--direction", choices=("forward", "reversed"), default="reversed")
     p.add_argument("--out", default=None)
 

@@ -25,8 +25,7 @@ is wrong for m >= 4 when a helper of its AND chain is not |0> (a fully
 lowered A n=5 in clean mode is one such circuit).
 
 ``lower_circuit`` at the full level shares repeats: it rewrites each
-distinct input gate and each distinct Toffoli once per call, and equal
-output gates are one object.
+distinct Toffoli once per call, and equal output gates are one object.
 """
 
 from __future__ import annotations
@@ -165,7 +164,6 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
     out.metadata["mcx_mode"] = mode
     made: dict[tuple, Gate] = {}  # hash-cons key -> the one gate with it
     networks: dict[tuple, list[Gate]] = {}  # a Toffoli's qubits -> its network
-    rewrites: dict[int, list[Gate]] = {}  # id of an input gate (kept by circuit.gates) -> rewrite
 
     def share(g: Gate) -> Gate:  # the angle by repr, so -0.0 and 0.0 stay apart
         key = (g.primitive, repr(g.angle), g.target, *[(c.qubit, c.value) for c in g.controls])
@@ -186,9 +184,5 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
         idle = islice((q for q in range(out.num_qubits) if q not in support), len(g.controls) - 2)
         return [h for t in lower_mcx(g, mode, idle) for h in network(t)]
 
-    def rewrite(gate: Gate) -> list[Gate]:
-        if id(gate) not in rewrites:
-            rewrites[id(gate)] = [h for g in eliminate_negative_controls(gate) for h in expand(g)]
-        return rewrites[id(gate)]
-
-    return out.extend(g for gate in circuit.gates for g in rewrite(gate))
+    return out.extend(h for gate in circuit.gates
+                      for g in eliminate_negative_controls(gate) for h in expand(g))

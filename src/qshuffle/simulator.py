@@ -144,14 +144,12 @@ def run(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarray]:
     return deque(evolve(circuit, initial), maxlen=1)[0]
 
 
-def decode_registers(index: int, circuit: Circuit, registers=None) -> dict[str, list[int]]:
+def decode_registers(index: int, circuit: Circuit) -> dict[str, list[int]]:
     """Subregister values of one basis-state index, per register name."""
-    names = registers if registers is not None else [r.name for r in circuit.registers]
     out = {}
-    for name in names:
-        width = circuit.register(name).width
-        mask = (1 << width) - 1
-        out[name] = [(index >> q) & mask for q in circuit.register_qubits(name)[::width]]
+    for reg in circuit.registers:
+        mask = (1 << reg.width) - 1
+        out[reg.name] = [(index >> q) & mask for q in circuit.register_qubits(reg.name)[::reg.width]]
     return out
 
 
@@ -169,13 +167,9 @@ def branch_table(state, circuit: Circuit):
     return [(decode_registers(int(i), circuit), complex(a)) for i, a in zip(indices[live], amplitudes[live])]
 
 
-def sample(state, shots: int, seed: int, circuit: Circuit, register: str | None = None) -> Counter:
-    """Histogram of ``shots`` basis-state draws, marginalised to one register.
-
-    Keys are tuples of subregister values (or the full decoded register dict
-    flattened over all registers when register is None).  Deterministic for a
-    fixed seed.
-    """
+def sample(state, shots: int, seed: int) -> Counter:
+    """Histogram of ``shots`` basis-state draws: basis index -> count.
+    Deterministic for a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
@@ -183,9 +177,5 @@ def sample(state, shots: int, seed: int, circuit: Circuit, register: str | None 
     probs = amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
     probs = probs / probs.sum()
     draws = indices[rng.choice(len(indices), size=shots, p=probs)]
-    names = None if register is None else [register]
-    histogram = Counter()
-    for index, count in zip(*np.unique(draws, return_counts=True)):
-        values = decode_registers(int(index), circuit, names).values()
-        histogram[tuple(v for subs in values for v in subs)] += int(count)
-    return histogram
+    values, counts = np.unique(draws, return_counts=True)
+    return Counter(dict(zip(values.tolist(), counts.tolist())))

@@ -59,7 +59,9 @@ def replay_models(spec: BuildSpec, circuit: Circuit, inputs: list[int] | None):
     as an (i!, n-1) array: iteration k repeats each row k+1 times, writes
     draw j in 0..k to the record (j in binary; bit j in one-hot, where draw k
     is all zeros) and swaps word entries j and k.  Distinct draw sequences
-    give distinct words (``lemma1_extend``), so the indices are distinct.
+    give distinct words (the paper's Lemma 1: extending each word of S_k by k
+    and exchanging entries j and k, j = 0..k, lists S_{k+1} once each), so
+    the indices are distinct.
     """
     n = spec.n
     words = np.arange(n, dtype=np.int64)[None, :]

@@ -6,8 +6,10 @@ cache-sized block at a time; it is the reference the sparse backend is checked
 against.  ``initial_state``, ``evolve``, ``run``, ``branch_table`` and
 ``sample`` take and give 2^n vectors but simulate with ``qshuffle.simulator``,
 so tests that read dense vectors keep exercising the shipping simulator.  The
-remaining helpers read dense vectors, decode draw records, build classical
-and gate fixtures, encode and read circuit text the simple way
+remaining helpers read dense vectors, decode draw records, replay, sample
+and extend words the classical way (``replay_reversed_fisher_yates``,
+``sample_fisher_yates``, ``lemma1_extend``), build classical and gate
+fixtures, encode and read circuit text the simple way
 (``circuit_to_dict``, ``circuit_from_qasm``), build circuits the old way
 (``build_via_swap_gates``), name gate classes (``primitive_multiset``) or
 sum the cost formulas iteration by iteration (``sweep_rows``); none has a
@@ -24,6 +26,7 @@ import math
 import re
 from collections import Counter, deque
 from dataclasses import replace
+from math import factorial
 
 import numpy as np
 
@@ -76,8 +79,15 @@ def branch_table(state: np.ndarray, circuit: Circuit):
     return simulator.branch_table(to_sparse(state), circuit)
 
 
-def sample(state: np.ndarray, shots: int, seed: int, circuit: Circuit, register: str | None = None):
-    return simulator.sample(to_sparse(state), shots, seed, circuit, register)
+def sample(state: np.ndarray, shots: int, seed: int, circuit: Circuit, register: str | None = None) -> Counter:
+    """``simulator.sample`` keyed by subregister values: those of ``register``,
+    or of every register in order, flattened, when it is None."""
+    histogram = Counter()
+    for index, count in simulator.sample(to_sparse(state), shots, seed).items():
+        decoded = simulator.decode_registers(index, circuit)
+        values = decoded.values() if register is None else [decoded[register]]
+        histogram[tuple(v for subs in values for v in subs)] += count
+    return histogram
 
 
 _R = 1.0 / math.sqrt(2.0)
@@ -219,7 +229,75 @@ def emit_value_controlled(
     if width > circuit.register(reg).width:
         raise ValueError(f"control width {width} exceeds register {reg!r} width")
     qubits = [circuit.qubit(reg, sub, k) for k in range(width)]
-    return circuit.append(replace(gate, controls=gate.controls + value_controls(qubits, value)))
+    return circuit.extend([replace(gate, controls=gate.controls + value_controls(qubits, value))])
+
+
+def is_word(word) -> bool:
+    word = tuple(word)
+    return sorted(word) == list(range(len(word)))
+
+
+def replay_reversed_fisher_yates(n: int, draws) -> tuple[int, ...]:
+    """Run the ascending-index shuffle on the identity array with fixed draws.
+
+    draws = (j_1, .., j_{n-1}) with 0 <= j_i <= i; step i exchanges a[j_i]
+    and a[i].  Returns the final array, i.e. the word of the sampled
+    permutation.  Pure: equal draws give equal words.
+    """
+    draws = tuple(draws)
+    if len(draws) != n - 1:
+        raise ValueError(f"need {n - 1} draws for n={n}, got {len(draws)}")
+    a = list(range(n))
+    for i in range(1, n):
+        j = draws[i - 1]
+        if not 0 <= j <= i:
+            raise ValueError(f"draw {j} out of range 0..{i} at step {i}")
+        a[j], a[i] = a[i], a[j]
+    return tuple(a)
+
+
+def sample_fisher_yates(n: int, rng, direction: str = "reversed") -> tuple[int, ...]:
+    """Uniformly random word via the Fisher-Yates shuffle.
+
+    direction="forward" walks i = n-1 .. 1 (Durstenfeld), "reversed" walks
+    i = 1 .. n-1; both draw j uniformly from 0..i and exchange a[j], a[i].
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a = list(range(n))
+    steps = range(n - 1, 0, -1) if direction == "forward" else range(1, n)
+    if direction not in ("forward", "reversed"):
+        raise ValueError(f"unknown direction {direction!r}")
+    for i in steps:
+        j = int(rng.integers(0, i + 1))
+        a[j], a[i] = a[i], a[j]
+    return tuple(a)
+
+
+def lemma1_extend(words) -> list[tuple[int, ...]]:
+    """One recursion step of the symmetric-group bijection.
+
+    Input must be exactly the i! words of S_i.  For every word and every
+    exchange index 0 <= j <= i, extend the word by w[i] = i and swap entries
+    j and i; the (i+1)! outputs enumerate S_{i+1} without duplicates.
+    (Swapping entries of the word is left-composition with the transposition
+    (j i): the new word maps j -> i and i -> old w[j].)
+    """
+    words = [tuple(w) for w in words]
+    if not words:
+        raise ValueError("empty input")
+    i = len(words[0])
+    if len(set(words)) != len(words):
+        raise ValueError("duplicate input words")
+    if len(words) != factorial(i) or not all(is_word(w) and len(w) == i for w in words):
+        raise ValueError(f"input is not all of S_{i}")
+    out = []
+    for w in words:
+        for j in range(i + 1):
+            nw = list(w) + [i]
+            nw[j], nw[i] = nw[i], nw[j]
+            out.append(tuple(nw))
+    return out
 
 
 def word_of_permutation(sigma) -> tuple[int, ...]:
@@ -284,7 +362,7 @@ def circuit_from_qasm(text: str) -> Circuit:
         controls = tuple(Control(q, v) for q, v in zip(qubits, values))
         (target,) = qubits[len(values):]
         gate = Gate(name.upper(), None if angle is None else float(angle), target, controls)
-        circuit.append(gate)
+        circuit.extend([gate])
     return circuit
 
 
@@ -308,7 +386,7 @@ def build_via_swap_gates(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     address resolved through ``Circuit.qubit`` where it is used, each
     controlled swap of qubits a, b written out here as CX(a->b), X on a
     controlled on the draw and b, CX(a->b) (not through
-    ``lowering.swap_gates``), and one ``append`` per gate outside a prep."""
+    ``lowering.swap_gates``), and a new ``Gate`` object for every gate outside a prep."""
     n, w = spec.n, spec.word_width
     metadata = {"variant": spec.variant, "n": n, "m": spec.m, "encoding": spec.encoding,
                 "lowering": "counting"}
@@ -321,15 +399,14 @@ def build_via_swap_gates(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     def swap(reg, j, i, width, draw):
         for bit in range(width):
             a, b = q(reg, j, bit), q(reg, i, bit)
-            circuit.append(gate_x(b, (Control(a, 1),)))
-            circuit.append(gate_x(a, draw + (Control(b, 1),)))
-            circuit.append(gate_x(b, (Control(a, 1),)))
+            circuit.extend([gate_x(b, (Control(a, 1),)), gate_x(a, draw + (Control(b, 1),)),
+                            gate_x(b, (Control(a, 1),))])
 
     if spec.has_perm:
         for k in range(1, n):
             for bit in range(k.bit_length()):
                 if (k >> bit) & 1:
-                    circuit.append(gate_x(q(PERM, k, bit)))
+                    circuit.extend([gate_x(q(PERM, k, bit))])
     checkpoints = []
     for i in range(1, n):
         checkpoints.append(len(circuit))
@@ -351,10 +428,10 @@ def build_via_swap_gates(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
                 for j in range(1, i + 1):
                     for bit in range(b):
                         if (j >> bit) & 1:
-                            circuit.append(gate_x(q(ANC, 0, bit), controls(PERM, j, i, b)))
+                            circuit.extend([gate_x(q(ANC, 0, bit), controls(PERM, j, i, b))])
             else:
                 for j in range(i):
-                    circuit.append(gate_x(q(ANC, 0, j), controls(PERM, j, i, b)))
+                    circuit.extend([gate_x(q(ANC, 0, j), controls(PERM, j, i, b))])
     checkpoints.append(len(circuit))
     return circuit, tuple(checkpoints)
 

@@ -6,6 +6,7 @@ equivalence at 1e-12, statistical tests at significance 1e-3.
 """
 
 from collections import Counter
+from itertools import permutations
 from math import factorial, sqrt
 
 import numpy as np
@@ -15,12 +16,6 @@ from scipy.stats import chi2
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints
 from qshuffle.circuit import Circuit, Control, Gate
 from qshuffle.lowering import lower_circuit, lower_mcx, lower_toffoli
-from qshuffle.permutations import (
-    enumerate_sn,
-    lemma1_extend,
-    replay_reversed_fisher_yates,
-    sample_fisher_yates,
-)
 from qshuffle.prep import build_u
 from qshuffle.resources import measure_circuit, resource_report, u_gate_count_formula
 from oracles import (
@@ -28,10 +23,13 @@ from oracles import (
     branch_table,
     decode_draws,
     evolve,
+    lemma1_extend,
     marginal_probabilities,
     primitive_multiset,
+    replay_reversed_fisher_yates,
     run,
     sample,
+    sample_fisher_yates,
     states_equal_up_to_phase,
 )
 
@@ -57,7 +55,7 @@ def test_criterion_01_disentangling_state_preparation():
         ok &= max(abs(abs(a) - 1 / sqrt(factorial(n))) for _, a in branches) < AMP_TOL
         disentangled, leak = assert_register_disentangled(state, circuit, "anc", AMP_TOL)
         ok &= disentangled and leak < AMP_TOL
-        ok &= sorted(tuple(r["perm"]) for r, _ in branches) == enumerate_sn(n)
+        ok &= sorted(tuple(r["perm"]) for r, _ in branches) == list(permutations(range(n)))
     report(1, "uniform superposition over all words, ancilla clean", ok)
 
 
@@ -110,7 +108,7 @@ def test_criterion_03_shuffle_theorem_and_checkpoints():
                 ok &= regs["perm"][i:] == list(range(i, n))
                 ok &= regs["data"] == regs["perm"]
                 words.add(tuple(regs["perm"][:i]))
-            ok &= sorted(words) == enumerate_sn(i)
+            ok &= sorted(words) == list(permutations(range(i)))
     report(3, "shuffle correctness and per-iteration invariant", ok)
 
 
@@ -193,7 +191,7 @@ def test_criterion_07_recursive_group_generation():
         n = i + 1
         ok &= len(words) == factorial(n)
         ok &= len(set(words)) == factorial(n)
-        ok &= sorted(set(words)) == enumerate_sn(n)
+        ok &= sorted(set(words)) == list(permutations(range(n)))
     ok &= len(words) == 720
     report(7, "recursive extension enumerates S_n exactly", ok)
 

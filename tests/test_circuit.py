@@ -67,7 +67,7 @@ def test_ref_of_inverts_qubit_index():
 
 def test_append_x():
     c = Circuit([("p", 2, 1)])
-    c.append(gate_x(c.qubit("p", 1, 0)))
+    c.extend([gate_x(c.qubit("p", 1, 0))])
     assert c.gates == [gate_x(1)]
 
 
@@ -83,7 +83,7 @@ def test_append_duplicate_swap_target_rejected():
 def test_append_target_control_overlap_rejected():
     c = Circuit([("a", 1, 1)])
     with pytest.raises(ValueError, match="overlap"):
-        c.append(gate_x(0, (ctrl(0),)))
+        c.extend([gate_x(0, (ctrl(0),))])
 
 
 def test_append_unresolvable_ref_rejected():
@@ -93,16 +93,16 @@ def test_append_unresolvable_ref_rejected():
     with pytest.raises(ValueError, match="bit 5 not an int in range"):
         c.qubit("a", 0, 5)
     with pytest.raises(ValueError, match=r"qubit 1 is not an int in range\(1\)"):
-        c.append(gate_x(1))
+        c.extend([gate_x(1)])
     assert c.gates == []
 
 
 def test_angle_presence_enforced():
     c = Circuit([("a", 1, 1)])
     with pytest.raises(ValueError):
-        c.append(Gate("X", 0.5, 0))
+        c.extend([Gate("X", 0.5, 0)])
     with pytest.raises(ValueError):
-        c.append(Gate("RY", None, 0))
+        c.extend([Gate("RY", None, 0)])
 
 
 def test_none_subregister_means_zero():
@@ -138,15 +138,13 @@ def test_value_controls_lsb_first():
 
 def test_schedule_parallel_x_layer():
     c = Circuit([("p", 5, 1)])
-    for k in range(1, 5):
-        c.append(gate_x(c.qubit("p", k, 0)))
+    c.extend(gate_x(c.qubit("p", k, 0)) for k in range(1, 5))
     assert measure_circuit(c).depth == 1
 
 
 def test_schedule_serial_on_shared_qubit():
     c = Circuit([("q", 1, 1)])
-    c.append(gate_x(0))
-    c.append(gate_h(0))
+    c.extend([gate_x(0), gate_h(0)])
     assert measure_circuit(c).depth == 2
 
 
@@ -167,9 +165,9 @@ def random_circuits(draw):
         )
         if draw(st.booleans()) and len(qubits) >= 2:
             controls = tuple(Control(q, draw(st.integers(0, 1))) for q in qubits[1:])
-            c.append(gate_x(qubits[0], controls))
+            c.extend([gate_x(qubits[0], controls)])
         else:
-            c.append(gate_h(qubits[0]))
+            c.extend([gate_h(qubits[0])])
     return c
 
 
@@ -182,25 +180,19 @@ def test_schedule_depth_bounded_by_gate_count(c):
 def test_depth_equals_gate_count_when_sharing_one_qubit():
     c = Circuit([("q", 1, 4)])
     shared = 0
-    c.append(gate_h(shared))
-    c.append(gate_x(1, (ctrl(shared),)))
-    c.append(gate_x(shared, (ctrl(2),)))
+    c.extend([gate_h(shared), gate_x(1, (ctrl(shared),)), gate_x(shared, (ctrl(2),))])
     assert measure_circuit(c).depth == len(c.gates) == 3
 
 
 def test_count_primitives_unit():
     c = Circuit([("q", 1, 3)])
-    c.append(gate_x(0))
-    c.append(gate_h(1))
-    c.append(gate_x(2, (ctrl(0),)))
+    c.extend([gate_x(0), gate_h(1), gate_x(2, (ctrl(0),))])
     assert count_primitives(c, CostProfile.unit()) == 3
 
 
 def test_count_primitives_weighted_cx():
     c = Circuit([("q", 1, 3)])
-    c.append(gate_x(0))
-    c.append(gate_h(1))
-    c.append(gate_x(2, (ctrl(0),)))
+    c.extend([gate_x(0), gate_h(1), gate_x(2, (ctrl(0),))])
     assert count_primitives(c, CostProfile(cx=39)) == 41
 
 
@@ -208,7 +200,7 @@ def test_count_primitives_rejects_controlled_swap():
     # a controlled SWAP has no cost class: no circuit holds one, and a file's
     # SWAP record is counted as its CX, C2X, CX
     with pytest.raises(ValueError, match="unknown primitive 'SWAP'"):
-        Circuit([("q", 1, 3)]).append(Gate("SWAP", None, 0, (ctrl(2),)))
+        Circuit([("q", 1, 3)]).extend([Gate("SWAP", None, 0, (ctrl(2),))])
     c = circuit_from_json(_swap_file(0, 1, (2, 1)))
     assert count_primitives(c, CostProfile(cx=39)) == 2 * 39 + 1
 
@@ -225,9 +217,7 @@ def test_primitive_classes():
 
 def test_primitive_multiset():
     c = Circuit([("q", 1, 3)])
-    c.append(gate_x(0))
-    c.append(gate_x(0))
-    c.append(gate_h(1))
+    c.extend([gate_x(0), gate_x(0), gate_h(1)])
     assert primitive_multiset(c) == {"X": 2, "H": 1}
 
 
@@ -251,7 +241,7 @@ def test_huge_registers_are_resolved_without_tables():
         tracemalloc.reset_peak()
         c = Circuit([("q", 2**40, 1), ("a", 1, 2)])
         last = c.qubit("q", 2**40 - 1, 0)
-        c.append(gate_x(c.qubit("a", 0, 1), (ctrl(last),)))
+        c.extend([gate_x(c.qubit("a", 0, 1), (ctrl(last),))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -266,7 +256,7 @@ def test_append_rejects_an_operand_that_is_not_a_qubit_index(bad):
     c = Circuit([("perm", 2, 2)])
     for gate in (gate_x(bad), gate_x(0, (ctrl(bad),)), gate_h(bad, (ctrl(2),)), gate_x(0, (ctrl(2), ctrl(bad)))):
         with pytest.raises(ValueError, match="is not an int in range"):
-            c.append(gate)
+            c.extend([gate])
         with pytest.raises(ValueError, match="is not an int in range"):
             c.extend([gate_x(1), gate])
     assert c.gates == [gate_x(1)] * 4
@@ -281,7 +271,7 @@ def test_a_rejected_gate_is_rejected_again():
     for bad in (overlap, nan, outside):
         for _ in range(2):
             with pytest.raises(ValueError):
-                c.append(bad)
+                c.extend([bad])
             with pytest.raises(ValueError):
                 c.extend([good, bad, good])
     assert c.gates == [good] * 6  # each extend stopped at the bad gate

@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from hashlib import sha256
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from qshuffle.cli import main
 from qshuffle.verify import verify_spec
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints
 from qshuffle.serialize import circuit_from_json
-from oracles import branch_table, run
+from oracles import branch_table, run, sample_fisher_yates
 from qshuffle.simulator import SimulationCapExceeded
 
 
@@ -197,6 +198,41 @@ def test_sample_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_sample_zero_shots_writes_nothing(tmp_path, capsys):
+    assert run_cli("sample", "--n", "3", "--shots", "0") == 0
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "words.txt"
+    assert run_cli("sample", "--n", "3", "--shots", "0", "--out", str(out)) == 0
+    assert out.read_text() == ""
+
+
+# SHA-256 of `sample` stdout, taken when each word was drawn with one scalar
+# draw per step
+@pytest.mark.parametrize("argv,digest", [
+    (("--n", "5", "--shots", "10", "--seed", "9"),
+     "a49fc8a5af509bc8c7f1e193bd166d1c098a7793748938893d0b5f3b0f638eef"),
+    (("--n", "5", "--shots", "10", "--seed", "9", "--direction", "forward"),
+     "1f4a1df05d1d315bca726d1c5c9efb3187b4212b81dc9ffb8ac333250cb7d2b4"),
+    (("--n", "1", "--shots", "3"), "6f2816cd102f36167a589aadfcbeb1236830477851138b26ecdc12d19c137cf0"),
+    (("--n", "300", "--shots", "7", "--seed", str(2**40)),
+     "a4739f541de745b9e95b27a6582efa23c1a5c0061df4d4ee264160d4ec1bb996"),
+], ids=["n5-reversed", "n5-forward", "n1", "n300-big-seed"])
+def test_sample_prints_pinned_bytes(capsys, argv, digest):
+    assert run_cli("sample", *argv) == 0
+    assert sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@given(st.integers(1, 40), st.integers(0, 50), st.integers(0, 2**64), st.sampled_from(("forward", "reversed")))
+@settings(max_examples=100, deadline=None)
+def test_sample_matches_the_scalar_shuffle(n, shots, seed, direction):
+    code, out, err = _captured("sample", "--n", str(n), "--shots", str(shots), "--seed", str(seed),
+                               "--direction", direction)
+    rng = np.random.default_rng(seed)
+    words = [list(sample_fisher_yates(n, rng, direction)) for _ in range(shots)]
+    assert (code, err) == (0, "")
+    assert out == "".join(json.dumps(w) + "\n" for w in words)
+
+
 def test_sample_rejects_negative_shots(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("sample", "--n", "4", "--shots", "-5")
@@ -212,7 +248,11 @@ def test_sample_rejects_negative_shots(capsys):
     ("sample", "--n", "4", "--shots", "-5"), ("sample", "--n", "0"),
     ("simulate", "--circuit", "c.json", "--shots", "-5"), ("prep", "--i", "0"),
     ("build", "--variant", "A", "--n", "0"), ("table", "--variant", "A", "--n-max", "1"),
-], ids=["sample-shots", "sample-n", "simulate-shots", "prep-i", "build-n", "table-n-max"])
+    ("simulate", "--circuit", "c.json", "--shots", "5", "--seed", "-1"),
+    ("sample", "--n", "3", "--shots", "2", "--seed", "-1"),
+    ("verify", "--variant", "A", "--n", "3", "--seed", "-7"),
+], ids=["sample-shots", "sample-n", "simulate-shots", "prep-i", "build-n", "table-n-max",
+        "simulate-seed", "sample-seed", "verify-seed"])
 def test_usage_errors_name_the_subcommand(capsys, argv):
     with pytest.raises(SystemExit) as err:
         run_cli(*argv)
@@ -500,8 +540,7 @@ def test_simulate_cap_exit_code(tmp_path, capsys, qubits, hadamards, message):
     from qshuffle.serialize import circuit_to_json
 
     c = Circuit([("q", 1, qubits)])
-    for k in range(hadamards):
-        c.append(gate_h(c.qubit("q", 0, k)))
+    c.extend(gate_h(c.qubit("q", 0, k)) for k in range(hadamards))
     path = tmp_path / "wide.json"
     path.write_text(circuit_to_json(c))
     assert run_cli("simulate", "--circuit", str(path)) == 2

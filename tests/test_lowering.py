@@ -188,15 +188,14 @@ def test_mcx_rejects_small_arity_and_bad_mode():
 
 def test_lower_circuit_counting_is_identity_on_primitives():
     c = Circuit([("q", 1, 2)])
-    c.append(gate_h(q(0)))
-    c.append(gate_x(q(1), (ctrl(q(0)),)))
+    c.extend([gate_h(q(0)), gate_x(q(1), (ctrl(q(0)),))])
     lowered = lower_circuit(c, "counting")
     assert lowered.gates == c.gates
 
 
 def test_lower_circuit_full_needs_enough_qubits():
     c = Circuit([("q", 1, 4)])
-    c.append(mcx_gate(3, 3, [0, 1, 2]))
+    c.extend([mcx_gate(3, 3, [0, 1, 2])])
     with pytest.raises(ValueError, match="idle"):
         lower_circuit(c, "full", "borrowed")
 
@@ -204,10 +203,7 @@ def test_lower_circuit_full_needs_enough_qubits():
 def test_lower_circuit_full_equivalence_with_negatives():
     # value-controlled gate with a 0 bit: full lowering inserts the X pairs
     c = Circuit([("q", 1, 5)])
-    c.append(gate_h(q(0)))
-    c.append(gate_h(q(1)))
-    c.append(gate_h(q(2)))
-    c.append(mcx_gate(3, 3, [0, 1, 2], [1, 0, 1]))
+    c.extend([gate_h(q(0)), gate_h(q(1)), gate_h(q(2)), mcx_gate(3, 3, [0, 1, 2], [1, 0, 1])])
     # the CH fills of the uniform prep carry single negative controls
     shuffle = build(BuildSpec("A", 4))
     for circuit in (c, shuffle):
@@ -229,11 +225,8 @@ def test_lower_circuit_full_with_an_idle_qubit_in_one(m, mode):
     # helper must start in |0> once m >= 4 (for m = 3 its one toggle block
     # works from any helper state)
     c = Circuit([("q", 1, 7)])
-    c.append(gate_x(q(0)))
     controls = range(6 - m, 6)
-    for b in controls:
-        c.append(gate_h(q(b)))
-    c.append(mcx_gate(m, 6, controls))
+    c.extend([gate_x(q(0)), *(gate_h(q(b)) for b in controls), mcx_gate(m, 6, controls)])
     assert states_equal_up_to_phase(run(c), run(lower_circuit(c, "full", mode)), 1e-10)
 
 
@@ -244,7 +237,7 @@ def _reference_full(circuit, mode):
     for gate in circuit.gates:
         for h in eliminate_negative_controls(gate):
             if h.primitive != "X" or len(h.controls) < 2:
-                out.append(h)
+                out.extend([h])
             elif len(h.controls) == 2:
                 out.extend(lower_toffoli(h))
             else:

@@ -1,6 +1,8 @@
-"""Word codec, Fisher-Yates replay/sampling, and the recursive S_n generator."""
+"""Word codec, Fisher-Yates replay/sampling, and the recursive S_n generator:
+the classical references in ``oracles`` that the circuit tests compare with."""
 
 from collections import Counter
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -9,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from qshuffle.permutations import (
-    enumerate_sn,
+from oracles import (
+    draw_sequences,
     lemma1_extend,
     replay_reversed_fisher_yates,
     sample_fisher_yates,
+    word_of_permutation,
 )
-from oracles import draw_sequences, word_of_permutation
 
 UNIFORMITY_ALPHA = 1e-3
 
@@ -81,7 +83,7 @@ def test_replay_hits_each_word_exactly_once():
     for n in range(2, 6):
         words = [replay_reversed_fisher_yates(n, d) for d in draw_sequences(n)]
         assert len(words) == factorial(n)
-        assert sorted(set(words)) == enumerate_sn(n)
+        assert sorted(set(words)) == list(permutations(range(n)))
 
 
 def test_sample_n1():
@@ -108,7 +110,7 @@ def test_lemma1_base_step():
 
 
 def test_lemma1_s3_to_s4_distinct():
-    s3 = enumerate_sn(3)
+    s3 = list(permutations(range(3)))
     out = lemma1_extend(s3)
     assert len(out) == 24
     assert len(set(out)) == 24
@@ -119,7 +121,7 @@ def test_lemma1_iterates_to_s6():
     for _ in range(5):
         words = lemma1_extend(words)
     assert len(words) == 720
-    assert sorted(set(words)) == enumerate_sn(6)
+    assert sorted(set(words)) == list(permutations(range(6)))
 
 
 def test_lemma1_matches_composition_oracle():
@@ -127,7 +129,7 @@ def test_lemma1_matches_composition_oracle():
     # and compare with the word-swap implementation; also check the two
     # inverse identities (new word maps j -> i and i -> old word[j])
     i = 4
-    s4 = enumerate_sn(i)
+    s4 = list(permutations(range(i)))
     out = lemma1_extend(s4)
     pos = 0
     for w in s4:
@@ -148,7 +150,7 @@ def test_lemma1_matches_composition_oracle():
 
 def test_lemma1_rejects_partial_input():
     with pytest.raises(ValueError):
-        lemma1_extend([enumerate_sn(3)[0]])
+        lemma1_extend([(0, 1, 2)])
 
 
 def test_lemma1_matches_replay_exhaustively():
@@ -166,15 +168,3 @@ def test_lemma1_matches_replay_exhaustively():
 def test_lemma1_rejects_duplicates():
     with pytest.raises(ValueError):
         lemma1_extend([(0, 1), (0, 1)])
-
-
-def test_enumerate_examples():
-    assert enumerate_sn(2) == [(0, 1), (1, 0)]
-    s3 = enumerate_sn(3)
-    assert len(s3) == 6 and s3[0] == (0, 1, 2) and s3[-1] == (2, 1, 0)
-    assert len(enumerate_sn(5)) == 120
-
-
-def test_enumerate_guard():
-    with pytest.raises(ValueError):
-        enumerate_sn(9)

@@ -9,10 +9,10 @@ PUBLIC = [
     "BuildSpec", "Circuit", "Control", "CostProfile", "Gate", "MeasuredResources", "Register",
     "ResourceReport", "SimulationCapExceeded", "branch_table", "build", "build_u", "build_v",
     "build_with_checkpoints", "circuit_from_json", "circuit_to_json", "circuit_to_qasm",
-    "count_primitives", "cycle_count_formula", "eliminate_negative_controls", "enumerate_sn",
-    "gate_count_formula", "init_identity_word", "lemma1_extend", "lower_circuit", "lower_mcx",
-    "lower_toffoli", "measure_circuit", "qubit_count_formula", "replay_reversed_fisher_yates",
-    "resource_report", "run", "sample", "sample_fisher_yates", "scaling_table",
+    "count_primitives", "cycle_count_formula", "eliminate_negative_controls",
+    "gate_count_formula", "init_identity_word", "lower_circuit", "lower_mcx",
+    "lower_toffoli", "measure_circuit", "qubit_count_formula",
+    "resource_report", "run", "sample", "scaling_table",
     "u_cycle_count_formula", "u_gate_count_formula", "u_gates", "v_gate_count_formula", "v_gates",
     "value_controls",
 ]

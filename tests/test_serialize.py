@@ -76,7 +76,7 @@ def test_json_rejects_invalid_gate():
 
 def test_angle_roundtrip_is_exact():
     c = Circuit([("q", 1, 1)])
-    c.append(gate_ry(2.0 * np.arccos(np.sqrt(1 / 3)), 0))
+    c.extend([gate_ry(2.0 * np.arccos(np.sqrt(1 / 3)), 0)])
     back = circuit_from_json(circuit_to_json(c))
     assert back.gates[0].angle == c.gates[0].angle
 
@@ -96,8 +96,7 @@ def test_qasm_basic_shape():
 
 def test_qasm_rotation_and_controls():
     c = Circuit([("q", 1, 3)])
-    c.append(gate_ry(0.5, 0))
-    c.append(gate_rz(-1.5, 1, (ctrl(2), Control(0, 0))))
+    c.extend([gate_ry(0.5, 0), gate_rz(-1.5, 1, (ctrl(2), Control(0, 0)))])
     text = circuit_to_qasm(c)
     assert "ry(0.5) q[0];" in text
     assert "ctrl @ negctrl @ rz(-1.5) q[2], q[0], q[1];" in text
@@ -141,9 +140,11 @@ def test_json_text_of_edge_values():
     c = Circuit([("r\u00e9g \"q\"", 2, 2)], {"note": "\u2192", "nested": {"k": [1, 2.5, None]}})
     name = "r\u00e9g \"q\""
     q, r, s = c.qubit(name, None, 1), c.qubit(name, 1, 0), c.qubit(name, 1, 1)
-    c.append(gate_ry(-0.0, q))
-    c.append(Gate("RZ", 3, r, (Control(q, 0),)))
-    c.append(Gate("X", None, s, (ctrl(q), Control(r, 1))))
+    c.extend([
+        gate_ry(-0.0, q),
+        Gate("RZ", 3, r, (Control(q, 0),)),
+        Gate("X", None, s, (ctrl(q), Control(r, 1))),
+    ])
     assert circuit_to_json(c) == json.dumps(circuit_to_dict(c))
     # an address read with sub=None is written back as subregister 0
     assert json.loads(circuit_to_json(c))["gates"][0]["targets"] == [{"reg": name, "sub": 0, "bit": 1}]

@@ -22,6 +22,7 @@ from oracles import (
     norm_squared,
     run,
     sample,
+    sample_fisher_yates,
     states_equal_up_to_phase,
 )
 from qshuffle import simulator
@@ -39,23 +40,23 @@ def q(bit):  # one register "q": bit b is global qubit b
 
 
 def test_apply_h_on_zero():
-    state = run(Circuit([("q", 1, 1)]).append(gate_h(q(0))))
+    state = run(Circuit([("q", 1, 1)]).extend([gate_h(q(0))]))
     assert np.allclose(state, [1 / sqrt(2), 1 / sqrt(2)])
 
 
 def test_apply_negative_control_fires_on_zero():
     # control q1 required 0, target q0: |00> -> |01>
-    state = run(Circuit([("q", 1, 2)]).append(gate_x(q(0), (Control(q(1), 0),))))
+    state = run(Circuit([("q", 1, 2)]).extend([gate_x(q(0), (Control(q(1), 0),))]))
     assert abs(state[0b01] - 1.0) < TOL
 
 
 def test_apply_positive_control_idle_on_zero():
-    state = run(Circuit([("q", 1, 2)]).append(gate_x(q(0), (Control(q(1), 1),))))
+    state = run(Circuit([("q", 1, 2)]).extend([gate_x(q(0), (Control(q(1), 1),))]))
     assert abs(state[0] - 1.0) < TOL
 
 
 def test_apply_ry_pi():
-    state = run(Circuit([("q", 1, 1)]).append(gate_ry(np.pi, q(0))))
+    state = run(Circuit([("q", 1, 1)]).extend([gate_ry(np.pi, q(0))]))
     assert abs(abs(state[1]) - 1.0) < TOL
 
 
@@ -65,7 +66,7 @@ def test_apply_swap():
 
 
 def test_apply_is_pure():
-    c = Circuit([("q", 1, 1)]).append(gate_x(q(0)))
+    c = Circuit([("q", 1, 1)]).extend([gate_x(q(0))])
     state = initial_state(c)
     run(c, state)
     assert state[0] == 1.0
@@ -100,7 +101,7 @@ def test_initial_state_register_values():
 
 def test_disentangled_plus_zero():
     c = Circuit([("a", 1, 1), ("b", 1, 1)])
-    c.append(gate_h(c.qubit("a", 0, 0)))
+    c.extend([gate_h(c.qubit("a", 0, 0))])
     state = run(c)
     ok, leak = assert_register_disentangled(state, c, "b")
     assert ok and leak == 0.0
@@ -131,10 +132,11 @@ def test_branch_table_c_n2():
 
 def test_sample_deterministic_and_pure():
     c = Circuit([("q", 1, 2)])
-    c.append(gate_x(q(1)))
+    c.extend([gate_x(q(1))])
     state = run(c)
     hist = sample(state, 250, seed=5, circuit=c)
     assert hist == {(2,): 250}
+    assert simulator.sample(simulator.run(c), 250, 5) == {0b10: 250}  # keyed by basis index
     state2 = run(build(BuildSpec("A", 3)))
     c2 = build(BuildSpec("A", 3))
     assert sample(state2, 1000, 11, c2, "perm") == sample(state2, 1000, 11, c2, "perm")
@@ -150,7 +152,7 @@ def test_simulation_cap():
     c = Circuit([("q", 1, 64)])  # basis indices are int64
     with pytest.raises(SimulationCapExceeded):
         run(c)
-    top = Circuit([("q", 1, 63)]).append(gate_x(q(62)))
+    top = Circuit([("q", 1, 63)]).extend([gate_x(q(62))])
     indices, amplitudes = simulator.run(top)
     assert indices.tolist() == [1 << 62] and amplitudes.tolist() == [1.0]
 
@@ -159,8 +161,7 @@ def test_branch_cap_stops_a_wide_superposition():
     # H on each of 21 qubits would make 2^21 > MAX_BRANCHES branches: the
     # guard trips after the 20th H, with no more than a few branch-sized arrays
     c = Circuit([("q", 1, 21)])
-    for k in range(21):
-        c.append(gate_h(q(k)))
+    c.extend(gate_h(q(k)) for k in range(21))
     tracemalloc.start()
     try:
         with pytest.raises(SimulationCapExceeded, match="branches exceed"):
@@ -181,8 +182,6 @@ def test_sampling_matches_classical_shuffle_n3():
     from collections import Counter
 
     from scipy.stats import chi2
-
-    from qshuffle.permutations import sample_fisher_yates
 
     shots = 100000
     circuit = build(BuildSpec("A", 3))
@@ -208,7 +207,7 @@ def test_value_controlled_gate_fires_iff_register_matches(stored, required):
     from qshuffle.circuit import gate_x as gx, value_controls
 
     c = Circuit([("a", 1, 3), ("t", 1, 1)])
-    c.append(gx(c.qubit("t", 0, 0), value_controls(c.register_qubits("a"), required)))
+    c.extend([gx(c.qubit("t", 0, 0), value_controls(c.register_qubits("a"), required))])
     state = run(c, {"a": [stored]})
     rows = branch_table(state, c)
     assert len(rows) == 1
@@ -299,7 +298,7 @@ def one_gate_cases(draw):
 def test_kernel_matches_per_index_reference(case):
     n, primitive, angle, target, controls, amps = case
     c = Circuit([("q", 1, n)])
-    c.append(Gate(primitive, angle, q(target), tuple(Control(q(k), v) for k, v in controls)))
+    c.extend([Gate(primitive, angle, q(target), tuple(Control(q(k), v) for k, v in controls))])
     got = dense_run(c, np.array(amps))
     want = _reference_apply(amps, primitive, angle, target, controls)
     assert np.max(np.abs(got - np.array(want))) < 1e-12
@@ -319,8 +318,8 @@ def test_kernel_reuses_scratch_across_gate_sizes(monkeypatch, block_bits):
              ("X", None, 6, ((1, 1),)), ("RZ", -1.3, 2, ((0, 0),)), ("H", None, 5, ((4, 1), (3, 1))),
              ("X", None, 4, ()), ("RY", 2.1, 0, ()), ("X", None, 5, ((7, 0), (2, 1)))]
     c = Circuit([("q", 1, n)])
-    for primitive, angle, target, controls in cases:
-        c.append(Gate(primitive, angle, q(target), tuple(Control(q(k), v) for k, v in controls)))
+    c.extend(Gate(primitive, angle, q(target), tuple(Control(q(k), v) for k, v in controls))
+             for primitive, angle, target, controls in cases)
     states = dense_evolve(c, amps)
     want = list(next(states))
     for (primitive, angle, target, controls), got in zip(cases, states):
@@ -332,8 +331,8 @@ def test_gate_loop_allocates_no_state_sized_memory():
     # the scratch array exists before the first yield; what the gates still
     # allocate is numpy's fixed-size ufunc buffers, far below a quarter state
     c = Circuit([("q", 1, 18)])
-    c.append(gate_h(q(1))).append(gate_x(q(7), (Control(q(9), 1),))).append(gate_ry(0.4, q(12)))
-    c.append(gate_rz(0.9, q(4))).append(gate_x(q(3), (Control(q(2), 0),))).append(gate_x(q(0)))
+    c.extend([gate_h(q(1)), gate_x(q(7), (Control(q(9), 1),)), gate_ry(0.4, q(12))])
+    c.extend([gate_rz(0.9, q(4)), gate_x(q(3), (Control(q(2), 0),)), gate_x(q(0))])
     states = dense_evolve(c)
     state = next(states)
     tracemalloc.start()
@@ -364,7 +363,7 @@ def random_circuits(draw):
     # resolves each object once per call
     pool = [gate() for _ in range(draw(st.integers(1, 3)))] if draw(st.booleans()) else None
     for _ in range(draw(st.integers(0, 30))):
-        c.append(draw(st.sampled_from(pool)) if pool else gate())
+        c.extend([draw(st.sampled_from(pool)) if pool else gate()])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps[rng.random(1 << n) < draw(st.sampled_from((0.0, 0.5, 0.9)))] = 0.0  # some sparse starts
@@ -383,7 +382,7 @@ def test_sparse_matches_dense_oracle(case):
     before = next(states)
     assert np.array_equal(before, amps)
     for gate, after in zip(c.gates, states):
-        want = dense_run(Circuit([("q", 1, c.num_qubits)]).append(gate), before)
+        want = dense_run(Circuit([("q", 1, c.num_qubits)]).extend([gate]), before)
         assert np.max(np.abs(after - want)) <= 1e-12
         before = after
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from qshuffle import simulator, verify
 from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build_with_checkpoints
-from qshuffle.permutations import replay_reversed_fisher_yates
-from oracles import draw_sequences
+from oracles import draw_sequences, replay_reversed_fisher_yates
 
 
 def _scalar_model(spec, circuit, i, inputs):
