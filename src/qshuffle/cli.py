@@ -8,11 +8,17 @@ more than MAX_GATES gates, a table of more than MAX_ROWS rows, a simulate of
 more than MAX_SHOTS shots, or a sample of more than MAX_SHOTS word entries),
 64 usage error (a bad cost profile too), 74 I/O error or malformed circuit
 file.
+
+``main(argv)`` may be called repeatedly in one process: it builds its parser on
+its first call and reuses it for every later call.  The parser keeps no state
+between calls, and nothing else a call makes outlives it; ``build_parser()``
+returns a new parser each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -142,7 +148,8 @@ def cmd_simulate(parser, args) -> int:
         ],
     }
     if args.shots:
-        rows = sorted((list(simulator.decode_registers(index, circuit).values()), count)
+        decode = simulator._decoder(circuit)
+        rows = sorted((list(decode(index).values()), count)
                       for index, count in simulator.sample(state, args.shots, args.seed).items())
         payload["histogram"] = {"|".join(f"{r.name}=" + ",".join(map(str, subs))
                                          for r, subs in zip(circuit.registers, values)): count
@@ -221,7 +228,8 @@ def _command(sub, name: str, func, help: str) -> _Parser:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog=PROG, description=__doc__)
+    # --help describes the command line; the docstring's last paragraph is about main
+    parser = _Parser(prog=PROG, description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = _command(sub, "build", cmd_build, "emit a shuffle circuit as JSON or OpenQASM")
@@ -272,9 +280,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> _Parser:
+    """``main``'s parser, built on its first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args.parser, args)
     except SimulationCapExceeded as exc:

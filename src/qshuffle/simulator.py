@@ -144,13 +144,17 @@ def run(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarray]:
     return deque(evolve(circuit, initial), maxlen=1)[0]
 
 
+def _decoder(circuit: Circuit):
+    """``decode_registers`` for one circuit, each register's subregister start
+    qubits worked out once: for a table or histogram that decodes many indices."""
+    layout = [(reg.name, (1 << reg.width) - 1, circuit.register_qubits(reg.name)[::reg.width])
+              for reg in circuit.registers]
+    return lambda index: {name: [(index >> q) & mask for q in starts] for name, mask, starts in layout}
+
+
 def decode_registers(index: int, circuit: Circuit) -> dict[str, list[int]]:
     """Subregister values of one basis-state index, per register name."""
-    out = {}
-    for reg in circuit.registers:
-        mask = (1 << reg.width) - 1
-        out[reg.name] = [(index >> q) & mask for q in circuit.register_qubits(reg.name)[::reg.width]]
-    return out
+    return _decoder(circuit)(index)
 
 
 def _sorted(state) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +168,8 @@ def branch_table(state, circuit: Circuit):
     order, decoded per register."""
     indices, amplitudes = _sorted(state)
     live = np.abs(amplitudes) > BRANCH_TOL
-    return [(decode_registers(int(i), circuit), complex(a)) for i, a in zip(indices[live], amplitudes[live])]
+    decode = _decoder(circuit)
+    return [(decode(int(i)), complex(a)) for i, a in zip(indices[live], amplitudes[live])]
 
 
 def sample(state, shots: int, seed: int) -> Counter:

@@ -4,10 +4,13 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from collections import Counter
 from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -647,3 +650,85 @@ def test_simulate_fuzzed_file_exit_codes(field, value):
     assert code in (0, 2, 74)
     if code == 74:
         assert err.count("\n") == 1
+
+
+# main's parser: built on the first call in a process, never at import, then shared
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's ``src``; COLUMNS keeps argparse's usage on one line."""
+    env = {**os.environ, "COLUMNS": "1000",
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_import_builds_no_parser():
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+             "import qshuffle.cli\n"
+             "print(len(built))\n"
+             "qshuffle.cli.main(['table', '--variant', 'A', '--n-max', '2'])\n"
+             "print(len(built))\n")
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "8")  # the first main call builds the root parser and 7 subparsers
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    build_parser = cli.build_parser
+    assert build_parser() is not build_parser()
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._main_parser.cache_clear()
+    try:
+        assert run_cli("count", "--variant", "A", "--n", "3") == 0
+        assert run_cli("table", "--variant", "A", "--n-max", "4") == 0
+        assert run_cli("sample", "--n", "3") == 0
+        assert len(built) == 1
+    finally:
+        cli._main_parser.cache_clear()
+
+
+def test_shared_parser_leaks_no_state(tmp_path, monkeypatch):
+    circuit, profile = tmp_path / "c.json", tmp_path / "p.json"
+    assert run_cli("build", "--variant", "A", "--n", "3", "--out", str(circuit)) == 0
+    profile.write_text(json.dumps({"CX": 39, "mcx_rule": "derived"}))
+    spec = ("--variant", "A", "--n", "3")
+    sequence = [
+        ("verify", *spec, "--seed", "5"), ("verify", *spec),
+        ("count", *spec, "--profile", str(profile)), ("count", *spec),
+        ("build", "--variant", "Z"),
+        ("simulate", "--circuit", str(circuit), "--shots", "4", "--seed", "3"),
+        ("simulate", "--circuit", str(circuit), "--shots", "-5"),
+        ("--help",), ("--help",),
+    ]
+    shared = [_captured(*argv) for argv in sequence]
+    monkeypatch.setattr(cli, "_main_parser", cli.build_parser)  # a new parser for every call
+    assert shared == [_captured(*argv) for argv in sequence]
+
+    (_, seeded, _), (_, unseeded, _) = shared[:2]
+    assert (json.loads(seeded)["seed"], json.loads(unseeded)["seed"]) == (5, 0)
+    assert shared[2][1] != shared[3][1]  # the profile's costs, then unit costs
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 64, 0, 64, 0, 0]
+    assert shared[4][2].splitlines()[-1].startswith("qshuffle build: error: ")
+    assert shared[6][2].splitlines()[-1] == "qshuffle simulate: error: --shots must be >= 0"
+    assert shared[7] == shared[8] and shared[7][1].startswith("usage: qshuffle ")
+
+
+def test_python_m_qshuffle(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # the in-process usage line wraps as the subprocess's does
+    result = _python("-m", "qshuffle", "count", "--variant", "A", "--n", "3")
+    assert (result.returncode, result.stdout, result.stderr) == _captured("count", "--variant", "A", "--n", "3")
+    assert json.loads(result.stdout)["gates_consistent"] is True
+
+    result = _python("-m", "qshuffle", "build", "--variant", "Z")
+    assert (result.returncode, result.stdout) == (64, "")
+    usage, error = result.stderr.splitlines()
+    assert usage.startswith("usage: qshuffle build ")
+    assert error.startswith("qshuffle build: error: argument --variant: invalid choice: 'Z'")
+    assert result.stderr == _captured("build", "--variant", "Z")[2]
