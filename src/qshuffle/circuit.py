@@ -15,6 +15,12 @@ back into its address for text output.  IR objects are immutable, and a gate
 list may hold one ``Gate`` object many times.  ``Circuit.extend`` is the one
 way gates enter a circuit: it runs ``check`` once per distinct object per call.
 
+``Gate`` and ``Control`` are named tuples, built, hashed and unpacked in C:
+they unpack (``primitive, angle, target, controls = gate``), change through
+``_replace``, and compare like plain tuples of their fields, so a gate equals
+one whose angle is -0.0 for 0.0 or whose control value is True for 1.  Every
+memo over them is keyed by identity, or by value with the angle's ``repr``.
+
 Also provides the cost classes of the counting alphabet and weighted
 primitive counting.
 """
@@ -24,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 PRIMITIVES = ("X", "H", "RY", "RZ")
 ROTATIONS = ("RY", "RZ")
@@ -38,14 +45,12 @@ class Register:
     width: int
 
 
-@dataclass(frozen=True, slots=True)
-class Control:
+class Control(NamedTuple):
     qubit: int  # global index
     value: int  # required bit value, 0 or 1
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
+class Gate(NamedTuple):
     primitive: str
     angle: float | None
     target: int  # global index
@@ -146,8 +151,11 @@ class Circuit:
         return (*[c.qubit for c in gate.controls], gate.target)
 
     def check(self, gate: Gate) -> None:
-        """Raise ValueError unless ``gate`` is a well-formed primitive on this circuit's qubits."""
-        primitive, angle = gate.primitive, gate.angle
+        """Raise ValueError unless ``gate`` is a well-formed primitive on this
+        circuit's qubits: primitive, angle, control values, then each qubit
+        (controls first) by type and range, then overlap.  No operand is hashed
+        before its type is checked."""
+        primitive, angle, target, controls = gate
         if primitive not in PRIMITIVES:
             raise ValueError(f"unknown primitive {primitive!r}")
         if angle is not None or primitive in ROTATIONS:
@@ -159,13 +167,15 @@ class Circuit:
                 finite = False
             if not finite:
                 raise ValueError(f"rotation angle must be a finite real number, got {angle!r}")
-        for c in gate.controls:
+        for c in controls:
             if type(c.value) is not int or c.value not in (0, 1):
                 raise ValueError(f"control value must be the int 0 or 1, got {c.value!r}")
-        touched = self.gate_qubits(gate)
+        touched = [c.qubit for c in controls]
+        touched.append(target)
+        n = self.num_qubits
         for q in touched:
-            if type(q) is not int or not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q!r} is not an int in range({self.num_qubits})")
+            if type(q) is not int or not 0 <= q < n:
+                raise ValueError(f"qubit {q!r} is not an int in range({n})")
         if len(set(touched)) != len(touched):
             raise ValueError(f"gate target/controls overlap: {gate}")
 
@@ -173,11 +183,11 @@ class Circuit:
         """Append ``gates`` in order, checking each distinct object once; a
         gate that fails raises after the gates before it are appended."""
         gates = list(gates)  # keeps each object alive while its id is a key
-        for g in {id(g): g for g in gates}.values():
+        for g in dict(zip(map(id, gates), gates)).values():
             try:
                 self.check(g)
             except Exception:
-                self.gates += gates[:[id(h) for h in gates].index(id(g))]
+                self.gates += gates[:list(map(id, gates)).index(id(g))]
                 raise
         self.gates += gates
         return self
@@ -211,7 +221,7 @@ def cost_class(primitive: str, num_controls: int) -> str:
 
 
 def _arity_counts(circuit: Circuit) -> Counter:
-    return Counter((g.primitive, len(g.controls)) for g in circuit.gates)
+    return Counter((primitive, len(controls)) for primitive, _, _, controls in circuit.gates)
 
 
 def count_primitives(circuit: Circuit, profile) -> int | float:

@@ -7,7 +7,8 @@ build, count or verify of more than MAX_GATES counting-level gates, a prep of
 more than MAX_GATES gates, a table of more than MAX_ROWS rows, a simulate of
 more than MAX_SHOTS shots, or a sample of more than MAX_SHOTS word entries),
 64 usage error (a bad cost profile too), 74 I/O error or malformed circuit
-file.
+file.  ``--out FILE`` writes a command's output to FILE; ``--out -`` or no
+``--out`` writes it to stdout.
 
 ``main(argv)`` may be called repeatedly in one process: it builds its parser on
 its first call and reuses it for every later call.  The parser keeps no state
@@ -82,7 +83,7 @@ def _make_spec(parser, args) -> BuildSpec:
 
 
 def _write_output(text: str, path: str | None):
-    if path is None:
+    if path is None or path == "-":
         sys.stdout.write(text)
         if text and not text.endswith("\n"):
             sys.stdout.write("\n")
@@ -202,6 +203,9 @@ def cmd_sample(parser, args) -> int:
     if args.n * args.shots > MAX_SHOTS:
         parser.exit(EX_CAP, f"{PROG}: sample --n {args.n} --shots {args.shots} draws "
                             f"{args.n * args.shots} entries, over the shot cap of {MAX_SHOTS}\n")
+    if not args.shots:  # n x 0 passes the cap at any n: build no step range of n entries
+        _write_output("", args.out)
+        return EX_OK
     # the Fisher-Yates shuffle of the identity word: step i exchanges entries i
     # and j, j uniform in 0..i; forward walks i = n-1 .. 1 (Durstenfeld),
     # reversed i = 1 .. n-1.  One call draws every j, word after word; with

@@ -30,7 +30,6 @@ distinct Toffoli once per call, and equal output gates are one object.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import islice
 from math import pi
 
@@ -57,7 +56,7 @@ def eliminate_negative_controls(gate: Gate) -> list[Gate]:
     flips = [gate_x(c.qubit) for c in gate.controls if c.value == 0]
     if not flips:
         return [gate]
-    positive = replace(gate, controls=tuple(Control(c.qubit, 1) for c in gate.controls))
+    positive = gate._replace(controls=tuple(Control(c.qubit, 1) for c in gate.controls))
     return flips + [positive] + list(reversed(flips))
 
 
@@ -152,8 +151,8 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
     counting copies the gate list; full X-conjugates negative controls away
     and lowers every X with >= 2 controls down to {X, H, RY, RZ, CX, CH, CRY},
     borrowing or requiring clean idle qubits per ``mode``.  Output gates are
-    hash-consed on primitive, angle repr, target index and (index, value) of
-    each control.
+    hash-consed on the angle's repr and the gate's value (primitive, target
+    index, and index and value of each control).
     """
     if level not in LOWERING_LEVELS:
         raise ValueError(f"unknown lowering level {level!r}")
@@ -165,9 +164,8 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
     made: dict[tuple, Gate] = {}  # hash-cons key -> the one gate with it
     networks: dict[tuple, list[Gate]] = {}  # a Toffoli's qubits -> its network
 
-    def share(g: Gate) -> Gate:  # the angle by repr, so -0.0 and 0.0 stay apart
-        key = (g.primitive, repr(g.angle), g.target, *[(c.qubit, c.value) for c in g.controls])
-        return made.setdefault(key, g)
+    def share(g: Gate) -> Gate:  # the angle by repr too, so -0.0 and 0.0 stay apart
+        return made.setdefault((repr(g.angle), g), g)
 
     def network(toffoli: Gate) -> list[Gate]:
         key = out.gate_qubits(toffoli)

@@ -42,12 +42,6 @@ from .builders import BuildSpec, build
 from .circuit import Circuit, cost_class, count_primitives
 
 
-def ceil_log2(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (n - 1).bit_length()
-
-
 @dataclass
 class CostProfile:
     x: int = 1
@@ -146,6 +140,7 @@ def _sweep(variant: str, n_values, m: int | None, encoding: str,
     if wanted[0] < 1:
         raise ValueError("n must be >= 1")
     spec = BuildSpec(variant, wanted[-1], m, encoding)
+    has_perm, has_data, disentangling = spec.has_perm, spec.has_data, spec.disentangling
     binary = encoding == "binary"
     x_cost = [p.cost("X", k) for k in range(wanted[-1].bit_length() + 2)]  # by number of controls
     init = prep_gates = prep_cycles = prep_cycles_max = swap = uncompute = ancilla = 0
@@ -167,23 +162,23 @@ def _sweep(variant: str, n_values, m: int | None, encoding: str,
             uncompute += (cum_hamming if binary else i) * x_cost[b]
             ancilla += b if binary else i
         done = n
-        w = max(ceil_log2(n), 1)  # the builders' widths: n = 1 still gets one-qubit registers
-        width = (w if spec.has_perm else 0) + (m if spec.has_data else 0)
+        w = max((n - 1).bit_length(), 1)  # the builders' widths: n = 1 still gets one-qubit registers
+        width = (w if has_perm else 0) + (m if has_data else 0)
         gates = prep_gates + width * swap
         cycles = width * swap
-        if spec.disentangling:
+        if disentangling:
             qubits = w if binary else max(n - 1, 1)
             gates += uncompute
             cycles += prep_cycles + uncompute
         else:
             qubits = ancilla
             cycles += prep_cycles_max
-        if spec.has_perm:
+        if has_perm:
             qubits += n * w
             gates += init
             if n > 1:
                 cycles += p.x  # one layer initialises the whole register
-        if spec.has_data:
+        if has_data:
             qubits += m * n
         yield n, qubits, gates, cycles
 
@@ -214,14 +209,17 @@ def weighted_depth(circuit: Circuit, profile: CostProfile) -> int:
     free and lasts its cost.  Under unit costs this is the ASAP layer count."""
     finish = [0] * circuit.num_qubits  # per qubit: when its last gate ends
     costs: dict[tuple[str, int], int] = {}
-    for gate in circuit.gates:
-        qubits = circuit.gate_qubits(gate)
-        key = (gate.primitive, len(gate.controls))
+    for primitive, _, target, controls in circuit.gates:
+        key = (primitive, len(controls))
         if key not in costs:
             costs[key] = profile.cost(*key)
-        end = max([finish[q] for q in qubits]) + costs[key]
-        for q in qubits:
-            finish[q] = end
+        start = finish[target]
+        for c in controls:
+            if finish[c.qubit] > start:
+                start = finish[c.qubit]
+        finish[target] = end = start + costs[key]
+        for c in controls:
+            finish[c.qubit] = end
     return max(finish, default=0)
 
 

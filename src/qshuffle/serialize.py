@@ -16,9 +16,9 @@ distinct record once, keyed on the angle's repr (-0.0 is not 0.0) and on int
 control values only (True == 1 == 1.0), so ``extend`` checks each once.  The
 text is ``json.dumps`` of that schema byte for byte, but written without the
 nested dicts: each distinct qubit and control is encoded once per call and its
-fragment reused.  Both emitters also encode each distinct gate object and each
-distinct angle object once per call (by identity, so shared gates cost one
-lookup each).
+fragment reused.  Both emitters encode each distinct gate object once per call,
+angle included, found by identity (``_by_identity``), so a shared gate costs
+one lookup in C and -0.0 never gets 0.0's text.
 
 The QASM emitter writes one flat qubit array plus a comment mapping register
 names to index ranges.  Single positive controls on X become cx; every other
@@ -52,30 +52,23 @@ class _Texts(dict):
         return text
 
 
-class _Once(dict):
-    """``encode(obj)``, run once per object of one call's circuit.gates: keyed
-    by identity, so -0.0 never gets 0.0's text."""
-
-    def __init__(self, encode):
-        self.encode = encode
-
-    def __call__(self, obj) -> str:
-        text = self.get(id(obj))
-        if text is None:
-            text = self[id(obj)] = self.encode(obj)
-        return text
+def _by_identity(encode, objs):
+    """``map(encode, objs)``, with ``encode`` run once per distinct object of
+    the list ``objs``, which keeps each object alive while its id is a key."""
+    texts = {key: encode(obj) for key, obj in dict(zip(map(id, objs), objs)).items()}
+    return map(texts.__getitem__, map(id, objs))
 
 
 def circuit_to_json(circuit: Circuit) -> str:
     text = _Texts(circuit).__getitem__
-    angle = _Once(json.dumps)
 
     def encode(g: Gate) -> str:
-        return (f'{{"primitive": {text(g.primitive)}, "angle": {angle(g.angle)}, '
-                f'"targets": [{text(g.target)}], '
-                f'"controls": [{", ".join(map(text, g.controls))}]}}')
+        primitive, angle, target, controls = g
+        return (f'{{"primitive": {text(primitive)}, '
+                f'"angle": {"null" if angle is None else json.dumps(angle)}, '  # no call for X/H
+                f'"targets": [{text(target)}], "controls": [{", ".join(map(text, controls))}]}}')
 
-    gates = ", ".join(list(map(_Once(encode), circuit.gates)))  # the memo goes before the join
+    gates = ", ".join(_by_identity(encode, circuit.gates))
     registers = [{"name": r.name, "count": r.count, "width": r.width} for r in circuit.registers]
     return (f'{{"registers": {json.dumps(registers)}, "gates": [{gates}], '
             f'"metadata": {json.dumps(circuit.metadata)}}}')
@@ -116,14 +109,12 @@ def circuit_from_json(text: str) -> Circuit:
     return circuit.extend(gate for record in data["gates"] for gate in read(record))
 
 
-def _qasm_gate(gate: Gate, operands: list[str], angle) -> str:
+def _qasm_gate(gate: Gate, operands: list[str]) -> str:
     """One QASM statement; ``operands`` name the gate's qubits, controls first."""
-    controls = gate.controls
-    if gate.primitive == "X" and len(controls) == 1 and controls[0].value == 1:
+    primitive, angle, _, controls = gate
+    if primitive == "X" and len(controls) == 1 and controls[0].value == 1:
         return f"cx {operands[0]}, {operands[1]};"
-    name = gate.primitive.lower()
-    if gate.angle is not None:
-        name += f"({angle(gate.angle)})"
+    name = primitive.lower() if angle is None else f"{primitive.lower()}({angle!r})"
     mods = "".join("ctrl @ " if c.value == 1 else "negctrl @ " for c in controls)
     return f"{mods}{name} {', '.join(operands)};"
 
@@ -135,10 +126,9 @@ def circuit_to_qasm(circuit: Circuit) -> str:
                                           for r, qubits in zip(circuit.registers, spans)),
              f"qubit[{circuit.num_qubits}] q;"]
     names = [f"q[{q}]" for q in range(circuit.num_qubits)]
-    angle = _Once(repr)
 
     def encode(g: Gate) -> str:
-        return _qasm_gate(g, [names[q] for q in circuit.gate_qubits(g)], angle)  # controls, then target
+        return _qasm_gate(g, [names[q] for q in circuit.gate_qubits(g)])  # controls, then target
 
-    lines += map(_Once(encode), circuit.gates)
+    lines += _by_identity(encode, circuit.gates)
     return "\n".join(lines) + "\n"

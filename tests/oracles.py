@@ -11,9 +11,10 @@ and extend words the classical way (``replay_reversed_fisher_yates``,
 ``sample_fisher_yates``, ``lemma1_extend``), build classical and gate
 fixtures, encode and read circuit text the simple way
 (``circuit_to_dict``, ``circuit_from_qasm``), build circuits the old way
-(``build_via_swap_gates``), name gate classes (``primitive_multiset``) or
-sum the cost formulas iteration by iteration (``sweep_rows``); none has a
-caller outside the tests.
+(``build_via_swap_gates``), name gate classes (``primitive_multiset``),
+sum the cost formulas iteration by iteration (``sweep_rows``) or take the
+weighted depth gate by gate through ``Circuit.gate_qubits``
+(``weighted_depth``); none has a caller outside the tests.
 
 Amplitude indexing: bit g of a basis-state index is global qubit g (qubit 0
 is the least significant bit), matching the circuit's register numbering.
@@ -25,7 +26,6 @@ import itertools
 import math
 import re
 from collections import Counter, deque
-from dataclasses import replace
 from math import factorial
 
 import numpy as np
@@ -229,7 +229,7 @@ def emit_value_controlled(
     if width > circuit.register(reg).width:
         raise ValueError(f"control width {width} exceeds register {reg!r} width")
     qubits = [circuit.qubit(reg, sub, k) for k in range(width)]
-    return circuit.extend([replace(gate, controls=gate.controls + value_controls(qubits, value))])
+    return circuit.extend([gate._replace(controls=gate.controls + value_controls(qubits, value))])
 
 
 def is_word(word) -> bool:
@@ -489,3 +489,19 @@ def sweep_rows(variant: str, n_values, m, encoding: str, p) -> list[tuple[int, i
             qubits += m * n
         rows.append((n, qubits, gates, cycles))
     return rows
+
+
+def weighted_depth(circuit: Circuit, profile) -> int:
+    """``resources.weighted_depth`` as first written: each gate's qubits listed
+    by ``Circuit.gate_qubits``, its start the max of their finish times."""
+    finish = [0] * circuit.num_qubits  # per qubit: when its last gate ends
+    costs: dict[tuple[str, int], int] = {}
+    for gate in circuit.gates:
+        qubits = circuit.gate_qubits(gate)
+        key = (gate.primitive, len(gate.controls))
+        if key not in costs:
+            costs[key] = profile.cost(*key)
+        end = max([finish[q] for q in qubits]) + costs[key]
+        for q in qubits:
+            finish[q] = end
+    return max(finish, default=0)

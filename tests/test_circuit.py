@@ -249,10 +249,11 @@ def test_huge_registers_are_resolved_without_tables():
     assert peak < 2**16, f"peak {peak} B"
 
 
-@pytest.mark.parametrize("bad", [True, 1.0, -1, 4, 2**64, "1", None],
-                         ids=["bool", "float", "negative", "out-of-range", "huge", "str", "none"])
+@pytest.mark.parametrize("bad", [True, 1.0, -1, 4, 2**64, "1", None, [1]],
+                         ids=["bool", "float", "negative", "out-of-range", "huge", "str", "none", "list"])
 def test_append_rejects_an_operand_that_is_not_a_qubit_index(bad):
-    # True == 1 == 1.0 and they hash alike, so a lookup by value would admit them
+    # True == 1 == 1.0 and they hash alike, so a lookup by value would admit them;
+    # a list cannot be hashed, so an operand hashed before its type check raises TypeError
     c = Circuit([("perm", 2, 2)])
     for gate in (gate_x(bad), gate_x(0, (ctrl(bad),)), gate_h(bad, (ctrl(2),)), gate_x(0, (ctrl(2), ctrl(bad)))):
         with pytest.raises(ValueError, match="is not an int in range"):
@@ -287,3 +288,31 @@ def test_extend_checks_each_distinct_gate_object_once(monkeypatch):
     assert len(c.gates) == 6 and len(checked) == 3
     c.extend([x])  # a new call checks again
     assert len(checked) == 4
+
+
+def test_check_reports_the_first_fault_in_a_fixed_order():
+    # primitive, angle, control values, control qubits, target, overlap: each
+    # gate below mends the fault its predecessor was refused for
+    c = Circuit([("a", 1, 2)])
+    for gate, message in [
+        (Gate("SWAP", 0.5, 9, (Control(8, 2),)), "unknown primitive 'SWAP'"),
+        (Gate("X", 0.5, 9, (Control(8, 2),)), "angle must be present iff"),
+        (Gate("X", None, 9, (Control(8, True),)), "control value must be the int 0 or 1, got True"),
+        (Gate("X", None, 9, (Control(8, 1),)), r"qubit 8 is not an int in range\(2\)"),
+        (Gate("X", None, 9, (Control(0, 1),)), r"qubit 9 is not an int in range\(2\)"),
+        (Gate("X", None, 0, (Control(0, 1),)), "overlap"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            c.extend([gate])
+    assert c.gates == []
+
+
+def test_ir_values_are_immutable_named_tuples():
+    gate, control = gate_x(0, (ctrl(1),)), ctrl(1)
+    with pytest.raises(AttributeError):
+        gate.target = 1
+    with pytest.raises(AttributeError):
+        control.value = 0
+    primitive, angle, target, controls = gate
+    assert (primitive, angle, target, controls) == ("X", None, 0, ((1, 1),))
+    assert gate._replace(target=2) == gate_x(2, (ctrl(1),)) and gate.target == 0

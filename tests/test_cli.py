@@ -202,11 +202,26 @@ def test_sample_deterministic(capsys):
 
 
 def test_sample_zero_shots_writes_nothing(tmp_path, capsys):
-    assert run_cli("sample", "--n", "3", "--shots", "0") == 0
-    assert capsys.readouterr().out == ""
+    # 0 shots pass the n x shots cap at any n, so no step range of n entries may be built
+    for n in (3, 10**20):
+        assert run_cli("sample", "--n", str(n), "--shots", "0") == 0
+        assert capsys.readouterr() == ("", "")
     out = tmp_path / "words.txt"
     assert run_cli("sample", "--n", "3", "--shots", "0", "--out", str(out)) == 0
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--variant", "A", "--n-max", "3"), ("sample", "--n", "4", "--shots", "3"),
+    ("build", "--variant", "A", "--n", "3", "--format", "qasm"), ("count", "--variant", "C", "--n", "3", "--m", "1"),
+], ids=["table", "sample", "build", "count"])
+def test_out_dash_writes_to_stdout(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 0
+    expected = capsys.readouterr().out
+    assert run_cli(*argv, "--out", "-") == 0
+    assert capsys.readouterr() == (expected, "")
+    assert expected and list(tmp_path.iterdir()) == []  # no file named "-"
 
 
 # SHA-256 of `sample` stdout, taken when each word was drawn with one scalar

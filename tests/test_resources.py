@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
+from qshuffle.circuit import PRIMITIVES, ROTATIONS, Circuit, Control, Gate
 from qshuffle.resources import (
     CostProfile,
     cycle_count_formula,
@@ -18,8 +19,10 @@ from qshuffle.resources import (
     u_cycle_count_formula,
     u_gate_count_formula,
     v_gate_count_formula,
+    weighted_depth,
 )
 from oracles import sweep_rows
+from oracles import weighted_depth as reference_weighted_depth
 
 
 def test_qubit_formula_examples():
@@ -217,3 +220,31 @@ def test_formulas_match_measured_over_random_profiles(profile, n, m):
 def test_scaling_table_equals_the_per_iteration_oracle(variant, encoding, profile, n_values, m):
     m = m if variant in ("B", "Bt", "C") else None
     assert scaling_table(variant, n_values, encoding, m, profile) == sweep_rows(variant, n_values, m, encoding, profile)
+
+
+_MOST_CONTROLS = {"X": 4, "H": 1, "RY": 1, "RZ": 0}  # the counting alphabet's classes
+
+
+@st.composite
+def countable_circuits(draw):
+    """Random circuits of counting-alphabet gates: rotations, mixed-polarity
+    controls, up to 4 controls on X, and gate objects repeated in the list."""
+    c = Circuit([("q", 1, draw(st.integers(1, 6)))])
+    pool = []
+    for _ in range(draw(st.integers(0, 12))):
+        primitive = draw(st.sampled_from(PRIMITIVES))
+        arity = draw(st.integers(0, min(_MOST_CONTROLS[primitive], c.num_qubits - 1)))
+        qubits = draw(st.permutations(range(c.num_qubits)))[:arity + 1]
+        angle = draw(st.floats(-7, 7)) if primitive in ROTATIONS else None
+        controls = tuple(Control(q, draw(st.integers(0, 1))) for q in qubits[1:])
+        pool.append(Gate(primitive, angle, qubits[0], controls))
+    if pool:
+        c.extend(draw(st.lists(st.sampled_from(pool), max_size=40)))
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=countable_circuits(), profile=profiles)
+@example(circuit=build(BuildSpec("B", 5, 2)), profile=CostProfile(cx=0, mcx={3: 7}, mcx_rule="derived"))
+def test_weighted_depth_equals_the_gate_by_gate_oracle(circuit, profile):
+    assert weighted_depth(circuit, profile) == reference_weighted_depth(circuit, profile)
