@@ -2,10 +2,12 @@
 
 Subcommands: build, simulate, verify, count, table, sample, prep.
 Exit codes: 0 success, 1 verification failure, 2 size cap (a simulation of
-more than 63 qubits or more than simulator.MAX_BRANCHES live branches, a
-build, count or verify of more than MAX_GATES counting-level gates, a prep of
-more than MAX_GATES gates, a table of more than MAX_ROWS rows, a simulate of
-more than MAX_SHOTS shots, or a sample of more than MAX_SHOTS word entries),
+more than 63 qubits, which ``simulate`` refuses once a file's register table
+is read and before any gate is built, or of more than simulator.MAX_BRANCHES
+live branches, a build, count or verify of more than MAX_GATES counting-level
+gates, a prep of more than MAX_GATES gates, a table of more than MAX_ROWS
+rows, a simulate of more than MAX_SHOTS shots, or a sample of more than
+MAX_SHOTS word entries),
 64 usage error (a bad cost profile too), 74 I/O error or malformed circuit
 file.  ``--out FILE`` writes a command's output to FILE; ``--out -`` or no
 ``--out`` writes it to stdout.
@@ -32,7 +34,7 @@ from .lowering import lower_circuit
 from .prep import build_u, build_v
 from .resources import (CostProfile, gate_count_formula, resource_report, scaling_table,
                         u_gate_count_formula, v_gate_count_formula)
-from .serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
+from .serialize import circuit_to_json, circuit_to_qasm, read_gates, read_registers
 from .simulator import SimulationCapExceeded
 from .verify import DEFAULT_SEED, DEFAULT_TOL, verify_spec
 
@@ -135,7 +137,11 @@ def cmd_simulate(parser, args) -> int:
         parser.exit(EX_CAP, f"{PROG}: simulate --shots {args.shots} is over the shot cap of {MAX_SHOTS}\n")
     with open(args.circuit, encoding="utf-8") as handle:
         try:
-            circuit = circuit_from_json(handle.read())
+            circuit, records = read_registers(handle.read())
+            simulator.check_width(circuit)  # before any gate is built
+            circuit = read_gates(circuit, records)
+        except SimulationCapExceeded:
+            raise
         except (KeyError, TypeError, ValueError, RecursionError) as exc:  # Unicode/JSONDecodeError too
             sys.stderr.write(f"cannot read circuit {args.circuit}: {exc}\n")
             return EX_IOERR

@@ -13,7 +13,12 @@ gate record has one target, except that a SWAP record with two targets and no
 angle is read as the three X gates of ``lowering.swap_gates``; the IR has no
 SWAP.  The reader resolves each int address once and makes the gates of each
 distinct record once, keyed on the angle's repr (-0.0 is not 0.0) and on int
-control values only (True == 1 == 1.0), so ``extend`` checks each once.  The
+control values only (True == 1 == 1.0), so ``extend`` checks each once.  It
+reads in two steps, ``read_registers`` (the parse and the register table) and
+``read_gates``, so that a caller can refuse a circuit by its width before any
+gate is built, and runs each with the cyclic garbage collector paused: the
+parse and the gates make many objects and no cycle, and at A n=64 the
+collector's walks were 40 % of a load.  The
 text is ``json.dumps`` of that schema byte for byte, but written without the
 nested dicts: each distinct qubit and control is encoded once per call and its
 fragment reused.  Both emitters encode each distinct gate object once per call,
@@ -27,6 +32,8 @@ control becomes a ctrl/negctrl modifier, in control-list order.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 
 from .circuit import Circuit, Control, Gate
@@ -74,10 +81,34 @@ def circuit_to_json(circuit: Circuit) -> str:
             f'"metadata": {json.dumps(circuit.metadata)}}}')
 
 
-def circuit_from_json(text: str) -> Circuit:
+def _gc_paused(read):
+    """``read`` with the cyclic garbage collector paused, as the caller left it
+    afterwards: its parse and gates make many objects and no cycle."""
+    @functools.wraps(read)
+    def paused(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return read(*args)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_gc_paused
+def read_registers(text: str) -> tuple[Circuit, list]:
+    """The first step of ``circuit_from_json``: the circuit with its registers
+    and metadata and no gates, and the file's gate records."""
     data = json.loads(text)
     circuit = Circuit([(r["name"], r["count"], r["width"]) for r in data["registers"]],
                       data.get("metadata") or {})
+    return circuit, data["gates"]
+
+
+@_gc_paused
+def read_gates(circuit: Circuit, records: list) -> Circuit:
+    """The second step of ``circuit_from_json``: append the gates of ``records``."""
     indices, gates = {}, {}
 
     def index(ref) -> int:  # Circuit.qubit checks each exact address once, any other each time
@@ -106,7 +137,11 @@ def circuit_from_json(text: str) -> Circuit:
         return gates[key]
 
     # reads and checks the gates in file order
-    return circuit.extend(gate for record in data["gates"] for gate in read(record))
+    return circuit.extend(gate for record in records for gate in read(record))
+
+
+def circuit_from_json(text: str) -> Circuit:
+    return read_gates(*read_registers(text))
 
 
 def _qasm_gate(gate: Gate, operands: list[str]) -> str:

@@ -566,6 +566,22 @@ def test_simulate_cap_exit_code(tmp_path, capsys, qubits, hadamards, message):
     assert err.count("\n") == 1 and message in err
 
 
+def test_simulate_refuses_a_wide_file_before_building_a_gate(tmp_path, capsys, monkeypatch):
+    # the register table alone exceeds the qubit cap: no gate record is read,
+    # so a malformed one (an unknown register) exits 2 too, not 74
+    from qshuffle.circuit import Circuit
+
+    def extend(self, gates):
+        raise AssertionError("a gate was built")
+
+    monkeypatch.setattr(Circuit, "extend", extend)
+    gates = [_gate("H", [_ref("q", 0, k)]) for k in range(64)] + [_gate("X", [_ref("nowhere", 0, 0)])]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"registers": [{"name": "q", "count": 1, "width": 64}], "gates": gates}))
+    assert run_cli("simulate", "--circuit", str(path)) == 2
+    assert capsys.readouterr().err == "64 qubits exceeds the simulation cap of 63\n"
+
+
 def test_verify_spec_cap_raises():
     with pytest.raises(SimulationCapExceeded):
         verify_spec(BuildSpec("A", 12))

@@ -28,7 +28,7 @@ from oracles import (
 from qshuffle import simulator
 from qshuffle.builders import BuildSpec, build
 from qshuffle.circuit import Circuit, Control, Gate, ctrl, gate_h, gate_ry, gate_rz, gate_x
-from qshuffle.lowering import lower_circuit, swap_gates
+from qshuffle.lowering import eliminate_negative_controls, lower_circuit, lower_toffoli, swap_gates
 from qshuffle.serialize import circuit_from_json
 from qshuffle.simulator import SimulationCapExceeded
 
@@ -159,17 +159,31 @@ def test_simulation_cap():
 
 def test_branch_cap_stops_a_wide_superposition():
     # H on each of 21 qubits would make 2^21 > MAX_BRANCHES branches: the
-    # guard trips after the 20th H, with no more than a few branch-sized arrays
-    c = Circuit([("q", 1, 21)])
-    c.extend(gate_h(q(k)) for k in range(21))
-    tracemalloc.start()
-    try:
-        with pytest.raises(SimulationCapExceeded, match="branches exceed"):
-            simulator.run(c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * simulator.MAX_BRANCHES * 24  # 24 bytes a branch: int64 index + complex128
+    # guard trips after the 20th H, with no more than a few branch-sized arrays;
+    # with X flips after each H the circuit repeats its gates, so run folds the
+    # flips and applies each H on its own, guarded
+    for flips in (0, 4):
+        c = Circuit([("q", 1, 21)])
+        c.extend(g for k in range(21) for g in [gate_h(q(k))] + [gate_x(q(k))] * flips)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationCapExceeded, match="branches exceed"):
+                simulator.run(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * simulator.MAX_BRANCHES * 24  # 24 bytes a branch: int64 index + complex128
+
+
+def test_run_gives_evolves_branch_table_on_full_a5_clean():
+    # the fully lowered A n=5 in clean mode is a wrong build whose exact branch
+    # set a benchmark pins; folding its Toffoli networks must keep every branch
+    c = lower_circuit(build(BuildSpec("A", 5)), "full", "clean")
+    folded = simulator.branch_table(simulator.run(c), c)
+    *_, last = simulator.evolve(c)
+    per_gate = simulator.branch_table(last, c)
+    assert [regs for regs, _ in folded] == [regs for regs, _ in per_gate] and len(folded) == 120
+    assert max(abs(a - b) for (_, a), (_, b) in zip(folded, per_gate)) < 1e-12
 
 
 def test_states_equal_up_to_phase():
@@ -350,20 +364,39 @@ def random_circuits(draw):
     n = draw(st.integers(1, 8))
     c = Circuit([("q", 1, n)])
 
-    def gate():
+    def gate(qubits):
         primitive = draw(st.sampled_from(("X", "H", "RY", "RZ")))
-        target, *others = draw(st.permutations(range(n)))
-        num_controls = draw(st.integers(0, min(2, n - 1)))
+        target, *others = draw(st.permutations(qubits))
+        num_controls = draw(st.integers(0, min(2, len(others))))
         controls = tuple(Control(q(k), draw(st.integers(0, 1))) for k in others[:num_controls])
         angle = draw(st.floats(-2 * np.pi, 2 * np.pi)) if primitive in ("RY", "RZ") else None
         return Gate(primitive, angle, q(target), controls)
 
-    # half the circuits draw every gate from a pool of shared Gate objects, so one
+    def piece():
+        # one gate, a run of gates on at most 3 qubits, or Toffoli networks with
+        # mixed-polarity controls on one or two random triples (one shape when
+        # they do not overlap): runs the simulator folds whole, in part (a
+        # monomial prefix) or not at all
+        kind = draw(st.sampled_from(("gate", "run", "network")[:2 + (n >= 3)]))
+        if kind == "gate":
+            return [gate(range(n))]
+        if kind == "run":
+            qubits = draw(st.permutations(range(n)))[:3]
+            return [gate(qubits) for _ in range(draw(st.integers(2, 6)))]
+        values = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        triples = [draw(st.permutations(range(n)))[:3] for _ in range(draw(st.integers(1, 2)))]
+        toffolis = [Gate("X", None, q(t), (Control(q(a), values[0]), Control(q(b), values[1])))
+                    for a, b, t in triples]
+        return [h for toffoli in toffolis for g in eliminate_negative_controls(toffoli)
+                for h in (lower_toffoli(g) if len(g.controls) == 2 else [g])]
+
+    # half the circuits draw every piece from a pool of shared pieces, so one
     # object recurs on changed states, as in a lowered circuit: the simulator
-    # resolves each object once per call
-    pool = [gate() for _ in range(draw(st.integers(1, 3)))] if draw(st.booleans()) else None
-    for _ in range(draw(st.integers(0, 30))):
-        c.extend([draw(st.sampled_from(pool)) if pool else gate()])
+    # resolves each object once per call, and run folds the runs of circuits
+    # that repeat their gates
+    pool = [piece() for _ in range(draw(st.integers(1, 3)))] if draw(st.booleans()) else None
+    for _ in range(draw(st.integers(0, 20))):
+        c.extend(draw(st.sampled_from(pool)) if pool else piece())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps[rng.random(1 << n) < draw(st.sampled_from((0.0, 0.5, 0.9)))] = 0.0  # some sparse starts
@@ -385,6 +418,10 @@ def test_sparse_matches_dense_oracle(case):
         want = dense_run(Circuit([("q", 1, c.num_qubits)]).extend([gate]), before)
         assert np.max(np.abs(after - want)) <= 1e-12
         before = after
+    # run, which folds monomial runs into table passes, against the whole dense
+    # circuit: the same bound once per gate, as the drops add up (evolve's last
+    # state drifts up to 1.8e-12 from dense_run over 1,000 of these circuits)
+    assert np.max(np.abs(run(c, amps) - dense_run(c, amps))) <= 1e-12 * max(1, len(c.gates))
 
 
 def test_norm_squared_builds_no_list_of_the_state():
