@@ -25,16 +25,13 @@ from .lowering import (
 from .prep import build_u, build_v, u_gates, v_gates
 from .resources import (
     CostProfile,
-    MeasuredResources,
     ResourceReport,
     cycle_count_formula,
     gate_count_formula,
-    measure_circuit,
     qubit_count_formula,
     resource_report,
     scaling_table,
-    u_cycle_count_formula,
-    u_gate_count_formula,
+    u_counts,
     v_gate_count_formula,
 )
 from .serialize import circuit_from_json, circuit_to_json, circuit_to_qasm

@@ -92,20 +92,18 @@ class Circuit:
     """
 
     def __init__(self, registers, metadata: dict | None = None):
-        regs = []
-        for r in registers:
-            regs.append(r if isinstance(r, Register) else Register(*r))
-        self._by_name: dict[str, Register] = {r.name: r for r in regs}
-        if len(self._by_name) != len(regs):
-            raise ValueError(f"duplicate register name in {[r.name for r in regs]}")
-        self._layout: dict[str, tuple[int, int, int]] = {}  # name -> (offset, count, width)
+        regs = [r if isinstance(r, Register) else Register(*r) for r in registers]
+        names = [r.name for r in regs]
+        if len(set(names)) != len(regs):
+            raise ValueError(f"duplicate register name in {names}")
+        self._layout: dict[str, tuple[int, Register]] = {}  # name -> (offset, register)
         offset = 0
         for r in regs:
             if type(r.name) is not str:
                 raise ValueError(f"register name {r.name!r} is not a string")
             if type(r.count) is not int or type(r.width) is not int or min(r.count, r.width) < 1:
                 raise ValueError(f"register {r.name!r} must have integer count >= 1 and width >= 1")
-            self._layout[r.name] = (offset, r.count, r.width)
+            self._layout[r.name] = (offset, r)
             offset += r.count * r.width
         self.num_qubits: int = offset
         self.registers: tuple[Register, ...] = tuple(regs)
@@ -113,10 +111,10 @@ class Circuit:
         self.gates: list[Gate] = []
 
     def register(self, name: str) -> Register:
-        reg = self._by_name.get(name)
-        if reg is None:
+        entry = self._layout.get(name)
+        if entry is None:
             raise ValueError(f"unknown register {name!r}")
-        return reg
+        return entry[1]
 
     def qubit(self, reg: str, sub: int | None, bit: int) -> int:
         """Global index of ``bit`` (from the LSB) of subregister ``sub`` of
@@ -124,21 +122,21 @@ class Circuit:
         entry = self._layout.get(reg)
         if entry is None:
             raise ValueError(f"unknown register {reg!r}")
-        offset, count, width = entry
+        offset, r = entry
         sub = 0 if sub is None else sub
-        if type(sub) is not int or not 0 <= sub < count:
-            raise ValueError(f"subregister {reg}:{sub!r} not an int in range (count {count})")
-        if type(bit) is not int or not 0 <= bit < width:
-            raise ValueError(f"bit {bit!r} not an int in range for {reg} (width {width})")
-        return offset + sub * width + bit
+        if type(sub) is not int or not 0 <= sub < r.count:
+            raise ValueError(f"subregister {reg}:{sub!r} not an int in range (count {r.count})")
+        if type(bit) is not int or not 0 <= bit < r.width:
+            raise ValueError(f"bit {bit!r} not an int in range for {reg} (width {r.width})")
+        return offset + sub * r.width + bit
 
     def ref_of(self, index: int) -> tuple[str, int, int]:
         """The (register, subregister, bit) address of a global index: the inverse of ``qubit``."""
         if not 0 <= index < self.num_qubits:
             raise ValueError(f"qubit index {index} out of range")
-        for name, (offset, count, width) in self._layout.items():
-            if index < offset + count * width:
-                return (name, *divmod(index - offset, width))
+        for name, (offset, r) in self._layout.items():
+            if index < offset + r.count * r.width:
+                return (name, *divmod(index - offset, r.width))
         raise AssertionError("unreachable")
 
     def register_qubits(self, name: str) -> list[int]:
@@ -192,9 +190,6 @@ class Circuit:
         self.gates += gates
         return self
 
-    def copy_empty(self) -> "Circuit":
-        return Circuit(self.registers, self.metadata)
-
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -220,10 +215,7 @@ def cost_class(primitive: str, num_controls: int) -> str:
     return cls
 
 
-def _arity_counts(circuit: Circuit) -> Counter:
-    return Counter((primitive, len(controls)) for primitive, _, _, controls in circuit.gates)
-
-
 def count_primitives(circuit: Circuit, profile) -> int | float:
     """Total weighted gate count: sum of profile costs per (primitive, arity) class."""
-    return sum(k * profile.cost(p, m) for (p, m), k in _arity_counts(circuit).items())
+    counts = Counter((primitive, len(controls)) for primitive, _, _, controls in circuit.gates)
+    return sum(k * profile.cost(p, m) for (p, m), k in counts.items())

@@ -32,8 +32,8 @@ from . import simulator
 from .builders import ENCODINGS, VARIANTS, BuildSpec, build
 from .lowering import lower_circuit
 from .prep import build_u, build_v
-from .resources import (CostProfile, gate_count_formula, resource_report, scaling_table,
-                        u_gate_count_formula, v_gate_count_formula)
+from .resources import (CostProfile, gate_count_formula, resource_report, scaling_table, u_counts,
+                        v_gate_count_formula)
 from .serialize import circuit_to_json, circuit_to_qasm, read_gates, read_registers
 from .simulator import SimulationCapExceeded
 from .verify import DEFAULT_SEED, DEFAULT_TOL, verify_spec
@@ -121,7 +121,7 @@ def cmd_build(parser, args) -> int:
 def cmd_prep(parser, args) -> int:
     if args.i < 1:
         parser.error("--i must be >= 1")
-    gates = (u_gate_count_formula if args.encoding == "binary" else v_gate_count_formula)(args.i)
+    gates = u_counts(args.i)[0] if args.encoding == "binary" else v_gate_count_formula(args.i)
     if gates > MAX_GATES:
         parser.exit(EX_CAP, f"{PROG}: prep --i {args.i} has {gates} gates, "
                             f"over the size cap of {MAX_GATES}\n")
@@ -155,7 +155,7 @@ def cmd_simulate(parser, args) -> int:
         ],
     }
     if args.shots:
-        decode = simulator._decoder(circuit)
+        decode = simulator.decoder(circuit)
         rows = sorted((list(decode(index).values()), count)
                       for index, count in simulator.sample(state, args.shots, args.seed).items())
         payload["histogram"] = {"|".join(f"{r.name}=" + ",".join(map(str, subs))

@@ -156,7 +156,7 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
     """
     if level not in LOWERING_LEVELS:
         raise ValueError(f"unknown lowering level {level!r}")
-    out = circuit.copy_empty()
+    out = Circuit(circuit.registers, circuit.metadata)
     out.metadata["lowering"] = level
     if level == "counting":
         return out.extend(circuit.gates)

@@ -34,13 +34,6 @@ from math import acos, sqrt
 from .circuit import Circuit, Gate, ctrl, gate_h, gate_ry, gate_x
 
 
-def binary_width(i: int) -> int:
-    """Qubits needed to store any value 0..i (floor(log2 i) + 1)."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    return i.bit_length()
-
-
 def u_gates(i: int, qubits) -> list[Gate]:
     """Gate list of the binary uniform prep for 0..i; bit k is qubit ``qubits[k]``."""
     if i < 1:
@@ -48,7 +41,7 @@ def u_gates(i: int, qubits) -> list[Gate]:
     m = i + 1
     q = qubits.__getitem__
     if m & (m - 1) == 0:  # power of two: one Hadamard per qubit
-        return [gate_h(q(bit)) for bit in range(binary_width(i))]
+        return [gate_h(q(bit)) for bit in range(i.bit_length())]
     s = [bit for bit in range(m.bit_length()) if (m >> bit) & 1]
     k = len(s)
     prefix = [2 ** s[0]]
@@ -82,7 +75,7 @@ def v_gates(i: int, qubits) -> list[Gate]:
 
 def build_u(i: int) -> Circuit:
     """Binary uniform prep as a standalone circuit on one register."""
-    circuit = Circuit([("q", 1, binary_width(i))], {"prep": "u", "i": i, "encoding": "binary"})
+    circuit = Circuit([("q", 1, i.bit_length())], {"prep": "u", "i": i, "encoding": "binary"})
     return circuit.extend(u_gates(i, circuit.register_qubits("q")))
 
 

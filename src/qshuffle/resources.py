@@ -13,14 +13,15 @@ gate count integer-for-integer.  Cycle formulas are upper bounds: they
 serialise iterations and subroutines (only the permutation-register
 initialisation and, for entangling variants, the per-iteration
 preparations parallelise), so the measured weighted depth never exceeds
-them.
+them.  ``resource_report`` puts the formulas beside the circuit's qubit
+count, ``count_primitives`` and ``weighted_depth``.
 
 Notation: b(i) = bitlen(i) ancilla bits carry iteration i's draw,
 hamming(k) counts set bits (the X-cascade writing or clearing |k>), and
 w = ceil(log2 n) is the permutation subregister width (1 at n = 1, where the
 builders pad every register to one qubit, the one-hot ancilla too).
 
-The four formulas and ``scaling_table`` read one sweep over the builders'
+The count formulas and ``scaling_table`` read one sweep over the builders'
 iterations i = 1..n-1, which keeps running sums of the per-iteration terms
   init         hamming(i) X gates writing i into perm subregister i,
   prep_gates   gates of the uniform prep over 0..i (U binary, V one-hot),
@@ -95,15 +96,16 @@ class CostProfile:
         if "mcx" in data:
             if not isinstance(data["mcx"], dict):
                 raise ValueError("mcx must map arities to costs")
+            bad = [k for k in data["mcx"] if not (k.isdecimal() and k == str(int(k)))]
+            if bad:  # one spelling per arity: "3", never "03", "+3", " 3", "3_0" or "٣"
+                raise ValueError(f"mcx keys {bad} are not arities written as plain decimals")
             kwargs["mcx"] = {int(k): v for k, v in data["mcx"].items()}
-            if len(kwargs["mcx"]) != len(data["mcx"]):
-                raise ValueError(f"mcx keys {sorted(data['mcx'])} name one arity twice")
         if "mcx_rule" in data:
             kwargs["mcx_rule"] = data["mcx_rule"]
         return cls(**kwargs)
 
 
-def _u_counts(i: int, profile: CostProfile | None) -> tuple[int, int]:
+def u_counts(i: int, profile: CostProfile | None = None) -> tuple[int, int]:
     """(gates, cycles) of the binary uniform prep over 0..i; its H prefix is one layer."""
     p = profile or CostProfile.unit()
     m = i + 1
@@ -112,16 +114,6 @@ def _u_counts(i: int, profile: CostProfile | None) -> tuple[int, int]:
         return s0 * p.h, p.h
     rest = p.ry + (m.bit_count() - 1) * p.cry + (top - s0) * p.ch
     return s0 * p.h + rest, min(1, s0) * p.h + rest
-
-
-def u_gate_count_formula(i: int, profile: CostProfile | None = None) -> int:
-    """Gate count of the binary uniform prep over 0..i."""
-    return _u_counts(i, profile)[0]
-
-
-def u_cycle_count_formula(i: int, profile: CostProfile | None = None) -> int:
-    """Cycle count of the binary uniform prep: only the H prefix parallelises."""
-    return _u_counts(i, profile)[1]
 
 
 def v_gate_count_formula(i: int, profile: CostProfile | None = None) -> int:
@@ -151,7 +143,7 @@ def _sweep(variant: str, n_values, m: int | None, encoding: str,
             b, h = i.bit_length(), i.bit_count()
             init += h * p.x
             if binary:
-                g, c = _u_counts(i, p)
+                g, c = u_counts(i, p)
             else:  # one-hot: a sequential chain
                 g = c = v_gate_count_formula(i, p)
             prep_gates += g
@@ -197,13 +189,6 @@ def cycle_count_formula(variant: str, n: int, m: int | None = None, encoding: st
     return next(_sweep(variant, [n], m, encoding, profile))[3]
 
 
-@dataclass(frozen=True)
-class MeasuredResources:
-    gates: int
-    depth: int
-    qubits: int
-
-
 def weighted_depth(circuit: Circuit, profile: CostProfile) -> int:
     """Weighted critical path: every gate starts as soon as its qubits are
     free and lasts its cost.  Under unit costs this is the ASAP layer count."""
@@ -221,17 +206,6 @@ def weighted_depth(circuit: Circuit, profile: CostProfile) -> int:
         for c in controls:
             finish[c.qubit] = end
     return max(finish, default=0)
-
-
-def measure_circuit(circuit: Circuit, profile: CostProfile | None = None) -> MeasuredResources:
-    """Weighted gate count, weighted depth and qubit total of a
-    counting-level circuit."""
-    p = profile or CostProfile.unit()
-    return MeasuredResources(
-        gates=count_primitives(circuit, p),
-        depth=weighted_depth(circuit, p),
-        qubits=circuit.num_qubits,
-    )
 
 
 @dataclass(frozen=True)
@@ -263,7 +237,7 @@ class ResourceReport:
 def resource_report(spec: BuildSpec, profile: CostProfile | None = None,
                     circuit: Circuit | None = None) -> ResourceReport:
     p = profile or CostProfile.unit()
-    measured = measure_circuit(circuit if circuit is not None else build(spec), p)
+    circuit = circuit if circuit is not None else build(spec)
     _, qubits, gates, cycles = next(_sweep(spec.variant, [spec.n], spec.m, spec.encoding, p))
     return ResourceReport(
         variant=spec.variant,
@@ -273,9 +247,9 @@ def resource_report(spec: BuildSpec, profile: CostProfile | None = None,
         qubits_formula=qubits,
         gates_formula=gates,
         cycles_formula=cycles,
-        qubits_measured=measured.qubits,
-        gates_measured=measured.gates,
-        depth_measured=measured.depth,
+        qubits_measured=circuit.num_qubits,
+        gates_measured=count_primitives(circuit, p),
+        depth_measured=weighted_depth(circuit, p),
     )
 
 

@@ -178,14 +178,13 @@ class _Tables:
     per shape: its gates with their qubits renumbered in order of first use."""
 
     def __init__(self, distinct: dict, resolved: dict):
+        self.resolved = resolved  # id -> ``_resolve``(gate), whose last entry is its 2x2 matrix
         self.parts = {}  # id -> (form, qubit bits: controls, then target)
-        self.unitaries = {}  # form -> the gate's 2x2 matrix (``_resolve``)
         for key, gate in distinct.items():
             primitive, angle, target, controls = gate
             form = primitive, repr(angle), tuple([c.value for c in controls])
             self.parts[key] = form, (*[1 << c.qubit for c in controls], 1 << target)
-            self.unitaries[form] = resolved[key][4]
-        self.matrices, self.shapes, self.spreads = {}, {}, {}
+        self.matrices, self.shapes = {}, {}
 
     def table(self, gates: list):
         """(length, mask, patterns, moves, phases) of the longest prefix of at
@@ -201,27 +200,26 @@ class _Tables:
             shape.append((form, tuple([local[b] for b in bits])))
         shape = tuple(shape)
         if shape not in self.shapes:
-            self.shapes[shape] = self._compile(shape, 1 << len(local))
+            self.shapes[shape] = self._compile(shape, 1 << len(local),
+                                               [self.resolved[id(gate)][4] for gate in gates])
         if self.shapes[shape] is None:
             return None
         length, moves, phases = self.shapes[shape]
-        bits = tuple(local)
-        if bits not in self.spreads:  # the global bits of each local code, and their sort order
-            spread = [0]
-            for b in bits:
-                spread += [s | b for s in spread]
-            spread = np.array(spread, dtype=np.int64)
-            self.spreads[bits] = spread, np.argsort(spread)
-        spread, order = self.spreads[bits]
-        return (length, sum(bits), spread[order], spread[moves[order]],
+        spread = [0]  # the global bits of each local code
+        for b in local:
+            spread += [s | b for s in spread]
+        spread = np.array(spread, dtype=np.int64)
+        order = np.argsort(spread)
+        return (length, sum(local), spread[order], spread[moves[order]],
                 None if phases is None else phases[order])
 
-    def _compile(self, shape: tuple, dim: int):
-        """(length, moves, phases) per local code, or None: see ``table``."""
+    def _compile(self, shape: tuple, dim: int, coefficients: list):
+        """(length, moves, phases) per local code, or None: see ``table``;
+        ``coefficients`` holds the 2x2 matrix of each gate of ``shape``."""
         prefixes = np.empty((len(shape), dim, dim), dtype=complex)  # products of the first 1, 2, ... gates
         product = np.eye(dim, dtype=complex)
-        for step, (form, positions) in enumerate(shape):
-            product = prefixes[step] = self._matrix(form, positions, dim) @ product
+        for step, ((form, positions), unitary) in enumerate(zip(shape, coefficients)):
+            product = prefixes[step] = self._matrix(form, positions, dim, unitary) @ product
         live = np.abs(prefixes[1:]) > BRANCH_TOL
         monomial = np.flatnonzero(np.count_nonzero(live, axis=(1, 2)) == dim)  # a unitary: one per column
         if not len(monomial):
@@ -232,8 +230,8 @@ class _Tables:
         phases = prefixes[last + 1][rows, codes]
         return int(last) + 2, rows ^ codes, None if np.all(phases == 1) else phases
 
-    def _matrix(self, form: tuple, positions: tuple, dim: int) -> np.ndarray:
-        """One gate's matrix on ``dim`` local codes."""
+    def _matrix(self, form: tuple, positions: tuple, dim: int, unitary) -> np.ndarray:
+        """One gate's matrix on ``dim`` local codes; ``unitary`` is its 2x2 matrix."""
         key = form, positions, dim
         if key not in self.matrices:
             *controls, target = positions
@@ -242,7 +240,7 @@ class _Tables:
             zero = np.array([r for r in range(dim) if r & mask == value and not r >> target & 1],
                             dtype=np.intp)
             one = zero | (1 << target)
-            (a, b), (c, d) = self.unitaries[form]
+            (a, b), (c, d) = unitary
             matrix = np.eye(dim, dtype=complex)
             matrix[zero, zero], matrix[zero, one], matrix[one, zero], matrix[one, one] = a, b, c, d
             self.matrices[key] = matrix
@@ -283,17 +281,13 @@ def run(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarray]:
     return state
 
 
-def _decoder(circuit: Circuit):
-    """``decode_registers`` for one circuit, each register's subregister start
-    qubits worked out once: for a table or histogram that decodes many indices."""
+def decoder(circuit: Circuit):
+    """A function from a basis-state index to its subregister values, per
+    register name; each register's subregister start qubits are worked out
+    once, for a table or histogram that decodes many indices."""
     layout = [(reg.name, (1 << reg.width) - 1, circuit.register_qubits(reg.name)[::reg.width])
               for reg in circuit.registers]
     return lambda index: {name: [(index >> q) & mask for q in starts] for name, mask, starts in layout}
-
-
-def decode_registers(index: int, circuit: Circuit) -> dict[str, list[int]]:
-    """Subregister values of one basis-state index, per register name."""
-    return _decoder(circuit)(index)
 
 
 def _sorted(state) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +301,7 @@ def branch_table(state, circuit: Circuit):
     order, decoded per register."""
     indices, amplitudes = _sorted(state)
     live = np.abs(amplitudes) > BRANCH_TOL
-    decode = _decoder(circuit)
+    decode = decoder(circuit)
     return [(decode(int(i)), complex(a)) for i, a in zip(indices[live], amplitudes[live])]
 
 

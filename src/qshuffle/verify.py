@@ -124,7 +124,7 @@ def _model_check(name: str, results: dict, tol: float, circuit: Circuit) -> Chec
         i = failing[0]
         _, index, amp, expected = results[i]
         detail = {"iteration": i, "index": index,
-                  "registers": simulator.decode_registers(index, circuit),
+                  "registers": simulator.decoder(circuit)(index),
                   "re": amp.real, "im": amp.imag, "expected": expected}
     return Check(name, not failing, worst, tol, detail)
 

@@ -83,8 +83,9 @@ def sample(state: np.ndarray, shots: int, seed: int, circuit: Circuit, register:
     """``simulator.sample`` keyed by subregister values: those of ``register``,
     or of every register in order, flattened, when it is None."""
     histogram = Counter()
+    decode = simulator.decoder(circuit)
     for index, count in simulator.sample(to_sparse(state), shots, seed).items():
-        decoded = simulator.decode_registers(index, circuit)
+        decoded = decode(index)
         values = decoded.values() if register is None else [decoded[register]]
         histogram[tuple(v for subs in values for v in subs)] += count
     return histogram

@@ -17,7 +17,7 @@ from qshuffle.builders import BuildSpec, build, build_with_checkpoints
 from qshuffle.circuit import Circuit, Control, Gate
 from qshuffle.lowering import lower_circuit, lower_mcx, lower_toffoli
 from qshuffle.prep import build_u
-from qshuffle.resources import measure_circuit, resource_report, u_gate_count_formula
+from qshuffle.resources import CostProfile, resource_report, u_counts, weighted_depth
 from oracles import (
     assert_register_disentangled,
     branch_table,
@@ -129,10 +129,10 @@ def test_criterion_05_uniform_prep_counts_and_states():
     ok = True
     for i in range(1, 65):
         circuit = build_u(i)
-        ok &= sum(primitive_multiset(circuit).values()) == u_gate_count_formula(i)
+        ok &= sum(primitive_multiset(circuit).values()) == u_counts(i)[0]
         if (i + 1) & i == 0:
             ok &= primitive_multiset(circuit) == {"H": (i + 1).bit_length() - 1}
-            ok &= measure_circuit(circuit).depth == 1
+            ok &= weighted_depth(circuit, CostProfile()) == 1
     for i in range(1, 32):
         state = run(build_u(i))
         want = np.zeros(len(state))

@@ -9,7 +9,7 @@ import pytest
 from qshuffle.builders import (ENCODINGS, VARIANTS, BuildSpec, build, build_with_checkpoints, init_identity_word,
                                register_layout)
 from qshuffle.circuit import Circuit
-from qshuffle.resources import measure_circuit
+from qshuffle.resources import CostProfile, weighted_depth
 from oracles import (assert_register_disentangled, branch_table, build_via_swap_gates, decode_draws,
                      evolve, marginal_probabilities, primitive_multiset, replay_reversed_fisher_yates, run)
 
@@ -40,7 +40,7 @@ def test_init_identity_word_counts():
     c = Circuit([("perm", 4, 2)])
     init_identity_word(c, 4)
     assert primitive_multiset(c) == {"X": 4}  # hamming(1)+hamming(2)+hamming(3)
-    assert measure_circuit(c).depth == 1  # all on distinct qubits
+    assert weighted_depth(c, CostProfile()) == 1  # all on distinct qubits
 
 
 def test_init_identity_word_state():

@@ -17,7 +17,7 @@ from qshuffle.circuit import (
     gate_x,
     value_controls,
 )
-from qshuffle.resources import CostProfile, measure_circuit
+from qshuffle.resources import CostProfile, weighted_depth
 from qshuffle.serialize import circuit_from_json
 from oracles import emit_value_controlled, primitive_class, primitive_multiset
 
@@ -139,17 +139,17 @@ def test_value_controls_lsb_first():
 def test_schedule_parallel_x_layer():
     c = Circuit([("p", 5, 1)])
     c.extend(gate_x(c.qubit("p", k, 0)) for k in range(1, 5))
-    assert measure_circuit(c).depth == 1
+    assert weighted_depth(c, CostProfile()) == 1
 
 
 def test_schedule_serial_on_shared_qubit():
     c = Circuit([("q", 1, 1)])
     c.extend([gate_x(0), gate_h(0)])
-    assert measure_circuit(c).depth == 2
+    assert weighted_depth(c, CostProfile()) == 2
 
 
 def test_schedule_empty_circuit():
-    assert measure_circuit(Circuit([("q", 1, 1)])).depth == 0
+    assert weighted_depth(Circuit([("q", 1, 1)]), CostProfile()) == 0
 
 
 @st.composite
@@ -174,14 +174,14 @@ def random_circuits(draw):
 @given(random_circuits())
 @settings(max_examples=30, deadline=None)
 def test_schedule_depth_bounded_by_gate_count(c):
-    assert measure_circuit(c).depth <= len(c.gates)
+    assert weighted_depth(c, CostProfile()) <= len(c.gates)
 
 
 def test_depth_equals_gate_count_when_sharing_one_qubit():
     c = Circuit([("q", 1, 4)])
     shared = 0
     c.extend([gate_h(shared), gate_x(1, (ctrl(shared),)), gate_x(shared, (ctrl(2),))])
-    assert measure_circuit(c).depth == len(c.gates) == 3
+    assert weighted_depth(c, CostProfile()) == len(c.gates) == 3
 
 
 def test_count_primitives_unit():

@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and file round-trips (all in-process)."""
 
+import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -20,8 +22,9 @@ from hypothesis import strategies as st
 from qshuffle import cli, resources, simulator, verify
 from qshuffle.cli import main
 from qshuffle.verify import verify_spec
-from qshuffle.builders import BuildSpec, build, build_with_checkpoints
-from qshuffle.serialize import circuit_from_json
+from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build, build_with_checkpoints
+from qshuffle.circuit import Circuit, gate_h
+from qshuffle.serialize import circuit_from_json, circuit_to_json
 from oracles import branch_table, run, sample_fisher_yates
 from qshuffle.simulator import SimulationCapExceeded
 
@@ -425,6 +428,9 @@ def test_usage_errors_exit_64(capsys):
                                      {"mcx": {"3": "7"}}, [1, 2], {"mcx": {"1": 3}},
                                      {"mcx": {"-3": 3}}, {"mcx": {"0": 3}},
                                      {"mcx": {"3": 1, "03": 2}},
+                                     # one spelling per arity: str(m)
+                                     {"mcx": {"3_0": 5}}, {"mcx": {" 3": 5}}, {"mcx": {"+3": 5}},
+                                     {"mcx": {"\u0663": 5}}, {"mcx": {"03": 5}},
                                      # bytes: the file as is
                                      pytest.param(b"[" * 100000, id="deep-nesting"),
                                      pytest.param(b'{"X": "\xff"}', id="not-utf-8")])
@@ -681,6 +687,158 @@ def test_simulate_fuzzed_file_exit_codes(field, value):
     assert code in (0, 2, 74)
     if code == 74:
         assert err.count("\n") == 1
+
+
+# the exit-code contract over the whole grammar: argv drawn from build_parser()'s
+# own subcommands, choices and types; sizes are small enough to run at once or
+# just past a cap, which is refused before any work
+
+_SUBCOMMANDS = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+_EXIT_CODES = {cli.EX_OK, cli.EX_FAIL, cli.EX_CAP, cli.EX_USAGE, cli.EX_IOERR}
+_DATA_VARIANTS = ("B", "Bt", "C")  # the variants that need --m
+
+
+@functools.cache
+def _first_n_over_cap(variant, m, encoding):
+    """The least spec n whose counting-level build is over ``cli.MAX_GATES``."""
+    lo, hi = 1, 2
+    while resources.gate_count_formula(variant, hi, m, encoding) <= cli.MAX_GATES:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        over = resources.gate_count_formula(variant, mid, m, encoding) > cli.MAX_GATES
+        lo, hi = (lo, mid) if over else (mid, hi)
+    return hi
+
+
+def _spec_sizes(drawn):
+    """--n is drawn before --m and --encoding: past the cap means past it for each of them."""
+    variant = drawn.get("variant")
+    if variant in VARIANTS:
+        widths = (1, 2, 3) if variant in _DATA_VARIANTS else (None,)
+        over = max(_first_n_over_cap(variant, m, e) for m in widths for e in ENCODINGS)
+    else:  # past the O(1) refusal of every variant
+        over = 817
+    return (1, 2, 3, 4, 5), (over, 10 ** 20), (0, -1)
+
+
+# (subcommand, option dest) -> (values that run, values past a cap, values refused
+# as usage errors), a function of the values drawn before it
+_SIZES = {
+    **{(command, "n"): _spec_sizes for command in ("build", "verify", "count")},
+    **{(command, "m"): lambda drawn: ((1, 2, 3), (), (0, -1))
+       for command in ("build", "verify", "count", "table")},
+    ("prep", "i"): lambda drawn: ((1, 2, 5, 12, 10 ** 20), ((cli.MAX_GATES + 3) // 2,), (0, -1)),
+    ("table", "n_max"): lambda drawn: ((2, 3, 9), (cli.MAX_ROWS + 2,), (1,)),
+    ("simulate", "shots"): lambda drawn: ((0, 1, 3), (cli.MAX_SHOTS + 1,), (-1,)),
+    ("sample", "n"): lambda drawn: ((1, 2, 6), (cli.MAX_SHOTS + 1,), (0, -1)),
+    ("sample", "shots"): lambda drawn: ((0, 1, 3), (cli.MAX_SHOTS + 1,), (-1,)),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """Circuit files, profile files and --out targets by kind."""
+    root = tmp_path_factory.mktemp("contract")
+    wide = Circuit([("q", 1, 64)])
+    files = {"good.json": circuit_to_json(build(BuildSpec("A", 3))),
+             "malformed.json": '{"registers": [{"name": "q", "count": "1", "width": 1}], "gates": []}',
+             "wide.json": circuit_to_json(wide.extend([gate_h(0)])),
+             "profile.json": json.dumps({"CX": 3, "mcx": {"3": 7}, "mcx_rule": "derived"}),
+             "bad_profile.json": json.dumps({"mcx": {"03": 7}})}
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return {"circuit": [str(root / k) for k in ("good.json", "malformed.json", "wide.json",
+                                                "missing.json")] + [str(root)],
+            "profile": [str(root / k) for k in ("profile.json", "bad_profile.json", "missing.json")]
+                       + [str(root)],
+            "out": ["-", str(root / "out.txt"), str(root / "missing" / "out.txt")]}
+
+
+def _one_in(k: int):
+    """True one time in ``k``: hypothesis draws the ends of an integer range far more often."""
+    return st.sampled_from((False,) * (k - 1) + (True,))
+
+
+def _value(data, command, action, drawn, files):
+    if action.choices is not None:
+        pools = tuple(action.choices), (), ("bogus",)
+    elif action.type is int:
+        pools = _SIZES[command, action.dest](drawn)
+    elif action.type is float:
+        pools = ("1e-10", "0.5"), (), ("0", "-1", "nan", "inf", "x")
+    elif action.dest == "seed":
+        pools = ("0", "7"), (), ("-1", "1.5")
+    else:
+        return data.draw(st.sampled_from(files[action.dest]))
+    pool = data.draw(st.sampled_from([p for p in (*pools[:1] * 6, *pools[1:]) if p]))
+    value = str(data.draw(st.sampled_from(pool)))
+    return "x" if data.draw(_one_in(50)) else value  # now and then a value of no type at all
+
+
+def _left_out(action, drawn):
+    """Leave out a required option, or --m of a variant with data, one time in ten;
+    --m of a variant without data nine times in ten; any other option one time in two."""
+    if action.dest == "m" and drawn.get("variant") not in _DATA_VARIANTS:
+        return _one_in(10).map(lambda x: not x)
+    if action.required or action.dest == "m":
+        return _one_in(10)
+    return st.booleans()
+
+
+def _draw_argv(data, files):
+    command = data.draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv, drawn = [command], {}
+    for action in _SUBCOMMANDS[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if data.draw(_left_out(action, drawn)):
+            continue
+        value = _value(data, command, action, drawn, files)
+        drawn[action.dest] = int(value) if action.type is int and value != "x" else value
+        argv += [action.option_strings[-1], value]
+    return argv, drawn
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=1000)
+def test_cli_exit_code_contract(contract_files, data):
+    argv, drawn = _draw_argv(data, contract_files)
+    out = drawn.get("out", "-")
+    if out != "-" and os.path.exists(out):
+        os.remove(out)
+    code, stdout, stderr = _captured(*argv)
+    assert code in _EXIT_CODES, (argv, code, stderr)
+    lines = stderr.splitlines()
+    if code in (cli.EX_CAP, cli.EX_IOERR):
+        assert len(lines) == 1 and stderr.endswith("\n"), (argv, stderr)
+        return
+    if code == cli.EX_USAGE:  # one error line, after argparse's usage when argparse refuses
+        assert lines and lines[-1].startswith("qshuffle"), (argv, stderr)
+        if len(lines) > 1:
+            assert lines[0].startswith("usage: ") and ": error: " in lines[-1], (argv, stderr)
+            assert all(line.startswith(" ") for line in lines[1:-1]), (argv, stderr)
+        return
+    assert stderr == "", (argv, stderr)
+    if out != "-":
+        assert stdout == "", (argv, stdout)
+        with open(out, encoding="utf-8") as handle:
+            stdout = handle.read()
+    if _writes_json(argv[0], drawn):
+        json.loads(stdout)
+    elif argv[0] in ("build", "prep"):
+        assert stdout.startswith("OPENQASM 3.0;"), argv
+    elif argv[0] == "table":
+        assert stdout.startswith("n,qubits,gates,cycles\n"), argv
+    else:
+        assert all(isinstance(json.loads(line), list) for line in stdout.splitlines()), argv
+        assert len(stdout.splitlines()) == int(drawn.get("shots", 1)), argv
+
+
+def _writes_json(command, drawn):
+    return command in ("simulate", "verify", "count") or (
+        command in ("build", "prep") and drawn.get("format", "json") == "json")
 
 
 # main's parser: built on the first call in a process, never at import, then shared

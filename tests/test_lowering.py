@@ -233,7 +233,7 @@ def test_lower_circuit_full_with_an_idle_qubit_in_one(m, mode):
 
 def _reference_full(circuit, mode):
     """Full lowering that offers every idle qubit of the circuit to each MCX."""
-    out = circuit.copy_empty()
+    out = Circuit(circuit.registers, circuit.metadata)
     for gate in circuit.gates:
         for h in eliminate_negative_controls(gate):
             if h.primitive != "X" or len(h.controls) < 2:

@@ -5,8 +5,8 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from qshuffle.prep import binary_width, build_u, build_v, u_gates, v_gates
-from qshuffle.resources import measure_circuit, u_cycle_count_formula, u_gate_count_formula
+from qshuffle.prep import build_u, build_v, u_gates, v_gates
+from qshuffle.resources import CostProfile, u_counts, weighted_depth
 from oracles import primitive_multiset, run
 
 TOL = 1e-10
@@ -87,16 +87,16 @@ def test_u_multiset_matches_closed_form(i):
     m = i + 1
     ms = primitive_multiset(build_u(i))
     if m & (m - 1) == 0:
-        assert ms == {"H": binary_width(i)}
-        assert measure_circuit(build_u(i)).depth == 1
+        assert ms == {"H": i.bit_length()}
+        assert weighted_depth(build_u(i), CostProfile()) == 1
         return
     s = [b for b in range(m.bit_length()) if (m >> b) & 1]
     expected = {"RY": 1, "CRY": len(s) - 1, "CH": s[-1] - s[0]}
     if s[0]:
         expected["H"] = s[0]
     assert ms == {k: v for k, v in expected.items() if v}
-    assert sum(ms.values()) == u_gate_count_formula(i)
-    assert measure_circuit(build_u(i)).depth <= u_cycle_count_formula(i)
+    assert sum(ms.values()) == u_counts(i)[0]
+    assert weighted_depth(build_u(i), CostProfile()) <= u_counts(i)[1]
 
 
 def test_u_rejects_nonpositive():
@@ -149,7 +149,7 @@ def test_v_linear_size_and_depth(i):
     # 2i - 1 gates in a serial chain: both counts stay below 2i
     c = build_v(i)
     assert len(c.gates) == 2 * i - 1 <= 2 * i
-    assert measure_circuit(c).depth == 2 * i - 1
+    assert weighted_depth(c, CostProfile()) == 2 * i - 1
 
 
 def test_v_rejects_nonpositive():
@@ -160,7 +160,7 @@ def test_v_rejects_nonpositive():
 @pytest.mark.parametrize("i", range(1, 16))
 def test_u_sparse_oracle_agrees_with_dense(i):
     dense = run(build_u(i))
-    sparse = sparse_state(u_gates(i, range(binary_width(i))), binary_width(i))
+    sparse = sparse_state(u_gates(i, range(i.bit_length())), i.bit_length())
     rebuilt = np.zeros(len(dense), dtype=complex)
     for k, v in sparse.items():
         rebuilt[k] = v

@@ -6,14 +6,14 @@ import types
 import qshuffle
 
 PUBLIC = [
-    "BuildSpec", "Circuit", "Control", "CostProfile", "Gate", "MeasuredResources", "Register",
+    "BuildSpec", "Circuit", "Control", "CostProfile", "Gate", "Register",
     "ResourceReport", "SimulationCapExceeded", "branch_table", "build", "build_u", "build_v",
     "build_with_checkpoints", "circuit_from_json", "circuit_to_json", "circuit_to_qasm",
     "count_primitives", "cycle_count_formula", "eliminate_negative_controls",
     "gate_count_formula", "init_identity_word", "lower_circuit", "lower_mcx",
-    "lower_toffoli", "measure_circuit", "qubit_count_formula",
+    "lower_toffoli", "qubit_count_formula",
     "resource_report", "run", "sample", "scaling_table",
-    "u_cycle_count_formula", "u_gate_count_formula", "u_gates", "v_gate_count_formula", "v_gates",
+    "u_counts", "u_gates", "v_gate_count_formula", "v_gates",
     "value_controls",
 ]
 

@@ -7,17 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
-from qshuffle.circuit import PRIMITIVES, ROTATIONS, Circuit, Control, Gate
+from qshuffle.circuit import PRIMITIVES, ROTATIONS, Circuit, Control, Gate, count_primitives
 from qshuffle.resources import (
     CostProfile,
     cycle_count_formula,
     gate_count_formula,
-    measure_circuit,
     qubit_count_formula,
     resource_report,
     scaling_table,
-    u_cycle_count_formula,
-    u_gate_count_formula,
+    u_counts,
     v_gate_count_formula,
     weighted_depth,
 )
@@ -58,20 +56,18 @@ def test_cycle_formula_examples():
 
 
 def test_u_formula_examples():
-    assert u_gate_count_formula(3) == 2 and u_cycle_count_formula(3) == 1
-    assert u_gate_count_formula(4) == 4
-    assert u_gate_count_formula(1) == 1 and u_cycle_count_formula(1) == 1
+    assert u_counts(3) == (2, 1)
+    assert u_counts(4)[0] == 4
+    assert u_counts(1) == (1, 1)
 
 
 def test_u_formula_weighted():
     profile = CostProfile(h=2, ry=3, cry=5, ch=7)
     # i = 5 -> M = 6 = 110b: s = (1, 2), one H prefix, 1 RY, 1 CRY, 1 CH
-    assert u_gate_count_formula(5, profile) == 2 + 3 + 5 + 7
     # cycle form replaces the H prefix with min(1, s0) layers
-    assert u_cycle_count_formula(5, profile) == 2 + 3 + 5 + 7
+    assert u_counts(5, profile) == (2 + 3 + 5 + 7, 2 + 3 + 5 + 7)
     # i = 11 -> M = 12 = 1100b: s = (2, 3): prefix 2 H but a single H layer
-    assert u_gate_count_formula(11, profile) == 2 * 2 + 3 + 5 + 7
-    assert u_cycle_count_formula(11, profile) == 2 + 3 + 5 + 7
+    assert u_counts(11, profile) == (2 * 2 + 3 + 5 + 7, 2 + 3 + 5 + 7)
 
 
 def test_v_formula():
@@ -120,7 +116,7 @@ def test_cost_profile_linearity():
 
 
 def test_measure_equals_formula_examples():
-    assert measure_circuit(build(BuildSpec("A", 2))).gates == 6
+    assert count_primitives(build(BuildSpec("A", 2)), CostProfile()) == 6
     r = resource_report(BuildSpec("A", 3))
     assert r.gates_measured == r.gates_formula
     r = resource_report(BuildSpec("At", 4))

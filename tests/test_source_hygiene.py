@@ -1,0 +1,47 @@
+"""Source hygiene of the package, read from its syntax trees: no module imports
+a name it never uses, and no module reads another module's underscore name."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "qshuffle"
+_MODULES = sorted(_SRC.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _imports(tree: ast.Module):
+    """(bound name, imported name, is a module) per name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], alias.name, True
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                # ``from . import simulator`` binds a module; ``from .circuit import Gate`` does not
+                yield alias.asname or alias.name, alias.name, node.module is None
+
+
+# the imports of __init__.py are the package's public names
+@pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "__init__.py"], ids=lambda path: path.name)
+def test_no_unused_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(bound for bound, _, _ in _imports(tree) if bound not in used)
+    assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
+def test_no_module_reads_another_modules_private_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = list(_imports(tree))
+    modules = {bound for bound, _, is_module in imports if is_module}
+    reads = [name for _, name, _ in imports if _private(name)]
+    reads += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _private(node.attr)]
+    assert reads == [], f"{path.name} reads private names {reads}"

@@ -53,7 +53,7 @@ def test_passing_verify_decodes_no_branch(monkeypatch, spec):
         raise AssertionError("a passing verify decoded a branch")
 
     monkeypatch.setattr(simulator, "branch_table", refuse)
-    monkeypatch.setattr(simulator, "decode_registers", refuse)
+    monkeypatch.setattr(simulator, "decoder", refuse)
     report = verify.verify_spec(spec)
     assert report.overall is True
     assert all(c.detail is None for c in report.checks)
@@ -84,9 +84,9 @@ def test_entangling_gate_drop_fails_iteration_states(monkeypatch, spec, register
         return circuit, tuple(c - (c > drop) for c in checkpoints)
 
     decoded = []
-    decode = simulator.decode_registers
+    decoder = simulator.decoder
     monkeypatch.setattr(verify, "build_with_checkpoints", broken)
-    monkeypatch.setattr(simulator, "decode_registers", lambda *a: decoded.append(a) or decode(*a))
+    monkeypatch.setattr(simulator, "decoder", lambda circuit: decoded.append(circuit) or decoder(circuit))
     report = verify.verify_spec(spec)
     checks = {c.name: c for c in report.checks}
     assert report.overall is False
