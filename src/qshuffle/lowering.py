@@ -11,8 +11,10 @@ Two levels:
 * "full" X-conjugates the negative controls of every gate away and
   rewrites every multiply-controlled X: X with m >= 3 controls
   becomes a Toffoli ladder (clean or borrowed-qubit mode), and every
-  Toffoli becomes the ancilla-free 6-CX + 9-single-qubit network (equal to
-  the Toffoli up to global phase).
+  Toffoli becomes the ancilla-free 6-CX + 9-single-qubit network of
+  Barenco et al. (PRA 52, 3457, 1995), which equals TOFFOLI_PHASE =
+  e^{-i pi/8} times the Toffoli.  ``toffoli_at`` finds such a network in a
+  gate list, so the simulator can apply it as one Toffoli and its phase.
 
 Borrowed-qubit mode uses a toggle ladder of 4(m-2) Toffolis that restores
 the m-2 helper qubits for *any* initial helper state.  Clean mode assumes
@@ -30,12 +32,17 @@ distinct Toffoli once per call, and equal output gates are one object.
 
 from __future__ import annotations
 
+from cmath import exp
 from itertools import islice
 from math import pi
 
 from .circuit import Circuit, Control, Gate, ctrl, gate_h, gate_rz, gate_x
 
 LOWERING_LEVELS = ("counting", "full")
+# lower_toffoli(g) equals this phase times g, exactly: its four RZ(pi/4) are
+# e^{-i pi/8} T, its three RZ(-pi/4) are e^{i pi/8} T^dagger, and the
+# network in T gates is the Toffoli
+TOFFOLI_PHASE = exp(-1j * pi / 8)
 
 
 def swap_gates(a: Control, b: Control, controls: tuple[Control, ...]) -> tuple[Gate, Gate, Gate]:
@@ -64,7 +71,7 @@ def lower_toffoli(gate: Gate) -> list[Gate]:
     """X with exactly 2 positive controls -> 6 CX + 9 single-qubit gates.
 
     The T gates of the textbook network are written as RZ(pi/4), so the
-    result equals the Toffoli only up to a global phase.
+    result equals TOFFOLI_PHASE times the Toffoli.
     """
     if gate.primitive != "X" or len(gate.controls) != 2:
         raise ValueError("lower_toffoli expects an X gate with exactly 2 controls")
@@ -94,6 +101,20 @@ def lower_toffoli(gate: Gate) -> list[Gate]:
 
 def _toffoli(c1: int, c2: int, t: int) -> Gate:
     return gate_x(t, (ctrl(c1, 1), ctrl(c2, 1)))
+
+
+def toffoli_at(gates: list[Gate], i: int) -> Gate | None:
+    """The Toffoli whose ``lower_toffoli`` network is ``gates[i:i+15]``, by
+    value, or None.  Only an uncontrolled H can start one; the network's
+    first gate names its target and its CX gates 3 and 1 its controls."""
+    head = gates[i]
+    if head.primitive != "H" or head.controls:
+        return None
+    window = gates[i:i + 15]
+    if len(window) < 15 or len(window[1].controls) != 1 or len(window[3].controls) != 1:
+        return None
+    toffoli = _toffoli(window[3].controls[0].qubit, window[1].controls[0].qubit, head.target)
+    return toffoli if lower_toffoli(toffoli) == window else None
 
 
 def _toggle_ladder(controls: list[int], helpers: list[int], target: int) -> list[Gate]:

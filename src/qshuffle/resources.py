@@ -37,6 +37,7 @@ w (permutation register) + m (data register).
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import asdict, dataclass, field
 
 from .builders import BuildSpec, build
@@ -96,13 +97,21 @@ class CostProfile:
         if "mcx" in data:
             if not isinstance(data["mcx"], dict):
                 raise ValueError("mcx must map arities to costs")
-            bad = [k for k in data["mcx"] if not (k.isdecimal() and k == str(int(k)))]
+            bad = [k for k in data["mcx"] if not _plain_decimal(k)]
             if bad:  # one spelling per arity: "3", never "03", "+3", " 3", "3_0" or "٣"
-                raise ValueError(f"mcx keys {bad} are not arities written as plain decimals")
+                raise ValueError(f"mcx keys {reprlib.repr(bad)} are not arities written as plain decimals")
             kwargs["mcx"] = {int(k): v for k, v in data["mcx"].items()}
         if "mcx_rule" in data:
             kwargs["mcx_rule"] = data["mcx_rule"]
         return cls(**kwargs)
+
+
+def _plain_decimal(key: str) -> bool:
+    """Whether ``key`` is ``str(int(key))``; ``int`` refuses over 4,300 digits."""
+    try:
+        return key.isdecimal() and key == str(int(key))
+    except ValueError:
+        return False
 
 
 def u_counts(i: int, profile: CostProfile | None = None) -> tuple[int, int]:

@@ -19,42 +19,30 @@ or as soon as a state the simulator holds has more than MAX_BRANCHES branches.
 ``evolve`` yields the start state, then the state after each gate, one gate
 at a time.  No array is updated in place, so a yielded state may be kept.
 
-``run`` returns the state ``evolve`` yields last, with fewer passes.  It walks
-the gate list in maximal runs on at most FOLD_QUBITS qubits (and FOLD_GATES
-gates).  Of each run it takes the longest prefix of at least 2 gates whose
-product on the run's 2^k local codes is monomial, with exactly one entry above
-BRANCH_TOL per column: a fully lowered Toffoli network is one.  That prefix is
-one table pass: a binary search finds each index's local code, then the index
-is XORed with the code's move and the amplitude multiplied by its phase
-(skipped when every phase is 1).  Every other gate goes through the per-gate
-kernel.  A monomial block changes no branch count and holds no state in
-between, so the branch cap still sees every state the simulator holds.  Each
-run's table is memoised by its gates' identities and compiled once per shape,
-the run with its qubits renumbered in order of first use, so all Toffoli
-networks share one table.  Compiling pays only where runs repeat, so ``run``
-folds only circuits with at least FOLD_REPEATS gates per distinct gate, counted
-by value so that a circuit and its file round trip fold alike.  Counting-level
-builds repeat about 1.35 times and run gate by gate; fully lowered ones repeat
-2.4-16 times.  Folded amplitudes differ from ``evolve``'s by rounding and by
-the tiny amplitudes that ``evolve`` would drop inside a block.
+``run`` returns the state ``evolve`` yields last, in fewer passes: each
+Toffoli network that full lowering wrote (``lowering.toffoli_at``) is applied
+as its Toffoli, one index pass, with the amplitudes times TOFFOLI_PHASE,
+instead of as 15 gate passes, two of them H gates that split and re-merge
+the branches.  The network's inner states are never held, so the branch cap
+still sees every state the simulator holds.  The amplitudes differ from
+``evolve``'s by rounding and by the tiny ones ``evolve`` drops inside a
+network.  Every other gate is applied as ``evolve`` applies it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 
 import numpy as np
 
 from .circuit import Circuit, Gate
+from .lowering import TOFFOLI_PHASE, toffoli_at
 
 MAX_QUBITS = 63  # basis indices are int64
 MAX_BRANCHES = 10 ** 6  # memory guard: refuse states with more live branches
 
 BRANCH_TOL = 1e-12
-FOLD_QUBITS = 3  # run folds runs of gates on at most this many qubits,
-FOLD_GATES = 32  # at most this many gates long (a bound on compile work),
-FOLD_REPEATS = 2  # in circuits with at least this many gates per distinct gate
 
 
 class SimulationCapExceeded(ValueError):
@@ -173,109 +161,21 @@ def evolve(circuit: Circuit, initial=None):
         yield state
 
 
-class _Tables:
-    """The fold tables of one ``run`` call.  A run of gates is compiled once
-    per shape: its gates with their qubits renumbered in order of first use."""
-
-    def __init__(self, distinct: dict, resolved: dict):
-        self.resolved = resolved  # id -> ``_resolve``(gate), whose last entry is its 2x2 matrix
-        self.parts = {}  # id -> (form, qubit bits: controls, then target)
-        for key, gate in distinct.items():
-            primitive, angle, target, controls = gate
-            form = primitive, repr(angle), tuple([c.value for c in controls])
-            self.parts[key] = form, (*[1 << c.qubit for c in controls], 1 << target)
-        self.matrices, self.shapes = {}, {}
-
-    def table(self, gates: list):
-        """(length, mask, patterns, moves, phases) of the longest prefix of at
-        least 2 of ``gates`` whose product is monomial, or None: an index whose
-        bits under ``mask`` are ``patterns[c]`` gets those bits XORed with
-        ``moves[c]`` and its amplitude times ``phases[c]`` (no phases: all 1)."""
-        local, shape = {}, []  # qubit bit -> its number in order of first use
-        for gate in gates:
-            form, bits = self.parts[id(gate)]
-            for b in bits:
-                if b not in local:
-                    local[b] = len(local)
-            shape.append((form, tuple([local[b] for b in bits])))
-        shape = tuple(shape)
-        if shape not in self.shapes:
-            self.shapes[shape] = self._compile(shape, 1 << len(local),
-                                               [self.resolved[id(gate)][4] for gate in gates])
-        if self.shapes[shape] is None:
-            return None
-        length, moves, phases = self.shapes[shape]
-        spread = [0]  # the global bits of each local code
-        for b in local:
-            spread += [s | b for s in spread]
-        spread = np.array(spread, dtype=np.int64)
-        order = np.argsort(spread)
-        return (length, sum(local), spread[order], spread[moves[order]],
-                None if phases is None else phases[order])
-
-    def _compile(self, shape: tuple, dim: int, coefficients: list):
-        """(length, moves, phases) per local code, or None: see ``table``;
-        ``coefficients`` holds the 2x2 matrix of each gate of ``shape``."""
-        prefixes = np.empty((len(shape), dim, dim), dtype=complex)  # products of the first 1, 2, ... gates
-        product = np.eye(dim, dtype=complex)
-        for step, ((form, positions), unitary) in enumerate(zip(shape, coefficients)):
-            product = prefixes[step] = self._matrix(form, positions, dim, unitary) @ product
-        live = np.abs(prefixes[1:]) > BRANCH_TOL
-        monomial = np.flatnonzero(np.count_nonzero(live, axis=(1, 2)) == dim)  # a unitary: one per column
-        if not len(monomial):
-            return None
-        last = monomial[-1]
-        codes = np.arange(dim)
-        rows = np.argmax(live[last], axis=0)
-        phases = prefixes[last + 1][rows, codes]
-        return int(last) + 2, rows ^ codes, None if np.all(phases == 1) else phases
-
-    def _matrix(self, form: tuple, positions: tuple, dim: int, unitary) -> np.ndarray:
-        """One gate's matrix on ``dim`` local codes; ``unitary`` is its 2x2 matrix."""
-        key = form, positions, dim
-        if key not in self.matrices:
-            *controls, target = positions
-            mask = sum(1 << p for p in controls)
-            value = sum(v << p for p, v in zip(controls, form[2]))
-            zero = np.array([r for r in range(dim) if r & mask == value and not r >> target & 1],
-                            dtype=np.intp)
-            one = zero | (1 << target)
-            (a, b), (c, d) = unitary
-            matrix = np.eye(dim, dtype=complex)
-            matrix[zero, zero], matrix[zero, one], matrix[one, zero], matrix[one, one] = a, b, c, d
-            self.matrices[key] = matrix
-        return self.matrices[key]
-
-
 def run(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarray]:
-    """The last state ``evolve`` yields, with monomial runs folded (see the
-    module docstring)."""
-    gates = circuit.gates
-    distinct = dict(zip(map(id, gates), gates))  # keeps each object alive while its id is a key
-    if len(gates) < FOLD_REPEATS * len(set(distinct.values())):
-        return deque(evolve(circuit, initial), maxlen=1)[0]
+    """The last state ``evolve`` yields, each lowered Toffoli network applied
+    as one Toffoli and its phase (see the module docstring)."""
     state = _start(circuit, initial)
-    resolved = {key: _resolve(gate) for key, gate in distinct.items()}
-    tables = _Tables(distinct, resolved)
-    qubits = [r[1] | r[2] for r in map(resolved.__getitem__, map(id, gates))]  # each gate's qubit bits
-    blocks = {}  # the ids of a run's gates -> tables.table(run)
+    gates, resolved = circuit.gates, {}  # id -> _resolve(gate), as in evolve
     i, n = 0, len(gates)
     while i < n:
-        span, j, end = qubits[i], i + 1, min(n, i + FOLD_GATES)
-        while j < end and (span | qubits[j]).bit_count() <= FOLD_QUBITS:
-            span |= qubits[j]
-            j += 1
-        if j - i > 1:
-            key = tuple(map(id, gates[i:j]))
-            if key not in blocks:
-                blocks[key] = tables.table(gates[i:j])
-            if blocks[key] is not None:
-                length, mask, patterns, moves, phases = blocks[key]
-                indices, amplitudes = state
-                code = np.searchsorted(patterns, indices & mask)
-                state = indices ^ moves[code], amplitudes if phases is None else amplitudes * phases[code]
-                i += length
-                continue
+        toffoli = toffoli_at(gates, i)
+        if toffoli is not None:
+            indices, amplitudes = _apply(state, _resolve(toffoli))
+            state = indices, amplitudes * TOFFOLI_PHASE
+            i += 15
+            continue
+        if id(gates[i]) not in resolved:
+            resolved[id(gates[i])] = _resolve(gates[i])
         state = _apply(state, resolved[id(gates[i])])
         i += 1
     return state

@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import os
+import reprlib
 import subprocess
 import sys
 import tempfile
@@ -422,6 +423,9 @@ def test_usage_errors_exit_64(capsys):
     assert err.value.code == 64
 
 
+_LONG_KEY = "1" * 5000
+
+
 @pytest.mark.parametrize("command", [("count", "--variant", "A", "--n", "3"),
                                      ("table", "--variant", "A", "--n-max", "4")])
 @pytest.mark.parametrize("profile", [{"CNOT": 39}, {"mcx": {"3": -1}}, {"mcx": {"3": 2.5}},
@@ -433,7 +437,9 @@ def test_usage_errors_exit_64(capsys):
                                      {"mcx": {"\u0663": 5}}, {"mcx": {"03": 5}},
                                      # bytes: the file as is
                                      pytest.param(b"[" * 100000, id="deep-nesting"),
-                                     pytest.param(b'{"X": "\xff"}', id="not-utf-8")])
+                                     pytest.param(b'{"X": "\xff"}', id="not-utf-8"),
+                                     # more digits than int() reads: named, shortened
+                                     pytest.param({"mcx": {_LONG_KEY: 3}}, id="5000-digit-key")])
 def test_bad_profile_exits_64(tmp_path, capsys, command, profile):
     path = tmp_path / "p.json"
     path.write_bytes(profile if isinstance(profile, bytes) else json.dumps(profile).encode())
@@ -442,6 +448,8 @@ def test_bad_profile_exits_64(tmp_path, capsys, command, profile):
     assert err.value.code == 64
     message = capsys.readouterr().err
     assert message.count("\n") == 1 and "bad cost profile" in message
+    if isinstance(profile, dict) and _LONG_KEY in profile.get("mcx", ()):
+        assert reprlib.repr(_LONG_KEY) in message and len(message) < 200
 
 
 def _captured(*argv) -> tuple[int, str, str]:

@@ -28,7 +28,14 @@ from oracles import (
 from qshuffle import simulator
 from qshuffle.builders import BuildSpec, build
 from qshuffle.circuit import Circuit, Control, Gate, ctrl, gate_h, gate_ry, gate_rz, gate_x
-from qshuffle.lowering import eliminate_negative_controls, lower_circuit, lower_toffoli, swap_gates
+from qshuffle.lowering import (
+    TOFFOLI_PHASE,
+    eliminate_negative_controls,
+    lower_circuit,
+    lower_toffoli,
+    swap_gates,
+    toffoli_at,
+)
 from qshuffle.serialize import circuit_from_json
 from qshuffle.simulator import SimulationCapExceeded
 
@@ -160,8 +167,8 @@ def test_simulation_cap():
 def test_branch_cap_stops_a_wide_superposition():
     # H on each of 21 qubits would make 2^21 > MAX_BRANCHES branches: the
     # guard trips after the 20th H, with no more than a few branch-sized arrays;
-    # with X flips after each H the circuit repeats its gates, so run folds the
-    # flips and applies each H on its own, guarded
+    # with X flips after each H too, since an H that starts no Toffoli network
+    # goes through the per-gate kernel and its guard
     for flips in (0, 4):
         c = Circuit([("q", 1, 21)])
         c.extend(g for k in range(21) for g in [gate_h(q(k))] + [gate_x(q(k))] * flips)
@@ -177,13 +184,54 @@ def test_branch_cap_stops_a_wide_superposition():
 
 def test_run_gives_evolves_branch_table_on_full_a5_clean():
     # the fully lowered A n=5 in clean mode is a wrong build whose exact branch
-    # set a benchmark pins; folding its Toffoli networks must keep every branch
+    # set a benchmark pins; applying its Toffoli networks as Toffolis must keep
+    # every branch
     c = lower_circuit(build(BuildSpec("A", 5)), "full", "clean")
-    folded = simulator.branch_table(simulator.run(c), c)
+    whole = simulator.branch_table(simulator.run(c), c)
     *_, last = simulator.evolve(c)
     per_gate = simulator.branch_table(last, c)
-    assert [regs for regs, _ in folded] == [regs for regs, _ in per_gate] and len(folded) == 120
-    assert max(abs(a - b) for (_, a), (_, b) in zip(folded, per_gate)) < 1e-12
+    assert [regs for regs, _ in whole] == [regs for regs, _ in per_gate] and len(whole) == 120
+    assert max(abs(a - b) for (_, a), (_, b) in zip(whole, per_gate)) < 1e-12
+
+
+_TOFFOLI = gate_x(q(2), (ctrl(q(0)), ctrl(q(1))))
+_NETWORK = lower_toffoli(_TOFFOLI)
+
+
+def _near_networks():
+    """(name, gates): the network of _TOFFOLI with one gate changed (a negated
+    angle, its target moved to the idle qubit 3, a flipped control value),
+    or cut short at the circuit's end.  None of them is a Toffoli network."""
+    for k, g in enumerate(_NETWORK):
+        changed = [("qubit", g._replace(target=q(3)))]
+        if g.angle is not None:
+            changed.append(("angle", g._replace(angle=-g.angle)))
+        if g.controls:
+            changed.append(("control", g._replace(controls=(g.controls[0]._replace(value=0),))))
+        for kind, h in changed:
+            yield f"{k}-{kind}", _NETWORK[:k] + [h] + _NETWORK[k + 1:]
+    yield "cut", [gate_x(q(3))] + _NETWORK[:-1]
+
+
+def _run_against_dense(gates):
+    c = Circuit([("q", 1, 4)]).extend(gates)
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    amps /= np.linalg.norm(amps)
+    assert np.max(np.abs(run(c, amps) - dense_run(c, amps))) <= 1e-12 * len(c.gates)
+    return c
+
+
+@pytest.mark.parametrize("gates", [pytest.param(gates, id=name) for name, gates in _near_networks()])
+def test_run_applies_only_exact_toffoli_networks_as_toffolis(gates):
+    c = _run_against_dense(gates)
+    assert [toffoli_at(c.gates, i) for i in range(len(c.gates))] == [None] * len(c.gates)
+
+
+def test_run_applies_an_exact_toffoli_network_as_its_toffoli_and_phase():
+    c = _run_against_dense(_NETWORK)
+    assert toffoli_at(c.gates, 0) == _TOFFOLI
+    assert np.allclose(run(c, 0b011), TOFFOLI_PHASE * np.eye(16)[0b111], rtol=0, atol=1e-15)
 
 
 def test_states_equal_up_to_phase():
@@ -374,9 +422,9 @@ def random_circuits(draw):
 
     def piece():
         # one gate, a run of gates on at most 3 qubits, or Toffoli networks with
-        # mixed-polarity controls on one or two random triples (one shape when
-        # they do not overlap): runs the simulator folds whole, in part (a
-        # monomial prefix) or not at all
+        # mixed-polarity controls on one or two random triples: run applies
+        # each network as one Toffoli and its phase, and every other gate
+        # (the X conjugations of negative controls too) on its own
         kind = draw(st.sampled_from(("gate", "run", "network")[:2 + (n >= 3)]))
         if kind == "gate":
             return [gate(range(n))]
@@ -392,8 +440,7 @@ def random_circuits(draw):
 
     # half the circuits draw every piece from a pool of shared pieces, so one
     # object recurs on changed states, as in a lowered circuit: the simulator
-    # resolves each object once per call, and run folds the runs of circuits
-    # that repeat their gates
+    # resolves each object once per call
     pool = [piece() for _ in range(draw(st.integers(1, 3)))] if draw(st.booleans()) else None
     for _ in range(draw(st.integers(0, 20))):
         c.extend(draw(st.sampled_from(pool)) if pool else piece())
@@ -418,7 +465,7 @@ def test_sparse_matches_dense_oracle(case):
         want = dense_run(Circuit([("q", 1, c.num_qubits)]).extend([gate]), before)
         assert np.max(np.abs(after - want)) <= 1e-12
         before = after
-    # run, which folds monomial runs into table passes, against the whole dense
+    # run, which applies each Toffoli network as one Toffoli, against the whole dense
     # circuit: the same bound once per gate, as the drops add up (evolve's last
     # state drifts up to 1.8e-12 from dense_run over 1,000 of these circuits)
     assert np.max(np.abs(run(c, amps) - dense_run(c, amps))) <= 1e-12 * max(1, len(c.gates))

@@ -1,5 +1,6 @@
 """Source hygiene of the package, read from its syntax trees: no module imports
-a name it never uses, and no module reads another module's underscore name."""
+a name it never uses, no module reads another module's underscore name, and
+every module-level constant and private helper is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,35 @@ def test_no_module_reads_another_modules_private_name(path):
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in modules and _private(node.attr)]
     assert reads == [], f"{path.name} reads private names {reads}"
+
+
+def _reads(tree: ast.Module):
+    """Every name a module reads: loaded names and attributes, and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+    yield from (name for _, name, _ in _imports(tree))
+
+
+def _leftover_candidates(tree: ast.Module):
+    """The module-level ALL-CAPS constants, and the private functions, methods
+    and classes at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name):
+            yield node.name
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):  # ``A, B = ...`` binds two
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for target in targets for t in ast.walk(target)
+                        if isinstance(t, ast.Name) and t.id.isupper())
+
+
+def test_no_unread_constant_or_private_definition():
+    # a constant or private helper that no module reads is a leftover of a deletion
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in _MODULES}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    unread = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name in _leftover_candidates(tree) if name not in read)
+    assert unread == [], f"defined and never read: {unread}"
