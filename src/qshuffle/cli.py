@@ -247,30 +247,25 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "qasm"), default="json")
     p.add_argument("--lower", choices=("counting", "full"), default="counting")
     p.add_argument("--mcx", choices=("clean", "borrowed"), default="borrowed")
-    p.add_argument("--out", default=None)
 
     p = _command(sub, "prep", cmd_prep, "emit a uniform superposition prep fragment")
     p.add_argument("--i", required=True, type=int)
     p.add_argument("--encoding", choices=ENCODINGS, default="binary")
     p.add_argument("--format", choices=("json", "qasm"), default="json")
-    p.add_argument("--out", default=None)
 
     p = _command(sub, "simulate", cmd_simulate, "simulate a circuit file, list branches")
     p.add_argument("--circuit", required=True)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
 
     p = _command(sub, "verify", cmd_verify, "simulate a build and check every invariant")
     _add_spec_arguments(p)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
 
     p = _command(sub, "count", cmd_count, "formula vs measured resource report")
     _add_spec_arguments(p)
     p.add_argument("--profile", default=None)
-    p.add_argument("--out", default=None)
 
     p = _command(sub, "table", cmd_table, "formula scaling table as CSV")
     p.add_argument("--variant", required=True, choices=VARIANTS)
@@ -278,15 +273,15 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--encoding", choices=ENCODINGS, default="binary")
     p.add_argument("--profile", default=None)
-    p.add_argument("--out", default=None)
 
     p = _command(sub, "sample", cmd_sample, "classical Fisher-Yates word samples, one JSON array per line")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--shots", type=int, default=1)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--direction", choices=("forward", "reversed"), default="reversed")
-    p.add_argument("--out", default=None)
 
+    for p in sub.choices.values():  # every subcommand's last option
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -177,6 +177,8 @@ def lower_circuit(circuit: Circuit, level: str = "counting", mode: str = "borrow
     """
     if level not in LOWERING_LEVELS:
         raise ValueError(f"unknown lowering level {level!r}")
+    if mode not in ("borrowed", "clean"):
+        raise ValueError(f"unknown mcx mode {mode!r}")
     out = Circuit(circuit.registers, circuit.metadata)
     out.metadata["lowering"] = level
     if level == "counting":

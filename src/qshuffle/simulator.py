@@ -16,23 +16,22 @@ controlled branch to both target values and merge equal indices, dropping
 ``SimulationCapExceeded`` is raised above MAX_QUBITS qubits (``check_width``)
 or as soon as a state the simulator holds has more than MAX_BRANCHES branches.
 
-``evolve`` yields the start state, then the state after each gate, one gate
-at a time.  No array is updated in place, so a yielded state may be kept.
-
-``run`` returns the state ``evolve`` yields last, in fewer passes: each
-Toffoli network that full lowering wrote (``lowering.toffoli_at``) is applied
-as its Toffoli, one index pass, with the amplitudes times TOFFOLI_PHASE,
-instead of as 15 gate passes, two of them H gates that split and re-merge
-the branches.  The network's inner states are never held, so the branch cap
-still sees every state the simulator holds.  The amplitudes differ from
-``evolve``'s by rounding and by the tiny ones ``evolve`` drops inside a
-network.  Every other gate is applied as ``evolve`` applies it.
+``evolve`` is the one gate loop.  It yields ``(k, state)``: k = 0 and the
+start state, then, after each step, the number of gates applied so far and
+the state.  A step is one gate, or one Toffoli network that full lowering
+wrote (``lowering.toffoli_at``): its 15 gates, two of them H gates that split
+and re-merge the branches, are applied as its Toffoli, one index pass, with
+the amplitudes times TOFFOLI_PHASE.  The network's inner states are never
+held, so the branch cap sees every state the simulator holds; the amplitudes
+differ from a gate-by-gate run's by rounding and by the tiny ones it drops.
+No array is updated in place, so a yielded state may be kept.  ``run``
+returns the last state ``evolve`` yields.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 
@@ -142,43 +141,33 @@ def check_width(circuit: Circuit) -> None:
         raise SimulationCapExceeded(f"{n} qubits exceeds the simulation cap of {MAX_QUBITS}")
 
 
-def _start(circuit: Circuit, initial) -> tuple[np.ndarray, np.ndarray]:
+def evolve(circuit: Circuit, initial=None):
+    """Yield (k, state): k = 0 and the start state, then the number of gates
+    applied and the state after each step, one gate or one Toffoli network
+    (see the module docstring)."""
     check_width(circuit)
     state = initial_state(circuit, initial)
     _guard(state[0])
-    return state
-
-
-def evolve(circuit: Circuit, initial=None):
-    """Yield the start state, then the state after each gate in turn."""
-    state = _start(circuit, initial)
-    yield state
-    resolved = {}  # id -> _resolve(gate); circuit.gates keeps every gate alive
-    for gate in circuit.gates:
-        if id(gate) not in resolved:
-            resolved[id(gate)] = _resolve(gate)
-        state = _apply(state, resolved[id(gate)])
-        yield state
-
-
-def run(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarray]:
-    """The last state ``evolve`` yields, each lowered Toffoli network applied
-    as one Toffoli and its phase (see the module docstring)."""
-    state = _start(circuit, initial)
-    gates, resolved = circuit.gates, {}  # id -> _resolve(gate), as in evolve
-    i, n = 0, len(gates)
-    while i < n:
-        toffoli = toffoli_at(gates, i)
+    yield 0, state
+    gates, resolved = circuit.gates, {}  # id -> _resolve(gate); gates keeps every gate alive
+    k, n = 0, len(gates)
+    while k < n:
+        toffoli = toffoli_at(gates, k)
         if toffoli is not None:
             indices, amplitudes = _apply(state, _resolve(toffoli))
             state = indices, amplitudes * TOFFOLI_PHASE
-            i += 15
-            continue
-        if id(gates[i]) not in resolved:
-            resolved[id(gates[i])] = _resolve(gates[i])
-        state = _apply(state, resolved[id(gates[i])])
-        i += 1
-    return state
+            k += 15
+        else:
+            if id(gates[k]) not in resolved:
+                resolved[id(gates[k])] = _resolve(gates[k])
+            state = _apply(state, resolved[id(gates[k])])
+            k += 1
+        yield k, state
+
+
+def run(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarray]:
+    """The last state ``evolve`` yields."""
+    return deque(evolve(circuit, initial), maxlen=1)[0][1]
 
 
 def decoder(circuit: Circuit):

@@ -135,18 +135,15 @@ def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_S
     n = spec.n
     inputs = [k % (1 << spec.m) for k in range(n)] if spec.has_data else None
     initial = {"data": inputs} if spec.has_data else None
-    # one pass keeps the state before each iteration i (i = n: the final
-    # state); the comparisons start only after the whole circuit has
-    # simulated, so a build past the branch cap stops before any of them
-    marks = {k: i for i, k in enumerate(checkpoints, start=1)}
-    states = {}
-    for k, state in enumerate(simulator.evolve(circuit, initial)):
-        if k in marks:
-            states[marks[k]] = state
+    # one pass keeps the state before each iteration i, after checkpoints[i-1]
+    # gates (i = n: the final state); the comparisons start only after the
+    # whole circuit has simulated, so a build past the branch cap stops before
+    # any of them
+    states = {k: s for k, s in simulator.evolve(circuit, initial) if k in checkpoints}
 
-    results = {i: _compare(states[i], model, 1.0 / sqrt(factorial(i)))
+    results = {i: _compare(states[checkpoints[i - 1]], model, 1.0 / sqrt(factorial(i)))
                for i, model in replay_models(spec, circuit, inputs)}
-    final = states[n][1]
+    final = states[checkpoints[-1]][1]
     live = int(np.count_nonzero(np.abs(final) > simulator.BRANCH_TOL))
     checks = [Check("branch_count", live == factorial(n), float(live), float(factorial(n))),
               _model_check("replay_consistent", {n: results.pop(n)}, tol, circuit),

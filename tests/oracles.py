@@ -67,8 +67,8 @@ def initial_state(circuit: Circuit, initial=None) -> np.ndarray:
 
 
 def evolve(circuit: Circuit, initial=None):
-    for state in simulator.evolve(circuit, _start(circuit, initial)):
-        yield to_dense(state, circuit.num_qubits)
+    for k, state in simulator.evolve(circuit, _start(circuit, initial)):
+        yield k, to_dense(state, circuit.num_qubits)
 
 
 def run(circuit: Circuit, initial=None) -> np.ndarray:

@@ -91,7 +91,7 @@ def test_criterion_03_shuffle_theorem_and_checkpoints():
         inputs = list(range(n))
         initial = {"data": inputs}
         tables = {}
-        for k, state in enumerate(evolve(circuit, initial)):
+        for k, state in evolve(circuit, initial):
             if k in checkpoints:
                 tables[k] = branch_table(state, circuit)
         disentangled, leak = assert_register_disentangled(state, circuit, "anc", AMP_TOL)

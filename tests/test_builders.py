@@ -155,7 +155,7 @@ def test_xi_invariant_at_checkpoints(variant, n, m):
     inputs = [k % (1 << m) for k in range(n)] if m else None
     initial = {"data": inputs} if m else None
     tables = {}
-    for k, state in enumerate(evolve(c, initial)):
+    for k, state in evolve(c, initial):
         if k in checkpoints:
             tables[k] = branch_table(state, c)
     for i in range(1, n):

@@ -295,3 +295,10 @@ def test_hash_consing_keeps_equal_angles_of_another_repr_apart(level):
 def test_lower_circuit_rejects_unknown_level():
     with pytest.raises(ValueError):
         lower_circuit(Circuit([("q", 1, 1)]), "half")
+
+
+@pytest.mark.parametrize("level", ["counting", "full"])
+def test_lower_circuit_rejects_unknown_mcx_mode_without_a_multi_controlled_x(level):
+    # A n=2 has no X with 3 controls, so lower_mcx never sees the mode
+    with pytest.raises(ValueError, match="unknown mcx mode 'bogus'"):
+        lower_circuit(build(BuildSpec("A", 2)), level, "bogus")

@@ -151,7 +151,7 @@ def test_sample_deterministic_and_pure():
 
 def test_norm_preserved_through_builds():
     for spec in (BuildSpec("A", 3), BuildSpec("Bt", 2, 2), BuildSpec("C", 3, 1)):
-        for state in evolve(build(spec)):  # the start state and the state after every gate
+        for _, state in evolve(build(spec)):  # the start state and the state after every step
             assert abs(norm_squared(state) - 1.0) < TOL
 
 
@@ -182,14 +182,17 @@ def test_branch_cap_stops_a_wide_superposition():
         assert peak < 8 * simulator.MAX_BRANCHES * 24  # 24 bytes a branch: int64 index + complex128
 
 
-def test_run_gives_evolves_branch_table_on_full_a5_clean():
+def test_run_gives_the_gate_by_gate_branch_table_on_full_a5_clean():
     # the fully lowered A n=5 in clean mode is a wrong build whose exact branch
     # set a benchmark pins; applying its Toffoli networks as Toffolis must keep
-    # every branch
+    # every branch of a run that applies its gates one at a time (a one-gate
+    # circuit holds no network)
     c = lower_circuit(build(BuildSpec("A", 5)), "full", "clean")
     whole = simulator.branch_table(simulator.run(c), c)
-    *_, last = simulator.evolve(c)
-    per_gate = simulator.branch_table(last, c)
+    state = None
+    for gate in c.gates:
+        state = simulator.run(Circuit(c.registers).extend([gate]), state)
+    per_gate = simulator.branch_table(state, c)
     assert [regs for regs, _ in whole] == [regs for regs, _ in per_gate] and len(whole) == 120
     assert max(abs(a - b) for (_, a), (_, b) in zip(whole, per_gate)) < 1e-12
 
@@ -454,20 +457,24 @@ def random_circuits(draw):
 @given(random_circuits())
 @settings(max_examples=200, deadline=None)
 def test_sparse_matches_dense_oracle(case):
-    # gate by gate from the same state: the sparse backend may differ from the
-    # dense kernel only by an amplitude of at most BRANCH_TOL that it drops
-    # (over a whole circuit, dropped amplitudes that later mix can add up past 1e-12)
+    # step by step from the same state: a step is one gate, or 15 where
+    # toffoli_at finds a Toffoli network, and the sparse backend may differ from
+    # the dense kernel on that step's gates only by rounding and by an amplitude
+    # of at most BRANCH_TOL that it drops (over a whole circuit, dropped
+    # amplitudes that later mix can add up past 1e-12)
     c, amps = case
-    states = evolve(c, amps)  # the sparse simulator, densified
-    before = next(states)
-    assert np.array_equal(before, amps)
-    for gate, after in zip(c.gates, states):
-        want = dense_run(Circuit([("q", 1, c.num_qubits)]).extend([gate]), before)
+    steps = evolve(c, amps)  # the sparse simulator, densified
+    done, before = next(steps)
+    assert done == 0 and np.array_equal(before, amps)
+    for k, after in steps:
+        assert k == done + (1 if toffoli_at(c.gates, done) is None else 15)
+        want = dense_run(Circuit(c.registers).extend(c.gates[done:k]), before)
         assert np.max(np.abs(after - want)) <= 1e-12
-        before = after
-    # run, which applies each Toffoli network as one Toffoli, against the whole dense
-    # circuit: the same bound once per gate, as the drops add up (evolve's last
-    # state drifts up to 1.8e-12 from dense_run over 1,000 of these circuits)
+        done, before = k, after
+    assert done == len(c.gates)
+    # run, evolve's last state, against the whole dense circuit: the same bound
+    # once per gate, as the drops add up (a gate-by-gate run drifts up to
+    # 1.8e-12 from dense_run over 1,000 of these circuits)
     assert np.max(np.abs(run(c, amps) - dense_run(c, amps))) <= 1e-12 * max(1, len(c.gates))
 
 

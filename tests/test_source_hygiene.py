@@ -1,14 +1,21 @@
 """Source hygiene of the package, read from its syntax trees: no module imports
-a name it never uses, no module reads another module's underscore name, and
-every module-level constant and private helper is read somewhere."""
+a name it never uses, no module reads another module's underscore name, every
+module-level constant and private helper is read somewhere, and every name the
+README and the docstrings cite as ``module.name`` or ``Class.name`` exists."""
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
+import qshuffle
+
 _SRC = Path(__file__).resolve().parents[1] / "src" / "qshuffle"
 _MODULES = sorted(_SRC.glob("*.py"))
+_README = _SRC.parents[1] / "README.md"
 
 
 def _private(name: str) -> bool:
@@ -78,3 +85,31 @@ def test_no_unread_constant_or_private_definition():
     unread = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in _leftover_candidates(tree) if name not in read)
     assert unread == [], f"defined and never read: {unread}"
+
+
+def _doc_texts():
+    """(where, text): the README, then every docstring of the package."""
+    yield "README.md", _README.read_text(encoding="utf-8")
+    for path in _MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node):
+                where = f"{path.name}:{node.name}" if hasattr(node, "name") else path.name
+                yield where, ast.get_docstring(node)
+
+
+def test_every_doc_reference_resolves():
+    # a backticked `name.attr` whose name is a package module or an exported
+    # class must resolve: a deletion leaves no stale reference behind
+    roots = {path.stem: importlib.import_module(f"qshuffle.{path.stem}")
+             for path in _MODULES if not path.stem.startswith("__")}
+    roots |= {name: obj for name, obj in vars(qshuffle).items() if isinstance(obj, type)}
+    stale, checked = [], 0
+    for where, text in _doc_texts():
+        for name, *attrs in (m.split(".") for m in re.findall(r"`(\w+(?:\.\w+)+)`", text)):
+            if name in roots:
+                checked += 1
+                try:
+                    functools.reduce(getattr, attrs, roots[name])
+                except AttributeError:
+                    stale.append(f"{where}: {'.'.join([name, *attrs])}")
+    assert checked and stale == [], f"references to missing names: {stale}"
