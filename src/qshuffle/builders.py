@@ -36,6 +36,7 @@ single positive ancilla control.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .circuit import Circuit, Register, ctrl, gate_x, value_controls
@@ -48,6 +49,13 @@ ENCODINGS = ("binary", "onehot")
 DATA, PERM, ANC = "data", "perm", "anc"
 
 
+def spec_int(name: str, value) -> int:
+    """``value`` as an int; ValueError for a bool or what ``operator.index`` refuses (2.9, "3")."""
+    if type(value) is bool or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class BuildSpec:
     variant: str
@@ -58,6 +66,8 @@ class BuildSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        object.__setattr__(self, "n", spec_int("n", self.n))  # frozen: set once, here
+        object.__setattr__(self, "m", None if self.m is None else spec_int("m", self.m))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.encoding not in ENCODINGS:

@@ -13,7 +13,8 @@ turns a (register, subregister, bit) address into its index, checked, where a
 name enters the pipeline (builders, circuit files); ``ref_of`` turns an index
 back into its address for text output.  IR objects are immutable, and a gate
 list may hold one ``Gate`` object many times.  ``Circuit.extend`` is the one
-way gates enter a circuit: it runs ``check`` once per distinct object per call.
+way gates enter a circuit: it runs ``check`` once per distinct object per call
+and appends the whole batch or, if a gate fails, none of it.
 
 ``Gate`` and ``Control`` are named tuples, built, hashed and unpacked in C:
 they unpack (``primitive, angle, target, controls = gate``), change through
@@ -178,15 +179,11 @@ class Circuit:
             raise ValueError(f"gate target/controls overlap: {gate}")
 
     def extend(self, gates) -> "Circuit":
-        """Append ``gates`` in order, checking each distinct object once; a
-        gate that fails raises after the gates before it are appended."""
+        """Append ``gates`` in order, all or nothing: each distinct object is
+        checked once, and a gate that fails raises with no gate appended."""
         gates = list(gates)  # keeps each object alive while its id is a key
         for g in dict(zip(map(id, gates), gates)).values():
-            try:
-                self.check(g)
-            except Exception:
-                self.gates += gates[:list(map(id, gates)).index(id(g))]
-                raise
+            self.check(g)
         self.gates += gates
         return self
 

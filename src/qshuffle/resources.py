@@ -40,7 +40,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import asdict, dataclass, field
 
-from .builders import BuildSpec, build
+from .builders import BuildSpec, build, spec_int
 from .circuit import Circuit, cost_class, count_primitives
 
 
@@ -135,13 +135,11 @@ def _sweep(variant: str, n_values, m: int | None, encoding: str,
            profile: CostProfile | None):
     """Yield (n, qubits, gates, cycles) for each requested n, ascending."""
     p = profile or CostProfile.unit()
-    wanted = sorted(set(int(n) for n in n_values))
+    wanted = sorted(set(spec_int("n", n) for n in n_values))
     if not wanted:
         return
-    if wanted[0] < 1:
-        raise ValueError("n must be >= 1")
-    spec = BuildSpec(variant, wanted[-1], m, encoding)
-    has_perm, has_data, disentangling = spec.has_perm, spec.has_data, spec.disentangling
+    spec = BuildSpec(variant, wanted[0], m, encoding)  # checks the least n and the rest of the spec
+    has_perm, has_data, disentangling, m = spec.has_perm, spec.has_data, spec.disentangling, spec.m
     binary = encoding == "binary"
     x_cost = [p.cost("X", k) for k in range(wanted[-1].bit_length() + 2)]  # by number of controls
     init = prep_gates = prep_cycles = prep_cycles_max = swap = uncompute = ancilla = 0

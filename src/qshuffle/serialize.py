@@ -11,19 +11,18 @@ writer turns each index into its reg/sub/bit text (``Circuit.ref_of``) and the
 reader each address into its index (``Circuit.qubit``, which checks it).  A
 gate record has one target, except that a SWAP record with two targets and no
 angle is read as the three X gates of ``lowering.swap_gates``; the IR has no
-SWAP.  The reader resolves each int address once and makes the gates of each
-distinct record once, keyed on the angle's repr (-0.0 is not 0.0) and on int
-control values only (True == 1 == 1.0), so ``extend`` checks each once.  It
-reads in two steps, ``read_registers`` (the parse and the register table) and
-``read_gates``, so that a caller can refuse a circuit by its width before any
-gate is built, and runs each with the cyclic garbage collector paused: the
-parse and the gates make many objects and no cycle, and at A n=64 the
-collector's walks were 40 % of a load.  The
-text is ``json.dumps`` of that schema byte for byte, but written without the
-nested dicts: each distinct qubit and control is encoded once per call and its
-fragment reused.  Both emitters encode each distinct gate object once per call,
-angle included, found by identity (``_by_identity``), so a shared gate costs
-one lookup in C and -0.0 never gets 0.0's text.
+SWAP.  The reader makes the gates of each distinct record once, keyed on the
+angle's repr (-0.0 is not 0.0) and on int control values only
+(True == 1 == 1.0), so ``extend`` checks each once.  It reads in two steps,
+``read_registers`` (the parse and the register table) and ``read_gates``, so
+that a caller can refuse a circuit by its width before any gate is built, and
+runs each with the cyclic garbage collector paused: the parse and the gates
+make many objects and no cycle, and at A n=64 the collector's walks were 40 %
+of a load.  The text is ``json.dumps`` of that schema byte for byte, but
+written without the nested dicts: each distinct qubit and control is encoded
+once per call and its fragment reused.  Both emitters encode each distinct gate
+object once per call, angle included, found by identity (``_by_identity``), so
+a shared gate costs one lookup in C and -0.0 never gets 0.0's text.
 
 The QASM emitter writes one flat qubit array plus a comment mapping register
 names to index ranges.  Single positive controls on X become cx; every other
@@ -98,26 +97,23 @@ def _gc_paused(read):
 
 @_gc_paused
 def read_registers(text: str) -> tuple[Circuit, list]:
-    """The first step of ``circuit_from_json``: the circuit with its registers
-    and metadata and no gates, and the file's gate records."""
+    """The first step of ``circuit_from_json``: the circuit with its registers and
+    metadata (an object, ``{}`` if absent) and no gates, and the file's gate records."""
     data = json.loads(text)
-    circuit = Circuit([(r["name"], r["count"], r["width"]) for r in data["registers"]],
-                      data.get("metadata") or {})
-    return circuit, data["gates"]
+    registers = [(r["name"], r["count"], r["width"]) for r in data["registers"]]
+    metadata = data.get("metadata", {})
+    if type(metadata) is not dict:
+        raise ValueError(f"metadata must be an object, got a {type(metadata).__name__}")
+    return Circuit(registers, metadata), data["gates"]
 
 
 @_gc_paused
 def read_gates(circuit: Circuit, records: list) -> Circuit:
     """The second step of ``circuit_from_json``: append the gates of ``records``."""
-    indices, gates = {}, {}
+    gates = {}
 
-    def index(ref) -> int:  # Circuit.qubit checks each exact address once, any other each time
-        reg, sub, bit = address = ref["reg"], ref["sub"], ref["bit"]
-        if type(reg) is not str or type(sub) is not int or type(bit) is not int:
-            return circuit.qubit(*address)  # True == 1 == 1.0: no memo for them
-        if address not in indices:
-            indices[address] = circuit.qubit(*address)
-        return indices[address]
+    def index(ref) -> int:  # Circuit.qubit checks the address
+        return circuit.qubit(ref["reg"], ref["sub"], ref["bit"])
 
     def read(g) -> tuple[Gate, ...]:  # the gates of one distinct record, made once
         targets = tuple(map(index, g["targets"]))

@@ -87,13 +87,12 @@ def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarra
 
 
 def _resolve(gate: Gate) -> tuple:
-    """(primitive, target bit, control mask, control value, matrix): the gate's
-    2x2 matrix as rows (to bit 0, to bit 1) of columns (from bit 0, from bit 1)."""
+    """(primitive, target bit, control mask, control value, coefficients): RZ's
+    two phases (on bit 0, on bit 1), H/RY's matrix as rows (to bit 0, to bit 1)
+    of columns (from bit 0, from bit 1), nothing for X."""
     coefficients, angle = None, gate.angle
-    if gate.primitive == "X":
-        coefficients = (0, 1), (1, 0)
-    elif gate.primitive == "RZ":
-        coefficients = (np.exp(-0.5j * angle), 0), (0, np.exp(0.5j * angle))
+    if gate.primitive == "RZ":
+        coefficients = np.exp(-0.5j * angle), np.exp(0.5j * angle)
     elif gate.primitive == "H":
         r = 1.0 / math.sqrt(2.0)
         coefficients = (r, r), (r, -r)
@@ -115,8 +114,7 @@ def _apply(state, gate: tuple):
         return (flipped if hit is None else np.where(hit, flipped, indices)), amplitudes
     one = (indices & bit) != 0
     if primitive == "RZ":
-        (zero, _), (_, unit) = coefficients
-        phased = amplitudes * np.where(one, unit, zero)
+        phased = amplitudes * np.where(one, coefficients[1], coefficients[0])
         return indices, (phased if hit is None else np.where(hit, phased, amplitudes))
     (a, b), (c, d) = coefficients
     if hit is not None:  # mix only the branches it acts on; the others come first, unchanged

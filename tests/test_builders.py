@@ -33,6 +33,21 @@ def test_spec_validation():
         BuildSpec("A", 2, encoding="gray")
 
 
+@pytest.mark.parametrize("n, m", [(2.9, None), ("3", None), (True, None), (3.0, None),
+                                  (3, 2.5), (3, "2"), (3, True)])
+def test_spec_numbers_must_be_integers(n, m):
+    # 2.9 once passed and then failed in build on int.bit_length; "3" raised TypeError
+    variant = "A" if m is None else "B"
+    with pytest.raises(ValueError, match="must be an integer"):
+        BuildSpec(variant, n, m)
+
+
+def test_spec_takes_any_index_integer_as_an_int():
+    spec = BuildSpec("B", np.int64(3), np.int8(2))
+    assert (type(spec.n), type(spec.m)) == (int, int) and spec == BuildSpec("B", 3, 2)
+    assert build(spec).gates == build(BuildSpec("B", 3, 2)).gates
+
+
 def test_init_identity_word_counts():
     c = Circuit([("perm", 2, 1)])
     init_identity_word(c, 2)

@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import os
+import re
 import reprlib
 import subprocess
 import sys
@@ -538,12 +539,16 @@ _INT_NAME = ('{"registers": [{"name": 1, "count": 1, "width": 1}, '
     (_ONE_QUBIT % ("3", _TARGETS % ("SWAP", "0.5", f"{_Q % 0}, {_Q % 1}")), "0", 74),
     (_ONE_QUBIT % ("3", _TARGETS % ("X", "null", f"{_Q % 0}, {_Q % 1}")), "0", 74),
     (_ONE_QUBIT % ("3", _TARGETS % ("X", "null", "")), "0", 74),
+    # metadata is an object or absent: no other value is read as {} or turned into one
+    *[(_ONE_QUBIT[:-1] % ("1", "") + f', "metadata": {value}}}', "0", 74)
+      for value in ("0", "false", '""', "[]", '[["a", 1]]', "5", "null")],
 ], ids=["string-count", "string-angle", "top-level-list", "nan-angle", "float-bit", "float-sub",
         "float-control-value", "huge-int-angle", "bool-angle", "int-register-name",
         "negative-shots", "bool-sub", "float-one-sub", "half-sub", "bool-control-bit",
         "float-one-control-bit", "bool-sub-copy", "float-one-bit-copy", "bool-value-copy",
         "not-utf-8", "deep-nesting", "swap-one-target", "swap-three-targets", "swap-angle",
-        "x-two-targets", "x-no-target"])
+        "x-two-targets", "x-no-target", "metadata-zero", "metadata-false", "metadata-empty-string",
+        "metadata-empty-list", "metadata-pair-list", "metadata-int", "metadata-null"])
 def test_simulate_bad_input_exit_codes(tmp_path, capsys, text, shots, code):
     path = tmp_path / "c.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -695,6 +700,21 @@ def test_simulate_fuzzed_file_exit_codes(field, value):
     assert code in (0, 2, 74)
     if code == 74:
         assert err.count("\n") == 1
+
+
+def test_readme_synopsis_names_every_option_of_each_subcommand():
+    # the README's CLI block: one "qshuffle <command>" line per subcommand, with
+    # continuation lines; its --options must be the subparser's, --help aside
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    synopsis: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        if line.startswith("qshuffle "):
+            command = synopsis.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[\w-]+", line))
+    parsed = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+              for name, p in _SUBCOMMANDS.items()}
+    assert synopsis == parsed
 
 
 # the exit-code contract over the whole grammar: argv drawn from build_parser()'s

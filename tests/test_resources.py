@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -182,6 +183,23 @@ def test_formula_rejects_bad_spec():
         gate_count_formula("B", 3)  # missing m
     with pytest.raises(ValueError):
         qubit_count_formula("Z", 3)
+
+
+@pytest.mark.parametrize("n, m", [(2.9, None), ("3", None), (True, None), (3, 2.5)])
+def test_formulas_reject_spec_numbers_that_are_not_integers(n, m):
+    # these once gave 49.5 gates and 15.5 qubits (m = 2.5), n = 2's count (2.9),
+    # n = 3's (the string) and 0 gates (True)
+    variant = "A" if m is None else "B"
+    for formula in (qubit_count_formula, gate_count_formula, cycle_count_formula):
+        with pytest.raises(ValueError, match="must be an integer"):
+            formula(variant, n, m)
+
+
+def test_scaling_table_takes_integers_only():
+    for n_values in (["3", 3.5], [2, 3.0], [True, 4]):  # ["3", 3.5] once gave n = 3's row alone
+        with pytest.raises(ValueError, match="n must be an integer"):
+            scaling_table("A", n_values)
+    assert scaling_table("A", [np.int64(3), 2]) == scaling_table("A", [2, 3])
 
 
 costs = st.integers(min_value=0, max_value=50)
