@@ -6,7 +6,8 @@ Two levels:
   {X, H, RY, RZ, CX, CH, CRY, C^mX} in which the closed-form gate counts
   are stated, each register swap written as the three X gates of
   ``swap_gates``.  Mixed-polarity controls stay as they are; the count
-  classes do not distinguish polarity.
+  classes do not distinguish polarity.  ``swap_at`` finds such a triple in a
+  gate list, so the simulator can apply it as one swap.
 
 * "full" X-conjugates the negative controls of every gate away and
   rewrites every multiply-controlled X: X with m >= 3 controls
@@ -56,6 +57,21 @@ def swap_gates(a: Control, b: Control, controls: tuple[Control, ...]) -> tuple[G
     """
     outer = Gate("X", None, b.qubit, (a,))
     return outer, Gate("X", None, a.qubit, (*controls, b)), outer
+
+
+def swap_at(gates: list[Gate], i: int) -> tuple[int, int, tuple[Control, ...]] | None:
+    """(a, b, controls) whose ``swap_gates`` triple is ``gates[i:i+3]``, by
+    value, or None.  Only an X with one positive control can start one; it
+    names b by its target and a by its control, and the middle gate's controls
+    but its last are the swap's."""
+    head = gates[i]
+    if head.primitive != "X" or len(head.controls) != 1 or head.controls[0].value != 1:
+        return None
+    window = gates[i:i + 3]
+    if len(window) < 3 or not window[1].controls:
+        return None
+    a, b, controls = head.controls[0], Control(head.target, 1), window[1].controls[:-1]
+    return (a.qubit, b.qubit, controls) if swap_gates(a, b, controls) == tuple(window) else None
 
 
 def eliminate_negative_controls(gate: Gate) -> list[Gate]:

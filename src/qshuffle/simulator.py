@@ -12,20 +12,30 @@ target bit, control mask/value and RZ phases or H/RY matrix.  X moves indices
 (an XOR of the target bit where the controls hold), RZ multiplies each
 controlled amplitude by the phase of its target bit, and H/RY send each
 controlled branch to both target values and merge equal indices, dropping
-|amplitude| <= BRANCH_TOL.
+|amplitude| <= BRANCH_TOL.  When no controlled branch has the target bit set
+(a fresh qubit, as each prep's ancilla is), no two outputs can meet: H/RY
+then keep those branches and append their copies with the bit set, weighted
+by the matrix's from-0 column, and skip the merge.
 ``SimulationCapExceeded`` is raised above MAX_QUBITS qubits (``check_width``)
 or as soon as a state the simulator holds has more than MAX_BRANCHES branches.
 
 ``evolve`` is the one gate loop.  It yields ``(k, state)``: k = 0 and the
 start state, then, after each step, the number of gates applied so far and
-the state.  A step is one gate, or one Toffoli network that full lowering
-wrote (``lowering.toffoli_at``): its 15 gates, two of them H gates that split
-and re-merge the branches, are applied as its Toffoli, one index pass, with
-the amplitudes times TOFFOLI_PHASE.  The network's inner states are never
-held, so the branch cap sees every state the simulator holds; the amplitudes
-differ from a gate-by-gate run's by rounding and by the tiny ones it drops.
-No array is updated in place, so a yielded state may be kept.  ``run``
-returns the last state ``evolve`` yields.
+the state.  A step is one of three kinds:
+
+* one Toffoli network that full lowering wrote (``lowering.toffoli_at``):
+  its 15 gates, two of them H gates that split and re-merge the branches,
+  are applied as its Toffoli, one index pass, with the amplitudes times
+  TOFFOLI_PHASE; the amplitudes differ from a gate-by-gate run's by rounding
+  and by the tiny ones it drops;
+* one counting-level swap (``lowering.swap_at``): its three X gates are one
+  index pass that exchanges the two bits where the controls hold and the bits
+  differ, exactly what the three gates do;
+* one gate.
+
+A fused step never holds its gates' inner states, so the branch cap sees
+every state the simulator holds.  No array is updated in place, so a yielded
+state may be kept.  ``run`` returns the last state ``evolve`` yields.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from collections import Counter, deque
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .lowering import TOFFOLI_PHASE, toffoli_at
+from .lowering import TOFFOLI_PHASE, swap_at, toffoli_at
 
 MAX_QUBITS = 63  # basis indices are int64
 MAX_BRANCHES = 10 ** 6  # memory guard: refuse states with more live branches
@@ -120,16 +130,31 @@ def _apply(state, gate: tuple):
     if hit is not None:  # mix only the branches it acts on; the others come first, unchanged
         skipped = indices[~hit], amplitudes[~hit]
         indices, amplitudes, one = indices[hit], amplitudes[hit], one[hit]
-    outputs = np.concatenate((indices & ~bit, indices | bit))
-    weights = np.concatenate((np.where(one, b, a) * amplitudes, np.where(one, d, c) * amplitudes))
-    merged, inverse = np.unique(outputs, return_inverse=True)
-    sums = np.bincount(inverse, weights.real) + 1j * np.bincount(inverse, weights.imag)
-    live = np.abs(sums) > BRANCH_TOL
-    indices, amplitudes = merged[live], sums[live]
+    if one.any():  # outputs may meet: sum the weights of equal indices
+        outputs = np.concatenate((indices & ~bit, indices | bit))
+        weights = np.concatenate((np.where(one, b, a) * amplitudes, np.where(one, d, c) * amplitudes))
+        outputs, inverse = np.unique(outputs, return_inverse=True)
+        weights = np.bincount(inverse, weights.real) + 1j * np.bincount(inverse, weights.imag)
+    else:  # a fresh target: every output is distinct; + 0.0 makes -0.0 parts 0.0, as the sums do
+        outputs = np.concatenate((indices, indices | bit))
+        weights = np.concatenate((a * amplitudes, c * amplitudes)) + 0.0
+    live = np.abs(weights) > BRANCH_TOL
+    indices, amplitudes = outputs[live], weights[live]
     if hit is not None:
         indices, amplitudes = np.concatenate((skipped[0], indices)), np.concatenate((skipped[1], amplitudes))
     _guard(indices)
     return indices, amplitudes
+
+
+def _exchange(state, a: int, b: int, controls):
+    """The state after ``lowering.swap_at``'s swap: bits a and b of each index
+    exchanged where the controls hold and the two bits differ."""
+    indices, amplitudes = state
+    mask = sum(1 << c.qubit for c in controls) | 1 << a | 1 << b
+    value = sum(c.value << c.qubit for c in controls)
+    picked = indices & mask
+    move = (picked == value | 1 << a) | (picked == value | 1 << b)
+    return np.where(move, indices ^ (1 << a | 1 << b), indices), amplitudes
 
 
 def check_width(circuit: Circuit) -> None:
@@ -141,8 +166,8 @@ def check_width(circuit: Circuit) -> None:
 
 def evolve(circuit: Circuit, initial=None):
     """Yield (k, state): k = 0 and the start state, then the number of gates
-    applied and the state after each step, one gate or one Toffoli network
-    (see the module docstring)."""
+    applied and the state after each step: one Toffoli network, one swap
+    triple or one gate (see the module docstring)."""
     check_width(circuit)
     state = initial_state(circuit, initial)
     _guard(state[0])
@@ -150,11 +175,13 @@ def evolve(circuit: Circuit, initial=None):
     gates, resolved = circuit.gates, {}  # id -> _resolve(gate); gates keeps every gate alive
     k, n = 0, len(gates)
     while k < n:
-        toffoli = toffoli_at(gates, k)
-        if toffoli is not None:
+        if (toffoli := toffoli_at(gates, k)) is not None:
             indices, amplitudes = _apply(state, _resolve(toffoli))
             state = indices, amplitudes * TOFFOLI_PHASE
             k += 15
+        elif (swap := swap_at(gates, k)) is not None:
+            state = _exchange(state, *swap)
+            k += 3
         else:
             if id(gates[k]) not in resolved:
                 resolved[id(gates[k])] = _resolve(gates[k])

@@ -97,8 +97,9 @@ def replay_models(spec: BuildSpec, circuit: Circuit, inputs: list[int] | None):
 def _compare(state, model: np.ndarray, amplitude: float) -> tuple[float, int, complex, float]:
     """Largest |amplitude - model amplitude| over both index sets: a live
     branch the model lacks counts its own amplitude, a model index with no
-    live branch counts ``amplitude``.  Returns it with the basis index where it
-    occurs, the state's amplitude there and the model's."""
+    live branch counts ``amplitude``.  Returns it with the smallest basis index
+    where it occurs (a live branch's before a missing one's), the state's
+    amplitude there and the model's."""
     indices, amplitudes = state
     live = np.abs(amplitudes) > simulator.BRANCH_TOL
     indices, amplitudes = indices[live], amplitudes[live]
@@ -109,7 +110,8 @@ def _compare(state, model: np.ndarray, amplitude: float) -> tuple[float, int, co
     missing[pos[hit]] = False
     if missing.any() and (not len(errors) or amplitude > errors.max()):
         return amplitude, int(model[np.argmax(missing)]), 0j, amplitude
-    worst = int(np.argmax(errors))
+    tied = np.flatnonzero(errors == errors.max())  # the state's branch order must not choose
+    worst = int(tied[np.argmin(indices[tied])])
     expected = amplitude if hit[worst] else 0.0
     return float(errors[worst]), int(indices[worst]), complex(amplitudes[worst]), expected
 

@@ -97,10 +97,18 @@ def test_verify_pass_and_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(verify, "build_with_checkpoints",
                         counted("builds", verify.build_with_checkpoints))
     monkeypatch.setattr(resources, "build", counted("builds", resources.build))
-    monkeypatch.setattr(simulator, "_apply", counted("gates", simulator._apply))
+    real_evolve, steps = simulator.evolve, []
+
+    def evolve(*args):
+        for k, state in real_evolve(*args):
+            steps.append(k)
+            yield k, state
+
+    monkeypatch.setattr(simulator, "evolve", counted("passes", evolve))
     assert run_cli("verify", "--variant", "A", "--n", "4") == 0
-    # one build and one simulation pass that applies each gate once
-    assert calls == {"builds": 1, "gates": len(build(BuildSpec("A", 4)))}
+    # one build and one simulation pass whose steps end after the last gate
+    assert calls == {"builds": 1, "passes": 1}
+    assert steps[0] == 0 and steps[-1] == len(build(BuildSpec("A", 4)))
     report = json.loads(capsys.readouterr().out)
     assert report["overall"] is True
     names = [c["name"] for c in report["checks"]]

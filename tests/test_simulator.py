@@ -33,6 +33,7 @@ from qshuffle.lowering import (
     eliminate_negative_controls,
     lower_circuit,
     lower_toffoli,
+    swap_at,
     swap_gates,
     toffoli_at,
 )
@@ -237,6 +238,33 @@ def test_run_applies_an_exact_toffoli_network_as_its_toffoli_and_phase():
     assert np.allclose(run(c, 0b011), TOFFOLI_PHASE * np.eye(16)[0b111], rtol=0, atol=1e-15)
 
 
+_SWAP = list(swap_gates(ctrl(q(0)), ctrl(q(1)), (Control(q(2), 0),)))
+
+
+def _near_swaps():
+    """(name, gates): the swap triple of qubits 0 and 1 under q2 = 0 with one
+    gate changed (its target moved to the idle qubit 3, or the value of its
+    control on qubit 0 or 1 flipped), or cut short at the circuit's end.  None
+    of them is a swap triple."""
+    for k, g in enumerate(_SWAP):
+        flipped = tuple(c._replace(value=1 - c.value) if c.qubit in (q(0), q(1)) else c for c in g.controls)
+        for kind, h in (("qubit", g._replace(target=q(3))), ("control", g._replace(controls=flipped))):
+            yield f"{k}-{kind}", _SWAP[:k] + [h] + _SWAP[k + 1:]
+    yield "cut", [gate_x(q(3))] + _SWAP[:-1]
+
+
+@pytest.mark.parametrize("gates", [pytest.param(gates, id=name) for name, gates in _near_swaps()])
+def test_run_applies_only_exact_swap_triples_as_swaps(gates):
+    c = _run_against_dense(gates)
+    assert [swap_at(c.gates, i) for i in range(len(c.gates))] == [None] * len(c.gates)
+
+
+def test_run_applies_an_exact_swap_triple_as_one_swap():
+    c = _run_against_dense(_SWAP)
+    assert swap_at(c.gates, 0) == (q(0), q(1), (Control(q(2), 0),))
+    assert [k for k, _ in simulator.evolve(c)] == [0, 3]
+
+
 def test_states_equal_up_to_phase():
     a = np.array([1, 1], dtype=complex) / sqrt(2)
     assert states_equal_up_to_phase(a, a * np.exp(0.7j))
@@ -415,25 +443,34 @@ def random_circuits(draw):
     n = draw(st.integers(1, 8))
     c = Circuit([("q", 1, n)])
 
-    def gate(qubits):
-        primitive = draw(st.sampled_from(("X", "H", "RY", "RZ")))
-        target, *others = draw(st.permutations(qubits))
-        num_controls = draw(st.integers(0, min(2, len(others))))
-        controls = tuple(Control(q(k), draw(st.integers(0, 1))) for k in others[:num_controls])
+    def controls(others):  # up to 2 of them, each required 0 or 1
+        return tuple(Control(q(k), draw(st.integers(0, 1)))
+                     for k in others[:draw(st.integers(0, min(2, len(others))))])
+
+    def gate(qubits, primitives=("X", "H", "RY", "RZ")):
+        primitive = draw(st.sampled_from(primitives))
+        target, *others = qubits
         angle = draw(st.floats(-2 * np.pi, 2 * np.pi)) if primitive in ("RY", "RZ") else None
-        return Gate(primitive, angle, q(target), controls)
+        return Gate(primitive, angle, q(target), controls(others))
 
     def piece():
-        # one gate, a run of gates on at most 3 qubits, or Toffoli networks with
+        # one gate; a run of gates on at most 3 qubits; two H/RY gates on one
+        # target, so the second acts on a qubit in superposition; a swap triple
+        # under positive, negative or no controls; or Toffoli networks with
         # mixed-polarity controls on one or two random triples: run applies
-        # each network as one Toffoli and its phase, and every other gate
-        # (the X conjugations of negative controls too) on its own
-        kind = draw(st.sampled_from(("gate", "run", "network")[:2 + (n >= 3)]))
+        # each network as one Toffoli and its phase, each triple as one swap,
+        # and every other gate (the X conjugations of negative controls too)
+        # on its own
+        kind = draw(st.sampled_from(("gate", "run", "branch", "swap", "network")[:3 + (n >= 2) + (n >= 3)]))
+        qubits = draw(st.permutations(range(n)))
         if kind == "gate":
-            return [gate(range(n))]
+            return [gate(qubits)]
         if kind == "run":
-            qubits = draw(st.permutations(range(n)))[:3]
-            return [gate(qubits) for _ in range(draw(st.integers(2, 6)))]
+            return [gate(draw(st.permutations(qubits[:3]))) for _ in range(draw(st.integers(2, 6)))]
+        if kind == "branch":
+            return [gate(qubits, ("H", "RY")), gate(qubits, ("H", "RY"))]
+        if kind == "swap":
+            return list(swap_gates(ctrl(q(qubits[0])), ctrl(q(qubits[1])), controls(qubits[2:])))
         values = draw(st.integers(0, 1)), draw(st.integers(0, 1))
         triples = [draw(st.permutations(range(n)))[:3] for _ in range(draw(st.integers(1, 2)))]
         toffolis = [Gate("X", None, q(t), (Control(q(a), values[0]), Control(q(b), values[1])))
@@ -449,25 +486,30 @@ def random_circuits(draw):
         c.extend(draw(st.sampled_from(pool)) if pool else piece())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    amps[rng.random(1 << n) < draw(st.sampled_from((0.0, 0.5, 0.9)))] = 0.0  # some sparse starts
-    assume(np.any(amps))
+    # dense, sparse and basis starts: H/RY on a qubit that no branch has set
+    # take the simulator's split without a merge
+    keep = rng.random(1 << n) >= draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))
+    keep[rng.integers(1 << n)] = True
+    amps[~keep] = 0.0
     return c, amps / np.linalg.norm(amps)
 
 
 @given(random_circuits())
 @settings(max_examples=200, deadline=None)
 def test_sparse_matches_dense_oracle(case):
-    # step by step from the same state: a step is one gate, or 15 where
-    # toffoli_at finds a Toffoli network, and the sparse backend may differ from
-    # the dense kernel on that step's gates only by rounding and by an amplitude
-    # of at most BRANCH_TOL that it drops (over a whole circuit, dropped
-    # amplitudes that later mix can add up past 1e-12)
+    # step by step from the same state: a step is one gate, 15 where
+    # toffoli_at finds a Toffoli network, or 3 where swap_at finds a swap
+    # triple, and the sparse backend may differ from the dense kernel on that
+    # step's gates only by rounding and by an amplitude of at most BRANCH_TOL
+    # that it drops (over a whole circuit, dropped amplitudes that later mix can
+    # add up past 1e-12)
     c, amps = case
     steps = evolve(c, amps)  # the sparse simulator, densified
     done, before = next(steps)
     assert done == 0 and np.array_equal(before, amps)
     for k, after in steps:
-        assert k == done + (1 if toffoli_at(c.gates, done) is None else 15)
+        step = 15 if toffoli_at(c.gates, done) is not None else 3 if swap_at(c.gates, done) is not None else 1
+        assert k == done + step
         want = dense_run(Circuit(c.registers).extend(c.gates[done:k]), before)
         assert np.max(np.abs(after - want)) <= 1e-12
         done, before = k, after

@@ -2,6 +2,7 @@
 
 from math import sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,3 +116,28 @@ def test_failure_detail_names_an_extra_branch(monkeypatch):
     assert detail["iteration"] == 1
     assert detail["registers"] == {"perm": [0, 0, 2], "anc": [0]}
     assert (detail["re"], detail["im"], detail["expected"]) == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_checkpoint_is_an_evolve_step(variant, encoding):
+    # verify_spec reads the state after checkpoints[i - 1] gates, so no fused
+    # step may straddle an iteration start; and each of the n(n-1)/2 register
+    # swaps the builder writes, one swap triple per swapped bit, is one step
+    for n in range(1, 7):
+        for m in (1, 2) if variant in ("B", "Bt", "C") else (None,):
+            spec = BuildSpec(variant, n, m, encoding)
+            circuit, checkpoints = build_with_checkpoints(spec)
+            steps = [k for k, _ in simulator.evolve(circuit)]
+            assert set(checkpoints) <= set(steps)
+            bits = (m if spec.has_data else 0) + (spec.word_width if spec.has_perm else 0)
+            assert len(steps) == 1 + len(circuit) - 2 * bits * n * (n - 1) // 2
+
+
+def test_failure_detail_names_the_smallest_index_of_equal_deviation():
+    # two extra branches of equal amplitude: the simulator keeps branches in no
+    # particular order, and the report must not depend on it
+    model = np.array([1, 5])
+    for order in ([3, 7, 1, 5], [7, 3, 5, 1]):
+        state = np.array(order), np.full(4, 0.5 + 0j)
+        assert verify._compare(state, model, 0.5) == (0.5, 3, 0.5 + 0j, 0.0)
