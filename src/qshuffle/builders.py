@@ -36,10 +36,9 @@ single positive ancilla control.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .circuit import Circuit, Register, ctrl, gate_x, value_controls
+from .circuit import Circuit, Register, ctrl, gate_x, spec_int, value_controls
 from .lowering import swap_gates
 from .prep import u_gates, v_gates
 
@@ -47,13 +46,6 @@ VARIANTS = ("A", "At", "B", "Bt", "C")
 ENCODINGS = ("binary", "onehot")
 
 DATA, PERM, ANC = "data", "perm", "anc"
-
-
-def spec_int(name: str, value) -> int:
-    """``value`` as an int; ValueError for a bool or what ``operator.index`` refuses (2.9, "3")."""
-    if type(value) is bool or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -66,10 +58,8 @@ class BuildSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        object.__setattr__(self, "n", spec_int("n", self.n))  # frozen: set once, here
+        object.__setattr__(self, "n", spec_int("n", self.n, 1))  # frozen: set once, here
         object.__setattr__(self, "m", None if self.m is None else spec_int("m", self.m))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"unknown encoding {self.encoding!r}")
         if self.has_data:
@@ -123,9 +113,7 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     """Build the circuit plus the gate index at the start of each iteration
     (and the end index), for mid-circuit state checks."""
     n, binary = spec.n, spec.encoding == "binary"
-    metadata = {"variant": spec.variant, "n": n, "m": spec.m, "encoding": spec.encoding,
-                "lowering": "counting"}
-    circuit = Circuit(register_layout(spec), metadata)
+    circuit = Circuit(register_layout(spec), asdict(spec) | {"lowering": "counting"})
     qubits = {r.name: [[circuit.qubit(r.name, k, bit) for bit in range(r.width)] for k in range(r.count)]
               for r in circuit.registers}  # every subregister resolved, and checked, once
     pos = [ctrl(k) for k in range(circuit.num_qubits)]  # one positive control per qubit

@@ -28,6 +28,7 @@ primitive counting.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from math import isfinite
@@ -35,6 +36,17 @@ from typing import NamedTuple
 
 PRIMITIVES = ("X", "H", "RY", "RZ")
 ROTATIONS = ("RY", "RZ")
+
+
+def spec_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int; ValueError for a bool, what ``operator.index``
+    refuses (2.9, "3") or an int below ``least``."""
+    if type(value) is bool or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 from math import acos, sqrt
 
-from .circuit import Circuit, Gate, ctrl, gate_h, gate_ry, gate_x
+from .circuit import Circuit, Gate, ctrl, gate_h, gate_ry, gate_x, spec_int
 
 
 def u_gates(i: int, qubits) -> list[Gate]:
     """Gate list of the binary uniform prep for 0..i; bit k is qubit ``qubits[k]``."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
+    i = spec_int("i", i, 1)
     m = i + 1
     q = qubits.__getitem__
     if m & (m - 1) == 0:  # power of two: one Hadamard per qubit
@@ -62,8 +61,7 @@ def u_gates(i: int, qubits) -> list[Gate]:
 
 def v_gates(i: int, qubits) -> list[Gate]:
     """Gate list of the one-hot uniform prep over ``qubits[0..i-1]``."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
+    i = spec_int("i", i, 1)
     m = i + 1
     q = qubits.__getitem__
     gates = [gate_ry(2.0 * acos(sqrt(1.0 / m)), q(0))]
@@ -75,11 +73,13 @@ def v_gates(i: int, qubits) -> list[Gate]:
 
 def build_u(i: int) -> Circuit:
     """Binary uniform prep as a standalone circuit on one register."""
+    i = spec_int("i", i, 1)
     circuit = Circuit([("q", 1, i.bit_length())], {"prep": "u", "i": i, "encoding": "binary"})
     return circuit.extend(u_gates(i, circuit.register_qubits("q")))
 
 
 def build_v(i: int) -> Circuit:
     """One-hot uniform prep as a standalone circuit on one register."""
+    i = spec_int("i", i, 1)
     circuit = Circuit([("q", 1, i)], {"prep": "v", "i": i, "encoding": "onehot"})
     return circuit.extend(v_gates(i, circuit.register_qubits("q")))

@@ -40,8 +40,8 @@ from __future__ import annotations
 import reprlib
 from dataclasses import asdict, dataclass, field
 
-from .builders import BuildSpec, build, spec_int
-from .circuit import Circuit, cost_class, count_primitives
+from .builders import BuildSpec, build
+from .circuit import Circuit, cost_class, count_primitives, spec_int
 
 
 @dataclass
@@ -114,9 +114,11 @@ def _plain_decimal(key: str) -> bool:
         return False
 
 
-def u_counts(i: int, profile: CostProfile | None = None) -> tuple[int, int]:
-    """(gates, cycles) of the binary uniform prep over 0..i; its H prefix is one layer."""
-    p = profile or CostProfile.unit()
+def _prep_counts(i: int, p: CostProfile, binary: bool) -> tuple[int, int]:
+    """(gates, cycles) of the binary or one-hot uniform prep over 0..i, i already checked."""
+    if not binary:  # 1 RY plus (CRY, CX) per extra state, in sequence
+        gates = p.ry + (i - 1) * (p.cry + p.cx)
+        return gates, gates
     m = i + 1
     s0, top = (m & -m).bit_length() - 1, m.bit_length() - 1  # lowest and highest set bit
     if s0 == top:  # m = 2^s0: an H on each of the s0 bits
@@ -125,10 +127,14 @@ def u_counts(i: int, profile: CostProfile | None = None) -> tuple[int, int]:
     return s0 * p.h + rest, min(1, s0) * p.h + rest
 
 
+def u_counts(i: int, profile: CostProfile | None = None) -> tuple[int, int]:
+    """(gates, cycles) of the binary uniform prep over 0..i; its H prefix is one layer."""
+    return _prep_counts(spec_int("i", i, 1), profile or CostProfile.unit(), True)
+
+
 def v_gate_count_formula(i: int, profile: CostProfile | None = None) -> int:
     """Gate count of the one-hot uniform prep: 1 RY plus (CRY, CX) per extra state."""
-    p = profile or CostProfile.unit()
-    return p.ry + (i - 1) * (p.cry + p.cx)
+    return _prep_counts(spec_int("i", i, 1), profile or CostProfile.unit(), False)[0]
 
 
 def _sweep(variant: str, n_values, m: int | None, encoding: str,
@@ -149,10 +155,7 @@ def _sweep(variant: str, n_values, m: int | None, encoding: str,
         for i in range(done, n):
             b, h = i.bit_length(), i.bit_count()
             init += h * p.x
-            if binary:
-                g, c = u_counts(i, p)
-            else:  # one-hot: a sequential chain
-                g = c = v_gate_count_formula(i, p)
+            g, c = _prep_counts(i, p, binary)
             prep_gates += g
             prep_cycles += c
             prep_cycles_max = max(prep_cycles_max, c)
@@ -247,10 +250,7 @@ def resource_report(spec: BuildSpec, profile: CostProfile | None = None,
     circuit = circuit if circuit is not None else build(spec)
     _, qubits, gates, cycles = next(_sweep(spec.variant, [spec.n], spec.m, spec.encoding, p))
     return ResourceReport(
-        variant=spec.variant,
-        n=spec.n,
-        m=spec.m,
-        encoding=spec.encoding,
+        **asdict(spec),
         qubits_formula=qubits,
         gates_formula=gates,
         cycles_formula=cycles,

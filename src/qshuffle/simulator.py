@@ -7,15 +7,15 @@ the circuit's register numbering.  A correct shuffle build holds i! branches
 before iteration i, far fewer than 2^qubits, and every gate costs time linear
 in the live branches.
 
-Each distinct gate object is resolved once per call (by identity) to its
-target bit, control mask/value and RZ phases or H/RY matrix.  X moves indices
-(an XOR of the target bit where the controls hold), RZ multiplies each
-controlled amplitude by the phase of its target bit, and H/RY send each
-controlled branch to both target values and merge equal indices, dropping
-|amplitude| <= BRANCH_TOL.  When no controlled branch has the target bit set
-(a fresh qubit, as each prep's ancilla is), no two outputs can meet: H/RY
-then keep those branches and append their copies with the bit set, weighted
-by the matrix's from-0 column, and skip the merge.
+``_apply`` reads each gate's primitive, angle, target and controls as it
+applies it; a gate without controls skips the pass that finds where they
+hold.  X moves indices (an XOR of the target bit where the controls hold),
+RZ multiplies each controlled amplitude by the phase of its target bit, and
+H/RY send each controlled branch to both target values and merge equal
+indices, dropping |amplitude| <= BRANCH_TOL.  When no controlled branch has
+the target bit set (a fresh qubit, as each prep's ancilla is), no two outputs
+can meet: H/RY then keep those branches and append their copies with the bit
+set, weighted by the matrix's from-0 column, and skip the merge.
 ``SimulationCapExceeded`` is raised above MAX_QUBITS qubits (``check_width``)
 or as soon as a state the simulator holds has more than MAX_BRANCHES branches.
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def _guard(indices: np.ndarray) -> None:
 def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarray]:
     """Build the start state: None (all zeros), a basis index, an
     (indices, amplitudes) pair (copied), or a mapping register name -> list of
-    per-subregister values."""
+    per-subregister values; ValueError for any other start."""
     n = circuit.num_qubits
     if isinstance(initial, tuple):
         indices, amplitudes = initial
@@ -84,49 +85,44 @@ def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarra
             raise ValueError(f"basis index {initial} out of range for {n} qubits")
         index = int(initial)
     elif initial is not None:
+        if not isinstance(initial, Mapping):
+            raise ValueError(f"start {initial!r} is not a basis index, (indices, amplitudes) or a mapping")
         for name, values in initial.items():
             reg = circuit.register(name)
+            if not isinstance(values, Iterable):
+                raise ValueError(f"register {name!r} needs a list of {reg.count} values, got {values!r}")
             values = list(values)
             if len(values) != reg.count:
                 raise ValueError(f"register {name!r} has {reg.count} subregisters, got {len(values)} values")
             for sub, value in enumerate(values):
-                if not 0 <= value < (1 << reg.width):
-                    raise ValueError(f"value {value} does not fit register {name!r} width {reg.width}")
+                if not isinstance(value, (int, np.integer)) or not 0 <= value < (1 << reg.width):
+                    raise ValueError(f"value {value!r} does not fit register {name!r} width {reg.width}")
                 index |= value << circuit.qubit(name, sub, 0)
     return np.array([index], dtype=np.int64), np.ones(1, dtype=complex)
 
 
-def _resolve(gate: Gate) -> tuple:
-    """(primitive, target bit, control mask, control value, coefficients): RZ's
-    two phases (on bit 0, on bit 1), H/RY's matrix as rows (to bit 0, to bit 1)
-    of columns (from bit 0, from bit 1), nothing for X."""
-    coefficients, angle = None, gate.angle
-    if gate.primitive == "RZ":
-        coefficients = np.exp(-0.5j * angle), np.exp(0.5j * angle)
-    elif gate.primitive == "H":
-        r = 1.0 / math.sqrt(2.0)
-        coefficients = (r, r), (r, -r)
-    elif gate.primitive == "RY":
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        coefficients = (c, -s), (s, c)
-    return (gate.primitive, 1 << gate.target, sum(1 << c.qubit for c in gate.controls),
-            sum(c.value << c.qubit for c in gate.controls), coefficients)
-
-
-def _apply(state, gate: tuple):
-    """The state after one resolved gate, which acts where ``indices & mask ==
-    value``.  An uncontrolled gate (mask 0) skips that pass."""
+def _apply(state, gate: Gate):
+    """The state after one gate, which acts where its controls hold.  A gate
+    without controls skips that pass."""
     indices, amplitudes = state
-    primitive, bit, mask, value, coefficients = gate
-    hit = (indices & mask) == value if mask else None
+    primitive, angle, target, controls = gate
+    bit, hit = 1 << target, None
+    if controls:
+        hit = (indices & sum(1 << c.qubit for c in controls)) == sum(c.value << c.qubit for c in controls)
     if primitive == "X":
         flipped = indices ^ bit
         return (flipped if hit is None else np.where(hit, flipped, indices)), amplitudes
     one = (indices & bit) != 0
     if primitive == "RZ":
-        phased = amplitudes * np.where(one, coefficients[1], coefficients[0])
+        phased = amplitudes * np.where(one, np.exp(0.5j * angle), np.exp(-0.5j * angle))
         return indices, (phased if hit is None else np.where(hit, phased, amplitudes))
-    (a, b), (c, d) = coefficients
+    if primitive == "H":  # the matrix: a, b to bit 0 and c, d to bit 1, from bit 0 and bit 1
+        a = b = c = 1.0 / math.sqrt(2.0)
+        d = -a
+    else:
+        a = d = math.cos(angle / 2.0)
+        c = math.sin(angle / 2.0)
+        b = -c
     if hit is not None:  # mix only the branches it acts on; the others come first, unchanged
         skipped = indices[~hit], amplitudes[~hit]
         indices, amplitudes, one = indices[hit], amplitudes[hit], one[hit]
@@ -172,20 +168,18 @@ def evolve(circuit: Circuit, initial=None):
     state = initial_state(circuit, initial)
     _guard(state[0])
     yield 0, state
-    gates, resolved = circuit.gates, {}  # id -> _resolve(gate); gates keeps every gate alive
+    gates = circuit.gates
     k, n = 0, len(gates)
     while k < n:
         if (toffoli := toffoli_at(gates, k)) is not None:
-            indices, amplitudes = _apply(state, _resolve(toffoli))
+            indices, amplitudes = _apply(state, toffoli)
             state = indices, amplitudes * TOFFOLI_PHASE
             k += 15
         elif (swap := swap_at(gates, k)) is not None:
             state = _exchange(state, *swap)
             k += 3
         else:
-            if id(gates[k]) not in resolved:
-                resolved[id(gates[k])] = _resolve(gates[k])
-            state = _apply(state, resolved[id(gates[k])])
+            state = _apply(state, gates[k])
             k += 1
         yield k, state
 

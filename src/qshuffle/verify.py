@@ -159,5 +159,4 @@ def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_S
     checks.append(Check("depth_within_cycle_bound", report.depth_bounded,
                         float(report.depth_measured), float(report.cycles_formula)))
 
-    spec_dict = {"variant": spec.variant, "n": spec.n, "m": spec.m, "encoding": spec.encoding}
-    return VerifyReport(spec_dict, seed, tuple(checks), all(c.passed for c in checks))
+    return VerifyReport(asdict(spec), seed, tuple(checks), all(c.passed for c in checks))

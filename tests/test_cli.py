@@ -712,17 +712,24 @@ def test_simulate_fuzzed_file_exit_codes(field, value):
 
 def test_readme_synopsis_names_every_option_of_each_subcommand():
     # the README's CLI block: one "qshuffle <command>" line per subcommand, with
-    # continuation lines; its --options must be the subparser's, --help aside
+    # continuation lines; its --options must be the subparser's, --help aside,
+    # and those outside [...] exactly the subparser's required ones
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]
     synopsis: dict[str, set[str]] = {}
+    unbracketed: dict[str, set[str]] = {}
     for line in block.strip().splitlines():
         if line.startswith("qshuffle "):
-            command = synopsis.setdefault(line.split()[1], set())
+            name = line.split()[1]
+            command, needed = synopsis.setdefault(name, set()), unbracketed.setdefault(name, set())
         command.update(re.findall(r"--[\w-]+", line))
+        needed.update(re.findall(r"--[\w-]+", re.sub(r"\[[^]]*\]", "", line)))
     parsed = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
               for name, p in _SUBCOMMANDS.items()}
+    required = {name: {o for a in p._actions if a.required for o in a.option_strings}
+                for name, p in _SUBCOMMANDS.items()}
     assert synopsis == parsed
+    assert unbracketed == required
 
 
 # the exit-code contract over the whole grammar: argv drawn from build_parser()'s

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qshuffle.prep import build_u, build_v, u_gates, v_gates
-from qshuffle.resources import CostProfile, u_counts, weighted_depth
+from qshuffle.resources import CostProfile, u_counts, v_gate_count_formula, weighted_depth
 from oracles import primitive_multiset, run
 
 TOL = 1e-10
@@ -155,6 +155,28 @@ def test_v_linear_size_and_depth(i):
 def test_v_rejects_nonpositive():
     with pytest.raises(ValueError):
         build_v(0)
+
+
+_PREP_CALLS = {"u_gates": lambda i: u_gates(i, range(8)), "v_gates": lambda i: v_gates(i, range(8)),
+               "build_u": build_u, "build_v": build_v,
+               "u_counts": u_counts, "v_gate_count_formula": v_gate_count_formula}
+
+
+@pytest.mark.parametrize("name", _PREP_CALLS)
+@pytest.mark.parametrize("i, message", [(0, "i must be >= 1"), (-1, "i must be >= 1"), (-5, "i must be >= 1"),
+                                        (True, "i must be an integer, got True"),
+                                        (2.5, "i must be an integer, got 2.5"),
+                                        ("3", "i must be an integer, got '3'")])
+def test_every_prep_refuses_nonsense_i(name, i, message):
+    with pytest.raises(ValueError, match=message):
+        _PREP_CALLS[name](i)
+
+
+def test_prep_takes_any_integer_type():
+    assert u_counts(np.int64(5)) == u_counts(5)
+    assert v_gate_count_formula(np.int64(3)) == v_gate_count_formula(3)
+    assert build_u(np.int64(5)).gates == build_u(5).gates
+    assert build_v(np.int64(3)).gates == build_v(3).gates
 
 
 @pytest.mark.parametrize("i", range(1, 16))

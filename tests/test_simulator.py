@@ -107,6 +107,19 @@ def test_initial_state_register_values():
     assert abs(state[0b0110] - 1.0) < TOL  # d0=2 (bits 1), d1=1 (bit 2)
 
 
+@pytest.mark.parametrize("start, message", [
+    (2.0, "start 2.0 is not a basis index"), ([1, 2], r"start \[1, 2\] is not a basis index"),
+    ("3", "start '3' is not a basis index"),
+    ({"data": [0.5, 0, 0]}, "value 0.5 does not fit register 'data'"),
+    ({"data": [1.0, 0, 0]}, "value 1.0 does not fit register 'data'"),
+    ({"data": 5}, "register 'data' needs a list of 3 values, got 5"),
+])
+def test_bad_start_raises_value_error_naming_it(start, message):
+    c = build(BuildSpec("B", 3, 1))
+    with pytest.raises(ValueError, match=message):
+        simulator.run(c, start)
+
+
 def test_disentangled_plus_zero():
     c = Circuit([("a", 1, 1), ("b", 1, 1)])
     c.extend([gate_h(c.qubit("a", 0, 0))])
