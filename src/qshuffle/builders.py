@@ -36,7 +36,7 @@ single positive ancilla control.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .circuit import Circuit, Register, ctrl, gate_x, spec_int, value_controls
 from .lowering import swap_gates
@@ -48,25 +48,33 @@ ENCODINGS = ("binary", "onehot")
 DATA, PERM, ANC = "data", "perm", "anc"
 
 
-@dataclass(frozen=True)
-class BuildSpec:
+class _BuildSpec(NamedTuple):
     variant: str
     n: int
     m: int | None = None
     encoding: str = "binary"
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        object.__setattr__(self, "n", spec_int("n", self.n, 1))  # frozen: set once, here
-        object.__setattr__(self, "m", None if self.m is None else spec_int("m", self.m))
-        if self.encoding not in ENCODINGS:
-            raise ValueError(f"unknown encoding {self.encoding!r}")
-        if self.has_data:
-            if self.m is None or self.m < 1:
-                raise ValueError(f"variant {self.variant} needs a data width m >= 1")
-        elif self.m is not None:
-            raise ValueError(f"variant {self.variant} has no data register; drop m")
+
+class BuildSpec(_BuildSpec):
+    __slots__ = ()
+
+    def __new__(cls, variant: str, n: int, m: int | None = None, encoding: str = "binary"):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+        spec = super().__new__(cls, variant, spec_int("n", n, 1), None if m is None else spec_int("m", m),
+                               encoding)
+        if encoding not in ENCODINGS:
+            raise ValueError(f"unknown encoding {encoding!r}")
+        if spec.has_data:
+            if spec.m is None or spec.m < 1:
+                raise ValueError(f"variant {variant} needs a data width m >= 1")
+        elif spec.m is not None:
+            raise ValueError(f"variant {variant} has no data register; drop m")
+        return spec
+
+    @classmethod
+    def _make(cls, fields):  # ``_replace`` builds through this, so it validates too
+        return cls(*fields)
 
     @property
     def has_data(self) -> bool:
@@ -113,7 +121,7 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     """Build the circuit plus the gate index at the start of each iteration
     (and the end index), for mid-circuit state checks."""
     n, binary = spec.n, spec.encoding == "binary"
-    circuit = Circuit(register_layout(spec), asdict(spec) | {"lowering": "counting"})
+    circuit = Circuit(register_layout(spec), spec._asdict() | {"lowering": "counting"})
     qubits = {r.name: [[circuit.qubit(r.name, k, bit) for bit in range(r.width)] for k in range(r.count)]
               for r in circuit.registers}  # every subregister resolved, and checked, once
     pos = [ctrl(k) for k in range(circuit.num_qubits)]  # one positive control per qubit

@@ -16,11 +16,17 @@ list may hold one ``Gate`` object many times.  ``Circuit.extend`` is the one
 way gates enter a circuit: it runs ``check`` once per distinct object per call
 and appends the whole batch or, if a gate fails, none of it.
 
-``Gate`` and ``Control`` are named tuples, built, hashed and unpacked in C:
-they unpack (``primitive, angle, target, controls = gate``), change through
-``_replace``, and compare like plain tuples of their fields, so a gate equals
-one whose angle is -0.0 for 0.0 or whose control value is True for 1.  Every
-memo over them is keyed by identity, or by value with the angle's ``repr``.
+Every record type of the package is a named tuple: ``Gate``, ``Control`` and
+``Register`` here, ``BuildSpec``, ``CostProfile``, ``ResourceReport``, ``Check``
+and ``VerifyReport`` (a dataclass would write and compile its methods while
+the CLI starts, each call a process of its own).  They unpack
+(``primitive, angle, target, controls = gate``), change through ``_replace``
+(``BuildSpec`` and ``CostProfile`` validate there as in their constructors),
+turn into dicts through ``_asdict()``, and compare like plain tuples of their
+fields, so a gate equals one whose angle is -0.0 for 0.0 or whose control
+value is True for 1.  ``Gate`` and ``Control`` are built, hashed and unpacked
+in C; every memo over them is keyed by identity, or by value with the angle's
+``repr``.
 
 Also provides the cost classes of the counting alphabet and weighted
 primitive counting.
@@ -30,7 +36,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from math import isfinite
 from typing import NamedTuple
 
@@ -49,8 +54,7 @@ def spec_int(name: str, value, least: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class Register:
+class Register(NamedTuple):
     """A named block of ``count`` subregisters, ``width`` qubits each."""
 
     name: str
@@ -105,7 +109,7 @@ class Circuit:
     """
 
     def __init__(self, registers, metadata: dict | None = None):
-        regs = [r if isinstance(r, Register) else Register(*r) for r in registers]
+        regs = [Register(*r) for r in registers]
         names = [r.name for r in regs]
         if len(set(names)) != len(regs):
             raise ValueError(f"duplicate register name in {names}")

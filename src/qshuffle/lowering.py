@@ -33,9 +33,8 @@ distinct Toffoli once per call, and equal output gates are one object.
 
 from __future__ import annotations
 
-from cmath import exp
 from itertools import islice
-from math import pi
+from math import cos, pi, sin
 
 from .circuit import Circuit, Control, Gate, ctrl, gate_h, gate_rz, gate_x
 
@@ -43,7 +42,7 @@ LOWERING_LEVELS = ("counting", "full")
 # lower_toffoli(g) equals this phase times g, exactly: its four RZ(pi/4) are
 # e^{-i pi/8} T, its three RZ(-pi/4) are e^{i pi/8} T^dagger, and the
 # network in T gates is the Toffoli
-TOFFOLI_PHASE = exp(-1j * pi / 8)
+TOFFOLI_PHASE = complex(cos(pi / 8), -sin(pi / 8))
 
 
 def swap_gates(a: Control, b: Control, controls: tuple[Control, ...]) -> tuple[Gate, Gate, Gate]:

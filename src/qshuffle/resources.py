@@ -38,14 +38,13 @@ w (permutation register) + m (data register).
 from __future__ import annotations
 
 import reprlib
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .builders import BuildSpec, build
 from .circuit import Circuit, cost_class, count_primitives, spec_int
 
 
-@dataclass
-class CostProfile:
+class _CostProfile(NamedTuple):
     x: int = 1
     h: int = 1
     ry: int = 1
@@ -53,10 +52,15 @@ class CostProfile:
     cx: int = 1
     ch: int = 1
     cry: int = 1
-    mcx: dict[int, int] = field(default_factory=dict)  # explicit per-arity overrides
+    mcx: dict[int, int] = {}  # explicit per-arity overrides; the default is one shared dict, read only
     mcx_rule: str = "unit"  # "unit" | "derived"
 
-    def __post_init__(self):
+
+class CostProfile(_CostProfile):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         costs = [(name, getattr(self, name)) for name in ("x", "h", "ry", "rz", "cx", "ch", "cry")]
         for name, cost in costs + [(f"mcx[{m}]", cost) for m, cost in self.mcx.items()]:
             if isinstance(cost, bool) or not isinstance(cost, int) or cost < 0:
@@ -65,6 +69,11 @@ class CostProfile:
             raise ValueError(f"mcx arities must be integers >= 2, got {list(self.mcx)}")
         if self.mcx_rule not in ("unit", "derived"):
             raise ValueError(f"unknown mcx rule {self.mcx_rule!r}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # ``_replace`` builds through this, so it validates too
+        return cls(*fields)
 
     def mcx_cost(self, m: int) -> int:
         if m < 2:
@@ -218,8 +227,7 @@ def weighted_depth(circuit: Circuit, profile: CostProfile) -> int:
     return max(finish, default=0)
 
 
-@dataclass(frozen=True)
-class ResourceReport:
+class ResourceReport(NamedTuple):
     variant: str
     n: int
     m: int | None
@@ -240,8 +248,8 @@ class ResourceReport:
         return self.depth_measured <= self.cycles_formula
 
     def to_dict(self) -> dict:
-        return asdict(self) | {"gates_consistent": self.gates_consistent,
-                               "depth_bounded": self.depth_bounded}
+        return self._asdict() | {"gates_consistent": self.gates_consistent,
+                                 "depth_bounded": self.depth_bounded}
 
 
 def resource_report(spec: BuildSpec, profile: CostProfile | None = None,
@@ -249,15 +257,8 @@ def resource_report(spec: BuildSpec, profile: CostProfile | None = None,
     p = profile or CostProfile.unit()
     circuit = circuit if circuit is not None else build(spec)
     _, qubits, gates, cycles = next(_sweep(spec.variant, [spec.n], spec.m, spec.encoding, p))
-    return ResourceReport(
-        **asdict(spec),
-        qubits_formula=qubits,
-        gates_formula=gates,
-        cycles_formula=cycles,
-        qubits_measured=circuit.num_qubits,
-        gates_measured=count_primitives(circuit, p),
-        depth_measured=weighted_depth(circuit, p),
-    )
+    return ResourceReport(*spec, qubits, gates, cycles,  # the spec, the formulas, then the measured counts
+                          circuit.num_qubits, count_primitives(circuit, p), weighted_depth(circuit, p))
 
 
 def scaling_table(variant: str, n_values, encoding: str = "binary", m: int | None = None,

@@ -67,10 +67,13 @@ def _guard(indices: np.ndarray) -> None:
 def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarray]:
     """Build the start state: None (all zeros), a basis index, an
     (indices, amplitudes) pair (copied), or a mapping register name -> list of
-    per-subregister values; ValueError for any other start."""
+    per-subregister values; ValueError for any other start.  Indices and
+    values are ints or numpy integers, never bools."""
     n = circuit.num_qubits
     if isinstance(initial, tuple):
         indices, amplitudes = initial
+        if np.size(indices) and np.asarray(indices).dtype.kind not in "iu":  # float, bool or object
+            raise ValueError(f"basis indices {indices!r} are not integers")
         indices, amplitudes = np.array(indices, dtype=np.int64), np.array(amplitudes, dtype=complex)
         if indices.ndim != 1 or indices.shape != amplitudes.shape:
             raise ValueError("indices and amplitudes must be 1-d arrays of one length")
@@ -80,7 +83,7 @@ def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarra
             raise ValueError("repeated basis index")
         return indices, amplitudes
     index = 0
-    if isinstance(initial, (int, np.integer)):
+    if isinstance(initial, (int, np.integer)) and type(initial) is not bool:
         if not 0 <= initial < (1 << n):
             raise ValueError(f"basis index {initial} out of range for {n} qubits")
         index = int(initial)
@@ -95,7 +98,8 @@ def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarra
             if len(values) != reg.count:
                 raise ValueError(f"register {name!r} has {reg.count} subregisters, got {len(values)} values")
             for sub, value in enumerate(values):
-                if not isinstance(value, (int, np.integer)) or not 0 <= value < (1 << reg.width):
+                if (not isinstance(value, (int, np.integer)) or type(value) is bool
+                        or not 0 <= value < (1 << reg.width)):
                     raise ValueError(f"value {value!r} does not fit register {name!r} width {reg.width}")
                 index |= value << circuit.qubit(name, sub, 0)
     return np.array([index], dtype=np.int64), np.ones(1, dtype=complex)

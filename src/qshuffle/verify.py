@@ -17,8 +17,8 @@ first failing iteration and its worst basis index, decoded per register.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import factorial, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ DEFAULT_SEED = 0
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     metric: float
@@ -40,15 +39,14 @@ class Check:
     detail: dict | None = None
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     spec: dict
     seed: int
     checks: tuple[Check, ...]
     overall: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict() | {"checks": tuple(c._asdict() for c in self.checks)}
 
 
 def replay_models(spec: BuildSpec, circuit: Circuit, inputs: list[int] | None):
@@ -159,4 +157,4 @@ def verify_spec(spec: BuildSpec, tol: float = DEFAULT_TOL, seed: int = DEFAULT_S
     checks.append(Check("depth_within_cycle_bound", report.depth_bounded,
                         float(report.depth_measured), float(report.cycles_formula)))
 
-    return VerifyReport(asdict(spec), seed, tuple(checks), all(c.passed for c in checks))
+    return VerifyReport(spec._asdict(), seed, tuple(checks), all(c.passed for c in checks))

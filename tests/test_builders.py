@@ -48,6 +48,14 @@ def test_spec_takes_any_index_integer_as_an_int():
     assert build(spec).gates == build(BuildSpec("B", 3, 2)).gates
 
 
+def test_spec_replace_validates_as_the_constructor_does():
+    assert BuildSpec("B", 3, 1)._replace(n=np.int64(4)) == BuildSpec("B", 4, 1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        BuildSpec("A", 3)._replace(n=0)
+    with pytest.raises(ValueError, match="has no data register"):
+        BuildSpec("A", 3)._replace(m=2)
+
+
 def test_init_identity_word_counts():
     c = Circuit([("perm", 2, 1)])
     init_identity_word(c, 2)

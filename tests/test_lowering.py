@@ -1,5 +1,8 @@
 """Gate lowering: the controlled-swap triple, polarity elimination, Toffoli and MCX ladders."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +128,13 @@ def test_toffoli_matrix_up_to_global_phase():
         phase = got[np.nonzero(want)][0]
         assert abs(phase - TOFFOLI_PHASE) < 1e-12
         assert np.max(np.abs(got / phase - want)) < 1e-12
+
+
+def test_toffoli_phase_is_bitwise_exp_of_minus_i_pi_over_8():
+    # TOFFOLI_PHASE is written with math's cos and sin; a platform whose
+    # parts differ from cmath.exp's in the last bit must fail here
+    want = cmath.exp(-1j * math.pi / 8)
+    assert (TOFFOLI_PHASE.real.hex(), TOFFOLI_PHASE.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def test_toffoli_gate_budget():

@@ -101,6 +101,14 @@ def test_profile_validation_and_errors():
         p.cost("H", 2)
 
 
+def test_profile_replace_validates_as_the_constructor_does():
+    assert CostProfile()._replace(cx=39) == CostProfile(cx=39)
+    with pytest.raises(ValueError, match="cost x must be a nonnegative integer, got -1"):
+        CostProfile()._replace(x=-1)
+    with pytest.raises(ValueError, match="unknown mcx rule"):
+        CostProfile()._replace(mcx_rule="nope")
+
+
 def test_profile_from_dict():
     p = CostProfile.from_dict({"X": 2, "CX": 39, "mcx": {"2": 6}, "mcx_rule": "derived"})
     assert p.x == 2 and p.cx == 39 and p.mcx_cost(2) == 6

@@ -113,11 +113,22 @@ def test_initial_state_register_values():
     ({"data": [0.5, 0, 0]}, "value 0.5 does not fit register 'data'"),
     ({"data": [1.0, 0, 0]}, "value 1.0 does not fit register 'data'"),
     ({"data": 5}, "register 'data' needs a list of 3 values, got 5"),
+    (([0.5], [1.0]), r"basis indices \[0.5\] are not integers"),
+    (True, "start True is not a basis index"),
+    ({"data": [True, 0, 0]}, "value True does not fit register 'data'"),
 ])
 def test_bad_start_raises_value_error_naming_it(start, message):
     c = build(BuildSpec("B", 3, 1))
     with pytest.raises(ValueError, match=message):
         simulator.run(c, start)
+
+
+@pytest.mark.parametrize("start, indices", [
+    (([], []), []), ((np.zeros(0, dtype=np.int64), np.zeros(0)), []), (np.int64(5), [5]),
+    ((np.array([5, 1], dtype=np.uint8), [0.6, 0.8]), [5, 1]), ({"data": [np.int8(1), 0, np.int64(1)]}, [5]),
+])
+def test_empty_and_numpy_integer_starts_are_taken(start, indices):
+    assert simulator.initial_state(build(BuildSpec("B", 3, 1)), start)[0].tolist() == indices
 
 
 def test_disentangled_plus_zero():

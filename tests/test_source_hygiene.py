@@ -7,6 +7,7 @@ import ast
 import functools
 import importlib
 import re
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,14 @@ _MODULES = sorted(_SRC.glob("*.py"))
 _README = _SRC.parents[1] / "README.md"
 
 
+# a named tuple's own methods (``_make``, ``_replace``, ...) are public: the
+# underscore only keeps them apart from field names
+_NAMED_TUPLE_API = {name for name in dir(namedtuple("T", ())) if not name.startswith("__")}
+
+
 def _private(name: str) -> bool:
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    return (name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+            and name not in _NAMED_TUPLE_API)
 
 
 def _imports(tree: ast.Module):
@@ -53,6 +60,16 @@ def test_no_module_reads_another_modules_private_name(path):
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in modules and _private(node.attr)]
     assert reads == [], f"{path.name} reads private names {reads}"
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # records are named tuples: the dataclass decorator generates and execs
+    # code for each class at import, a third of the CLI's start-up
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "dataclasses" not in {name.partition(".")[0] for name in imported}, f"{path.name} imports dataclasses"
 
 
 def _reads(tree: ast.Module):
