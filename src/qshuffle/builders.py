@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .circuit import Circuit, Register, ctrl, gate_x, spec_int, value_controls
+from .circuit import Circuit, Control, Gate, Register, spec_int, value_controls
 from .lowering import swap_gates
 from .prep import u_gates, v_gates
 
@@ -113,7 +113,7 @@ def register_layout(spec: BuildSpec) -> list[Register]:
 
 def init_identity_word(circuit: Circuit, n: int) -> Circuit:
     """Write |k> into permutation subregister k, for k = 1..n-1 (one X per set bit)."""
-    return circuit.extend(gate_x(circuit.qubit(PERM, k, bit))
+    return circuit.extend(Gate("X", None, circuit.qubit(PERM, k, bit))
                           for k in range(1, n) for bit in range(k.bit_length()) if (k >> bit) & 1)
 
 
@@ -124,7 +124,7 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     circuit = Circuit(register_layout(spec), spec._asdict() | {"lowering": "counting"})
     qubits = {r.name: [[circuit.qubit(r.name, k, bit) for bit in range(r.width)] for k in range(r.count)]
               for r in circuit.registers}  # every subregister resolved, and checked, once
-    pos = [ctrl(k) for k in range(circuit.num_qubits)]  # one positive control per qubit
+    pos = [Control(k, 1) for k in range(circuit.num_qubits)]  # one positive control per qubit
     swapped = [[[pos[k] for k in sub] for sub in qubits[reg]] for reg in (DATA, PERM) if reg in qubits]
     conditions = {}
 
@@ -151,7 +151,7 @@ def build_with_checkpoints(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
             for j in range(1, i + 1) if binary else range(i):
                 cleared = holds(qubits[PERM][j], i, b)
                 bits = [bit for bit in range(b) if (j >> bit) & 1] if binary else [j]
-                gates += [gate_x(anc[bit], cleared) for bit in bits]
+                gates += [Gate("X", None, anc[bit], cleared) for bit in bits]
         circuit.extend(gates)
     checkpoints.append(len(circuit))
     return circuit, tuple(checkpoints)

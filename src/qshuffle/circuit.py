@@ -7,14 +7,17 @@ X, H, RY, RZ on one target qubit plus an arbitrary list of control
 conditions, each of which requires a qubit to be 0 or 1 (negative controls
 are first-class, so value-controlled gates need no X-conjugation until full
 lowering).  A register swap is written as X gates (``lowering.swap_gates``).
+Every gate is spelled ``Gate(primitive, angle, target, controls)``, its angle
+None for X and H, and every control ``Control(qubit, value)``.
 
 Gates name their qubits by global index, a plain int.  ``Circuit.qubit``
-turns a (register, subregister, bit) address into its index, checked, where a
-name enters the pipeline (builders, circuit files); ``ref_of`` turns an index
-back into its address for text output.  IR objects are immutable, and a gate
-list may hold one ``Gate`` object many times.  ``Circuit.extend`` is the one
-way gates enter a circuit: it runs ``check`` once per distinct object per call
-and appends the whole batch or, if a gate fails, none of it.
+turns a (register, subregister, bit) address of three ints into its index,
+checked, where a name enters the pipeline (builders, circuit files);
+``ref_of`` turns an index back into its address for text output.  IR objects
+are immutable, and a gate list may hold one ``Gate`` object many times.
+``Circuit.extend`` is the one way gates enter a circuit: it runs ``check``
+once per distinct object per call and appends the whole batch or, if a gate
+fails, none of it.
 
 Every record type of the package is a named tuple: ``Gate``, ``Control`` and
 ``Register`` here, ``BuildSpec``, ``CostProfile``, ``ResourceReport``, ``Check``
@@ -74,26 +77,6 @@ class Gate(NamedTuple):
     controls: tuple[Control, ...] = ()
 
 
-def ctrl(qubit: int, value: int = 1) -> Control:
-    return Control(qubit, value)
-
-
-def gate_x(target: int, controls: tuple[Control, ...] = ()) -> Gate:
-    return Gate("X", None, target, tuple(controls))
-
-
-def gate_h(target: int, controls: tuple[Control, ...] = ()) -> Gate:
-    return Gate("H", None, target, tuple(controls))
-
-
-def gate_ry(angle: float, target: int, controls: tuple[Control, ...] = ()) -> Gate:
-    return Gate("RY", angle, target, tuple(controls))
-
-
-def gate_rz(angle: float, target: int, controls: tuple[Control, ...] = ()) -> Gate:
-    return Gate("RZ", angle, target, tuple(controls))
-
-
 def value_controls(qubits, value: int) -> tuple[Control, ...]:
     """Controls requiring ``qubits`` (least significant bit first) to hold ``value``."""
     if value < 0 or value >= (1 << len(qubits)):
@@ -133,14 +116,12 @@ class Circuit:
             raise ValueError(f"unknown register {name!r}")
         return entry[1]
 
-    def qubit(self, reg: str, sub: int | None, bit: int) -> int:
-        """Global index of ``bit`` (from the LSB) of subregister ``sub`` of
-        ``reg``; ``sub=None`` means subregister 0."""
+    def qubit(self, reg: str, sub: int, bit: int) -> int:
+        """Global index of ``bit`` (from the LSB) of subregister ``sub`` of ``reg``."""
         entry = self._layout.get(reg)
         if entry is None:
             raise ValueError(f"unknown register {reg!r}")
         offset, r = entry
-        sub = 0 if sub is None else sub
         if type(sub) is not int or not 0 <= sub < r.count:
             raise ValueError(f"subregister {reg}:{sub!r} not an int in range (count {r.count})")
         if type(bit) is not int or not 0 <= bit < r.width:

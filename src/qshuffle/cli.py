@@ -96,7 +96,7 @@ def _write_output(text: str, path: str | None):
 
 def _load_profile(parser, path: str | None) -> CostProfile:
     if path is None:
-        return CostProfile.unit()
+        return CostProfile()
     with open(path, encoding="utf-8") as handle:
         try:
             return CostProfile.from_dict(json.load(handle))

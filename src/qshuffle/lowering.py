@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import islice
 from math import cos, pi, sin
 
-from .circuit import Circuit, Control, Gate, ctrl, gate_h, gate_rz, gate_x
+from .circuit import Circuit, Control, Gate
 
 LOWERING_LEVELS = ("counting", "full")
 # lower_toffoli(g) equals this phase times g, exactly: its four RZ(pi/4) are
@@ -75,7 +75,7 @@ def swap_at(gates: list[Gate], i: int) -> tuple[int, int, tuple[Control, ...]] |
 
 def eliminate_negative_controls(gate: Gate) -> list[Gate]:
     """X-conjugate away 0-valued controls, leaving an all-positive gate."""
-    flips = [gate_x(c.qubit) for c in gate.controls if c.value == 0]
+    flips = [Gate("X", None, c.qubit) for c in gate.controls if c.value == 0]
     if not flips:
         return [gate]
     positive = gate._replace(controls=tuple(Control(c.qubit, 1) for c in gate.controls))
@@ -94,28 +94,28 @@ def lower_toffoli(gate: Gate) -> list[Gate]:
         raise ValueError("lower_toffoli expects positive controls; eliminate negatives first")
     a, b, t = gate.controls[0].qubit, gate.controls[1].qubit, gate.target
     quarter = pi / 4.0
-    cx = lambda c, tgt: gate_x(tgt, (ctrl(c, 1),))
+    cx = lambda c, tgt: Gate("X", None, tgt, (Control(c, 1),))
     return [
-        gate_h(t),
+        Gate("H", None, t),
         cx(b, t),
-        gate_rz(-quarter, t),
+        Gate("RZ", -quarter, t),
         cx(a, t),
-        gate_rz(quarter, t),
+        Gate("RZ", quarter, t),
         cx(b, t),
-        gate_rz(-quarter, t),
+        Gate("RZ", -quarter, t),
         cx(a, t),
-        gate_rz(quarter, b),
-        gate_rz(quarter, t),
-        gate_h(t),
+        Gate("RZ", quarter, b),
+        Gate("RZ", quarter, t),
+        Gate("H", None, t),
         cx(a, b),
-        gate_rz(quarter, a),
-        gate_rz(-quarter, b),
+        Gate("RZ", quarter, a),
+        Gate("RZ", -quarter, b),
         cx(a, b),
     ]
 
 
 def _toffoli(c1: int, c2: int, t: int) -> Gate:
-    return gate_x(t, (ctrl(c1, 1), ctrl(c2, 1)))
+    return Gate("X", None, t, (Control(c1, 1), Control(c2, 1)))
 
 
 def toffoli_at(gates: list[Gate], i: int) -> Gate | None:

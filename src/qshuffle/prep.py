@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from math import acos, sqrt
 
-from .circuit import Circuit, Gate, ctrl, gate_h, gate_ry, gate_x, spec_int
+from .circuit import Circuit, Control, Gate, spec_int
 
 
 def u_gates(i: int, qubits) -> list[Gate]:
@@ -40,22 +40,20 @@ def u_gates(i: int, qubits) -> list[Gate]:
     m = i + 1
     q = qubits.__getitem__
     if m & (m - 1) == 0:  # power of two: one Hadamard per qubit
-        return [gate_h(q(bit)) for bit in range(i.bit_length())]
+        return [Gate("H", None, q(bit)) for bit in range(i.bit_length())]
     s = [bit for bit in range(m.bit_length()) if (m >> bit) & 1]
     k = len(s)
     prefix = [2 ** s[0]]
     for t in range(1, k):
         prefix.append(prefix[-1] + 2 ** s[t])
-    gates = [gate_h(q(bit)) for bit in range(s[0])]
+    gates = [Gate("H", None, q(bit)) for bit in range(s[0])]
     for t in range(k - 1, -1, -1):
         theta = 2.0 * acos(sqrt(2 ** s[t] / prefix[t]))
-        if t == k - 1:
-            gates.append(gate_ry(theta, q(s[t])))
-        else:
-            gates.append(gate_ry(theta, q(s[t]), (ctrl(q(s[t + 1]), 1),)))
+        controls = () if t == k - 1 else (Control(q(s[t + 1]), 1),)
+        gates.append(Gate("RY", theta, q(s[t]), controls))
     for t in range(k - 1):
         for bit in range(s[t], s[t + 1]):
-            gates.append(gate_h(q(bit), (ctrl(q(s[t + 1]), 0),)))
+            gates.append(Gate("H", None, q(bit), (Control(q(s[t + 1]), 0),)))
     return gates
 
 
@@ -64,10 +62,10 @@ def v_gates(i: int, qubits) -> list[Gate]:
     i = spec_int("i", i, 1)
     m = i + 1
     q = qubits.__getitem__
-    gates = [gate_ry(2.0 * acos(sqrt(1.0 / m)), q(0))]
+    gates = [Gate("RY", 2.0 * acos(sqrt(1.0 / m)), q(0))]
     for bit in range(1, i):
-        gates.append(gate_ry(2.0 * acos(sqrt(1.0 / (m - bit))), q(bit), (ctrl(q(bit - 1), 1),)))
-        gates.append(gate_x(q(bit - 1), (ctrl(q(bit), 1),)))
+        gates.append(Gate("RY", 2.0 * acos(sqrt(1.0 / (m - bit))), q(bit), (Control(q(bit - 1), 1),)))
+        gates.append(Gate("X", None, q(bit - 1), (Control(q(bit), 1),)))
     return gates
 
 

@@ -91,6 +91,7 @@ class CostProfile(_CostProfile):
 
     @classmethod
     def unit(cls) -> "CostProfile":
+        """The unit profile, ``CostProfile()``; only perfbench still calls it."""
         return cls()
 
     @classmethod
@@ -138,18 +139,18 @@ def _prep_counts(i: int, p: CostProfile, binary: bool) -> tuple[int, int]:
 
 def u_counts(i: int, profile: CostProfile | None = None) -> tuple[int, int]:
     """(gates, cycles) of the binary uniform prep over 0..i; its H prefix is one layer."""
-    return _prep_counts(spec_int("i", i, 1), profile or CostProfile.unit(), True)
+    return _prep_counts(spec_int("i", i, 1), profile or CostProfile(), True)
 
 
 def v_gate_count_formula(i: int, profile: CostProfile | None = None) -> int:
     """Gate count of the one-hot uniform prep: 1 RY plus (CRY, CX) per extra state."""
-    return _prep_counts(spec_int("i", i, 1), profile or CostProfile.unit(), False)[0]
+    return _prep_counts(spec_int("i", i, 1), profile or CostProfile(), False)[0]
 
 
 def _sweep(variant: str, n_values, m: int | None, encoding: str,
            profile: CostProfile | None):
     """Yield (n, qubits, gates, cycles) for each requested n, ascending."""
-    p = profile or CostProfile.unit()
+    p = profile or CostProfile()
     wanted = sorted(set(spec_int("n", n) for n in n_values))
     if not wanted:
         return
@@ -254,7 +255,7 @@ class ResourceReport(NamedTuple):
 
 def resource_report(spec: BuildSpec, profile: CostProfile | None = None,
                     circuit: Circuit | None = None) -> ResourceReport:
-    p = profile or CostProfile.unit()
+    p = profile or CostProfile()
     circuit = circuit if circuit is not None else build(spec)
     _, qubits, gates, cycles = next(_sweep(spec.variant, [spec.n], spec.m, spec.encoding, p))
     return ResourceReport(*spec, qubits, gates, cycles,  # the spec, the formulas, then the measured counts

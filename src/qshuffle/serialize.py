@@ -9,9 +9,8 @@ Angles are radians, written with full float precision so a round trip
 reproduces simulations bit-identically.  Gates hold global qubit indices; the
 writer turns each index into its reg/sub/bit text (``Circuit.ref_of``) and the
 reader each address into its index (``Circuit.qubit``, which checks it).  A
-gate record has one target, except that a SWAP record with two targets and no
-angle is read as the three X gates of ``lowering.swap_gates``; the IR has no
-SWAP.  The reader makes the gates of each distinct record once, keyed on the
+gate record holds exactly one gate: one target, and an int ``sub`` in every
+address.  The reader makes the gate of each distinct record once, keyed on the
 angle's repr (-0.0 is not 0.0) and on int control values only
 (True == 1 == 1.0), so ``extend`` checks each once.  It reads in two steps,
 ``read_registers`` (the parse and the register table) and ``read_gates``, so
@@ -36,7 +35,6 @@ import gc
 import json
 
 from .circuit import Circuit, Control, Gate
-from .lowering import swap_gates
 
 
 class _Texts(dict):
@@ -115,25 +113,19 @@ def read_gates(circuit: Circuit, records: list) -> Circuit:
     def index(ref) -> int:  # Circuit.qubit checks the address
         return circuit.qubit(ref["reg"], ref["sub"], ref["bit"])
 
-    def read(g) -> tuple[Gate, ...]:  # the gates of one distinct record, made once
+    def read(g) -> Gate:  # the gate of one distinct record, made once
         targets = tuple(map(index, g["targets"]))
         controls = tuple([(index(c), c["value"]) for c in g.get("controls", ())])
         primitive, angle = g["primitive"], g["angle"]
         exact = type(primitive) is str and all([type(v) is int for _, v in controls])  # True == 1
         key = (primitive, repr(angle), targets, controls) if exact else id(g)  # repr: -0.0 == 0.0
         if key not in gates:
-            controls = tuple(Control(*c) for c in controls)
-            if primitive == "SWAP" and angle is None and len(targets) == 2:
-                gates[key] = swap_gates(Control(targets[0], 1), Control(targets[1], 1), controls)
-            elif len(targets) == 1:
-                gates[key] = (Gate(primitive, angle, targets[0], controls),)
-            else:
-                raise ValueError(f"a {primitive!r} record has {len(targets)} targets: a gate takes 1, "
-                                 "a SWAP without angle 2")
+            if len(targets) != 1:
+                raise ValueError(f"a {primitive!r} record has {len(targets)} targets, not 1")
+            gates[key] = Gate(primitive, angle, targets[0], tuple(Control(*c) for c in controls))
         return gates[key]
 
-    # reads and checks the gates in file order
-    return circuit.extend(gate for record in records for gate in read(record))
+    return circuit.extend(map(read, records))  # reads and checks the gates in file order
 
 
 def circuit_from_json(text: str) -> Circuit:

@@ -32,7 +32,7 @@ import numpy as np
 
 from qshuffle import simulator
 from qshuffle.builders import ANC, DATA, PERM, BuildSpec, register_layout
-from qshuffle.circuit import Circuit, Control, Gate, cost_class, gate_x, value_controls
+from qshuffle.circuit import Circuit, Control, Gate, cost_class, value_controls
 from qshuffle.prep import u_gates, v_gates
 
 BLOCK_BITS = 14  # gates run on blocks of 2^14 amplitudes: four fit a 2 MiB L2 cache
@@ -400,14 +400,14 @@ def build_via_swap_gates(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
     def swap(reg, j, i, width, draw):
         for bit in range(width):
             a, b = q(reg, j, bit), q(reg, i, bit)
-            circuit.extend([gate_x(b, (Control(a, 1),)), gate_x(a, draw + (Control(b, 1),)),
-                            gate_x(b, (Control(a, 1),))])
+            circuit.extend([Gate("X", None, b, (Control(a, 1),)), Gate("X", None, a, draw + (Control(b, 1),)),
+                            Gate("X", None, b, (Control(a, 1),))])
 
     if spec.has_perm:
         for k in range(1, n):
             for bit in range(k.bit_length()):
                 if (k >> bit) & 1:
-                    circuit.extend([gate_x(q(PERM, k, bit))])
+                    circuit.extend([Gate("X", None, q(PERM, k, bit))])
     checkpoints = []
     for i in range(1, n):
         checkpoints.append(len(circuit))
@@ -429,10 +429,10 @@ def build_via_swap_gates(spec: BuildSpec) -> tuple[Circuit, tuple[int, ...]]:
                 for j in range(1, i + 1):
                     for bit in range(b):
                         if (j >> bit) & 1:
-                            circuit.extend([gate_x(q(ANC, 0, bit), controls(PERM, j, i, b))])
+                            circuit.extend([Gate("X", None, q(ANC, 0, bit), controls(PERM, j, i, b))])
             else:
                 for j in range(i):
-                    circuit.extend([gate_x(q(ANC, 0, j), controls(PERM, j, i, b))])
+                    circuit.extend([Gate("X", None, q(ANC, 0, j), controls(PERM, j, i, b))])
     checkpoints.append(len(circuit))
     return circuit, tuple(checkpoints)
 

@@ -1,6 +1,5 @@
 """Circuit IR: numbering, validation, value controls, depth, counting."""
 
-import json
 import tracemalloc
 
 import pytest
@@ -12,22 +11,11 @@ from qshuffle.circuit import (
     Control,
     Gate,
     count_primitives,
-    ctrl,
-    gate_h,
-    gate_x,
     value_controls,
 )
+from qshuffle.lowering import swap_gates
 from qshuffle.resources import CostProfile, weighted_depth
-from qshuffle.serialize import circuit_from_json
 from oracles import emit_value_controlled, primitive_class, primitive_multiset
-
-
-def _swap_file(a: int, b: int, *controls: tuple[int, int]) -> str:
-    """A circuit file on one register of 3 qubits holding one (controlled) SWAP record."""
-    ref = lambda k, **value: {"reg": "q", "sub": 0, "bit": k, **value}
-    return json.dumps({"registers": [{"name": "q", "count": 1, "width": 3}], "gates": [
-        {"primitive": "SWAP", "angle": None, "targets": [ref(a), ref(b)],
-         "controls": [ref(k, value=v) for k, v in controls]}]})
 
 
 def test_global_numbering_order():
@@ -67,23 +55,23 @@ def test_ref_of_inverts_qubit_index():
 
 def test_append_x():
     c = Circuit([("p", 2, 1)])
-    c.extend([gate_x(c.qubit("p", 1, 0))])
-    assert c.gates == [gate_x(1)]
+    c.extend([Gate("X", None, c.qubit("p", 1, 0))])
+    assert c.gates == [Gate("X", None, 1)]
 
 
 def test_append_duplicate_swap_target_rejected():
-    # the IR has no SWAP; a file's SWAP record on one qubit twice reads as X
-    # gates whose target is their own control
+    # the IR has no SWAP; a swap of one qubit with itself, or under a control on
+    # one of its qubits, is X gates that name a qubit twice
     with pytest.raises(ValueError, match="overlap"):
-        circuit_from_json(_swap_file(0, 0))
+        Circuit([("q", 1, 3)]).extend(swap_gates(Control(0, 1), Control(0, 1), ()))
     with pytest.raises(ValueError, match="overlap"):
-        circuit_from_json(_swap_file(0, 1, (1, 1)))
+        Circuit([("q", 1, 3)]).extend(swap_gates(Control(0, 1), Control(1, 1), (Control(1, 1),)))
 
 
 def test_append_target_control_overlap_rejected():
     c = Circuit([("a", 1, 1)])
     with pytest.raises(ValueError, match="overlap"):
-        c.extend([gate_x(0, (ctrl(0),))])
+        c.extend([Gate("X", None, 0, (Control(0, 1),))])
 
 
 def test_append_unresolvable_ref_rejected():
@@ -93,7 +81,7 @@ def test_append_unresolvable_ref_rejected():
     with pytest.raises(ValueError, match="bit 5 not an int in range"):
         c.qubit("a", 0, 5)
     with pytest.raises(ValueError, match=r"qubit 1 is not an int in range\(1\)"):
-        c.extend([gate_x(1)])
+        c.extend([Gate("X", None, 1)])
     assert c.gates == []
 
 
@@ -105,21 +93,23 @@ def test_angle_presence_enforced():
         c.extend([Gate("RY", None, 0)])
 
 
-def test_none_subregister_means_zero():
+def test_none_subregister_is_refused():
+    # an address names its subregister by int; None does not stand for 0
     c = Circuit([("a", 2, 1)])
-    assert c.qubit("a", None, 0) == c.qubit("a", 0, 0) == 0
+    with pytest.raises(ValueError, match=r"subregister a:None not an int in range \(count 2\)"):
+        c.qubit("a", None, 0)
 
 
 def test_emit_value_controlled_single_positive():
     c = Circuit([("p", 2, 1), ("a", 1, 1)])
-    emit_value_controlled(c, gate_x(c.qubit("a", 0, 0)), "p", 1, 1, 1)
+    emit_value_controlled(c, Gate("X", None, c.qubit("a", 0, 0)), "p", 1, 1, 1)
     (gate,) = c.gates
     assert gate.controls == (Control(c.qubit("p", 1, 0), 1),)
 
 
 def test_emit_value_controlled_binary_of_two():
     c = Circuit([("d", 2, 1), ("a", 1, 2)])
-    emit_value_controlled(c, gate_x(c.qubit("d", 0, 0)), "a", 0, 2, 2)
+    emit_value_controlled(c, Gate("X", None, c.qubit("d", 0, 0)), "a", 0, 2, 2)
     (gate,) = c.gates
     assert gate.controls == (Control(c.qubit("a", 0, 0), 0), Control(c.qubit("a", 0, 1), 1))
 
@@ -127,7 +117,7 @@ def test_emit_value_controlled_binary_of_two():
 def test_emit_value_controlled_value_too_large():
     c = Circuit([("d", 1, 1), ("a", 1, 2)])
     with pytest.raises(ValueError):
-        emit_value_controlled(c, gate_x(c.qubit("d", 0, 0)), "a", 0, 4, 2)
+        emit_value_controlled(c, Gate("X", None, c.qubit("d", 0, 0)), "a", 0, 4, 2)
 
 
 def test_value_controls_lsb_first():
@@ -138,13 +128,13 @@ def test_value_controls_lsb_first():
 
 def test_schedule_parallel_x_layer():
     c = Circuit([("p", 5, 1)])
-    c.extend(gate_x(c.qubit("p", k, 0)) for k in range(1, 5))
+    c.extend(Gate("X", None, c.qubit("p", k, 0)) for k in range(1, 5))
     assert weighted_depth(c, CostProfile()) == 1
 
 
 def test_schedule_serial_on_shared_qubit():
     c = Circuit([("q", 1, 1)])
-    c.extend([gate_x(0), gate_h(0)])
+    c.extend([Gate("X", None, 0), Gate("H", None, 0)])
     assert weighted_depth(c, CostProfile()) == 2
 
 
@@ -165,9 +155,9 @@ def random_circuits(draw):
         )
         if draw(st.booleans()) and len(qubits) >= 2:
             controls = tuple(Control(q, draw(st.integers(0, 1))) for q in qubits[1:])
-            c.extend([gate_x(qubits[0], controls)])
+            c.extend([Gate("X", None, qubits[0], controls)])
         else:
-            c.extend([gate_h(qubits[0])])
+            c.extend([Gate("H", None, qubits[0])])
     return c
 
 
@@ -180,55 +170,58 @@ def test_schedule_depth_bounded_by_gate_count(c):
 def test_depth_equals_gate_count_when_sharing_one_qubit():
     c = Circuit([("q", 1, 4)])
     shared = 0
-    c.extend([gate_h(shared), gate_x(1, (ctrl(shared),)), gate_x(shared, (ctrl(2),))])
+    c.extend([Gate("H", None, shared), Gate("X", None, 1, (Control(shared, 1),)),
+              Gate("X", None, shared, (Control(2, 1),))])
     assert weighted_depth(c, CostProfile()) == len(c.gates) == 3
 
 
 def test_count_primitives_unit():
     c = Circuit([("q", 1, 3)])
-    c.extend([gate_x(0), gate_h(1), gate_x(2, (ctrl(0),))])
-    assert count_primitives(c, CostProfile.unit()) == 3
+    c.extend([Gate("X", None, 0), Gate("H", None, 1), Gate("X", None, 2, (Control(0, 1),))])
+    assert count_primitives(c, CostProfile()) == 3
 
 
 def test_count_primitives_weighted_cx():
     c = Circuit([("q", 1, 3)])
-    c.extend([gate_x(0), gate_h(1), gate_x(2, (ctrl(0),))])
+    c.extend([Gate("X", None, 0), Gate("H", None, 1), Gate("X", None, 2, (Control(0, 1),))])
     assert count_primitives(c, CostProfile(cx=39)) == 41
 
 
 def test_count_primitives_rejects_controlled_swap():
-    # a controlled SWAP has no cost class: no circuit holds one, and a file's
-    # SWAP record is counted as its CX, C2X, CX
+    # SWAP has no cost class, as no circuit holds one: a controlled swap is
+    # its X triple, counted as CX, C2X, CX
     with pytest.raises(ValueError, match="unknown primitive 'SWAP'"):
-        Circuit([("q", 1, 3)]).extend([Gate("SWAP", None, 0, (ctrl(2),))])
-    c = circuit_from_json(_swap_file(0, 1, (2, 1)))
+        Circuit([("q", 1, 3)]).extend([Gate("SWAP", None, 0, (Control(2, 1),))])
+    c = Circuit([("q", 1, 3)]).extend(swap_gates(Control(0, 1), Control(1, 1), (Control(2, 1),)))
     assert count_primitives(c, CostProfile(cx=39)) == 2 * 39 + 1
 
 
 def test_primitive_classes():
-    t, c1, c2 = 0, ctrl(1), ctrl(2, 0)
-    assert primitive_class(gate_x(t)) == "X"
-    assert primitive_class(gate_x(t, (c1,))) == "CX"
-    assert primitive_class(gate_x(t, (c1, c2))) == "C2X"
-    assert primitive_class(gate_h(t, (c1,))) == "CH"
+    t, c1, c2 = 0, Control(1, 1), Control(2, 0)
+    assert primitive_class(Gate("X", None, t)) == "X"
+    assert primitive_class(Gate("X", None, t, (c1,))) == "CX"
+    assert primitive_class(Gate("X", None, t, (c1, c2))) == "C2X"
+    assert primitive_class(Gate("H", None, t, (c1,))) == "CH"
     with pytest.raises(ValueError):
-        primitive_class(gate_h(t, (c1, c2)))
+        primitive_class(Gate("H", None, t, (c1, c2)))
 
 
 def test_primitive_multiset():
     c = Circuit([("q", 1, 3)])
-    c.extend([gate_x(0), gate_x(0), gate_h(1)])
+    c.extend([Gate("X", None, 0), Gate("X", None, 0), Gate("H", None, 1)])
     assert primitive_multiset(c) == {"X": 2, "H": 1}
 
 
 def test_qubit_checks_each_address():
     c = Circuit([("d", 2, 3), ("a", 1, 2)])
-    assert c.qubit("d", 1, 2) == 5 and c.qubit("a", None, 1) == 7
+    assert c.qubit("d", 1, 2) == 5 and c.qubit("a", 0, 1) == 7
     assert [c.ref_of(q) for q in range(c.num_qubits)] == [
         ("d", 0, 0), ("d", 0, 1), ("d", 0, 2), ("d", 1, 0), ("d", 1, 1), ("d", 1, 2), ("a", 0, 0), ("a", 0, 1)]
-    # True == 1 == 1.0 and they hash alike: none of them may stand for subregister or bit 1
+    # True == 1 == 1.0 and they hash alike: none of them may stand for subregister or bit 1,
+    # nor None for subregister 0
     for bad in (("d", 2, 0), ("b", 0, 0), ("d", [1], 0), ("d", 0, {"bit": 1}), ("d", True, 0),
-                ("d", 1.0, 0), ("d", 0.5, 0), ("d", 0, True), ("d", 0, 1.0), ("d", 0, 0.5)):
+                ("d", 1.0, 0), ("d", 0.5, 0), ("d", 0, True), ("d", 0, 1.0), ("d", 0, 0.5), ("a", None, 0),
+                ("d", 0, None)):
         with pytest.raises(ValueError):
             c.qubit(*bad)
 
@@ -241,11 +234,11 @@ def test_huge_registers_are_resolved_without_tables():
         tracemalloc.reset_peak()
         c = Circuit([("q", 2**40, 1), ("a", 1, 2)])
         last = c.qubit("q", 2**40 - 1, 0)
-        c.extend([gate_x(c.qubit("a", 0, 1), (ctrl(last),))])
+        c.extend([Gate("X", None, c.qubit("a", 0, 1), (Control(last, 1),))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert last == 2**40 - 1 and c.gates == [gate_x(2**40 + 1, (ctrl(2**40 - 1),))]
+    assert last == 2**40 - 1 and c.gates == [Gate("X", None, 2**40 + 1, (Control(2**40 - 1, 1),))]
     assert peak < 2**16, f"peak {peak} B"
 
 
@@ -254,21 +247,22 @@ def test_huge_registers_are_resolved_without_tables():
 def test_append_rejects_an_operand_that_is_not_a_qubit_index(bad):
     # True == 1 == 1.0 and they hash alike, so a lookup by value would admit them;
     # a list cannot be hashed, so an operand hashed before its type check raises TypeError
-    c = Circuit([("perm", 2, 2)]).extend([gate_h(3)])
-    for gate in (gate_x(bad), gate_x(0, (ctrl(bad),)), gate_h(bad, (ctrl(2),)), gate_x(0, (ctrl(2), ctrl(bad)))):
+    c = Circuit([("perm", 2, 2)]).extend([Gate("H", None, 3)])
+    for gate in (Gate("X", None, bad), Gate("X", None, 0, (Control(bad, 1),)),
+                 Gate("H", None, bad, (Control(2, 1),)), Gate("X", None, 0, (Control(2, 1), Control(bad, 1)))):
         with pytest.raises(ValueError, match="is not an int in range"):
             c.extend([gate])
         with pytest.raises(ValueError, match="is not an int in range"):
-            c.extend([gate_x(1), gate])
-    assert c.gates == [gate_h(3)]  # a failed extend appends nothing, not even the gates before the bad one
+            c.extend([Gate("X", None, 1), gate])
+    assert c.gates == [Gate("H", None, 3)]  # a failed extend appends nothing, not even the gates before it
 
 
 def test_a_rejected_gate_is_rejected_again():
-    good = gate_x(0)
+    good = Gate("X", None, 0)
     c = Circuit([("a", 1, 2)]).extend([good])
-    overlap = gate_x(0, (ctrl(0),))
+    overlap = Gate("X", None, 0, (Control(0, 1),))
     nan = Gate("RZ", float("nan"), 0)
-    outside = gate_x(1, (ctrl(2),))
+    outside = Gate("X", None, 1, (Control(2, 1),))
     for bad in (overlap, nan, outside):
         for _ in range(2):
             with pytest.raises(ValueError):
@@ -280,11 +274,11 @@ def test_a_rejected_gate_is_rejected_again():
 
 def test_extend_checks_each_distinct_gate_object_once(monkeypatch):
     c = Circuit([("a", 1, 2)])
-    x, h = gate_x(0), gate_h(1)
+    x, h = Gate("X", None, 0), Gate("H", None, 1)
     checked = []
     check = Circuit.check
     monkeypatch.setattr(Circuit, "check", lambda self, g: checked.append(g) or check(self, g))
-    c.extend([x, h, x, x, h, gate_x(0)])
+    c.extend([x, h, x, x, h, Gate("X", None, 0)])
     assert len(c.gates) == 6 and len(checked) == 3
     c.extend([x])  # a new call checks again
     assert len(checked) == 4
@@ -308,11 +302,11 @@ def test_check_reports_the_first_fault_in_a_fixed_order():
 
 
 def test_ir_values_are_immutable_named_tuples():
-    gate, control = gate_x(0, (ctrl(1),)), ctrl(1)
+    gate, control = Gate("X", None, 0, (Control(1, 1),)), Control(1, 1)
     with pytest.raises(AttributeError):
         gate.target = 1
     with pytest.raises(AttributeError):
         control.value = 0
     primitive, angle, target, controls = gate
     assert (primitive, angle, target, controls) == ("X", None, 0, ((1, 1),))
-    assert gate._replace(target=2) == gate_x(2, (ctrl(1),)) and gate.target == 0
+    assert gate._replace(target=2) == Gate("X", None, 2, (Control(1, 1),)) and gate.target == 0

@@ -25,7 +25,7 @@ from qshuffle import cli, resources, simulator, verify
 from qshuffle.cli import main
 from qshuffle.verify import verify_spec
 from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build, build_with_checkpoints
-from qshuffle.circuit import Circuit, gate_h
+from qshuffle.circuit import Circuit, Gate
 from qshuffle.serialize import circuit_from_json, circuit_to_json
 from oracles import branch_table, run, sample_fisher_yates
 from qshuffle.simulator import SimulationCapExceeded
@@ -511,7 +511,7 @@ _PAIR = '{"registers": [{"name": "q", "count": 2, "width": 2}], "gates": [%s, %s
 _CX_AT = ('{"primitive": "X", "angle": null, "targets": [{"reg": "q", "sub": %s, "bit": %s}], '
           '"controls": [{"reg": "q", "sub": 0, "bit": 0, "value": %s}]}')
 _TARGETS = '{"primitive": "%s", "angle": %s, "targets": [%s]}'
-_Q = '{"reg": "q", "sub": 0, "bit": %d}'
+_Q = '{"reg": "q", "sub": %d, "bit": 0}'
 _INT_NAME = ('{"registers": [{"name": 1, "count": 1, "width": 1}, '
              '{"name": "1", "count": 1, "width": 1}], "gates": []}')
 
@@ -541,12 +541,15 @@ _INT_NAME = ('{"registers": [{"name": 1, "count": 1, "width": 1}, '
     (_PAIR % (_CX_AT % (1, 1, 1), _CX_AT % (1, 1, "true")), "0", 74),
     ((_ONE_QUBIT % ("1", _X % (0, 0))).encode("utf-16"), "0", 74),  # not UTF-8
     ("[" * 100000, "0", 74),  # nested past the parser's recursion limit
-    # only a SWAP record without angle may have two targets, and it must have two
+    # a record holds one gate on exactly one target, and SWAP is no primitive
     (_ONE_QUBIT % ("3", _TARGETS % ("SWAP", "null", _Q % 0)), "0", 74),
     (_ONE_QUBIT % ("3", _TARGETS % ("SWAP", "null", ", ".join(_Q % k for k in range(3)))), "0", 74),
     (_ONE_QUBIT % ("3", _TARGETS % ("SWAP", "0.5", f"{_Q % 0}, {_Q % 1}")), "0", 74),
+    (_ONE_QUBIT % ("3", _TARGETS % ("SWAP", "null", f"{_Q % 0}, {_Q % 1}")), "0", 74),
     (_ONE_QUBIT % ("3", _TARGETS % ("X", "null", f"{_Q % 0}, {_Q % 1}")), "0", 74),
     (_ONE_QUBIT % ("3", _TARGETS % ("X", "null", "")), "0", 74),
+    # a subregister is an int: null does not stand for 0
+    (_ONE_QUBIT % ("1", _X % ("null", "0")), "0", 74),
     # metadata is an object or absent: no other value is read as {} or turned into one
     *[(_ONE_QUBIT[:-1] % ("1", "") + f', "metadata": {value}}}', "0", 74)
       for value in ("0", "false", '""', "[]", '[["a", 1]]', "5", "null")],
@@ -555,8 +558,8 @@ _INT_NAME = ('{"registers": [{"name": 1, "count": 1, "width": 1}, '
         "negative-shots", "bool-sub", "float-one-sub", "half-sub", "bool-control-bit",
         "float-one-control-bit", "bool-sub-copy", "float-one-bit-copy", "bool-value-copy",
         "not-utf-8", "deep-nesting", "swap-one-target", "swap-three-targets", "swap-angle",
-        "x-two-targets", "x-no-target", "metadata-zero", "metadata-false", "metadata-empty-string",
-        "metadata-empty-list", "metadata-pair-list", "metadata-int", "metadata-null"])
+        "swap-two-targets", "x-two-targets", "x-no-target", "null-sub", "metadata-zero", "metadata-false",
+        "metadata-empty-string", "metadata-empty-list", "metadata-pair-list", "metadata-int", "metadata-null"])
 def test_simulate_bad_input_exit_codes(tmp_path, capsys, text, shots, code):
     path = tmp_path / "c.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -581,11 +584,10 @@ def test_io_error_exit_74(capsys):
     (21, 21, "branches exceed"),  # 2^21 branches: the guard stops it after the 20th H
 ])
 def test_simulate_cap_exit_code(tmp_path, capsys, qubits, hadamards, message):
-    from qshuffle.circuit import Circuit, gate_h
     from qshuffle.serialize import circuit_to_json
 
     c = Circuit([("q", 1, qubits)])
-    c.extend(gate_h(c.qubit("q", 0, k)) for k in range(hadamards))
+    c.extend(Gate("H", None, c.qubit("q", 0, k)) for k in range(hadamards))
     path = tmp_path / "wide.json"
     path.write_text(circuit_to_json(c))
     assert run_cli("simulate", "--circuit", str(path)) == 2
@@ -624,10 +626,9 @@ def _fuzz_base():
                       {"name": "c", "count": 1, "width": 1}],
         "gates": [
             {"primitive": "H", "angle": None, "targets": [_ref("a", 0, 0)], "controls": []},
-            {"primitive": "RY", "angle": 0.5, "targets": [_ref("b", None, 1)],
+            {"primitive": "RY", "angle": 0.5, "targets": [_ref("b", 0, 1)],
              "controls": [_ref("a", 0, 0, value=1)]},
-            {"primitive": "SWAP", "angle": None, "targets": [_ref("a", 1, 0), _ref("b", 0, 0)],
-             "controls": [_ref("a", 0, 0, value=0)]},
+            *_swap(_ref("a", 1, 0), _ref("b", 0, 0), _ref("a", 0, 0, value=0)),
         ],
         "metadata": {"variant": "A"},
     }
@@ -637,9 +638,16 @@ def _gate(primitive, targets, *controls, angle=None):
     return {"primitive": primitive, "angle": angle, "targets": targets, "controls": list(controls)}
 
 
+def _swap(a, b, *controls):
+    """The three X records of a swap of qubits a and b under ``controls``, as
+    ``lowering.swap_gates`` writes it: CX(a->b), X on a under the controls and b, CX(a->b)."""
+    return [_gate("X", [b], {**a, "value": 1}), _gate("X", [a], *controls, {**b, "value": 1}),
+            _gate("X", [b], {**a, "value": 1})]
+
+
 def _swaps():
-    """A file of four SWAP records, three with mixed-polarity controls, that
-    move bits in some branches of a superposition."""
+    """A file of four swaps, three with mixed-polarity controls, that move bits
+    in some branches of a superposition."""
     return {
         "registers": [{"name": "a", "count": 2, "width": 2}, {"name": "b", "count": 1, "width": 3},
                       {"name": "c", "count": 1, "width": 1}],
@@ -649,13 +657,11 @@ def _swaps():
             _gate("H", [_ref("a", 0, 0)]),
             _gate("H", [_ref("a", 0, 1)]),
             _gate("RY", [_ref("b", 0, 2)], _ref("a", 0, 0, value=1), angle=0.7),
-            _gate("SWAP", [_ref("a", 1, 0), _ref("b", 0, 0)], _ref("a", 0, 0, value=0),
-                  _ref("a", 0, 1, value=1)),
-            _gate("SWAP", [_ref("b", 0, 1), _ref("b", 0, 2)], _ref("a", 0, 0, value=1)),
+            *_swap(_ref("a", 1, 0), _ref("b", 0, 0), _ref("a", 0, 0, value=0), _ref("a", 0, 1, value=1)),
+            *_swap(_ref("b", 0, 1), _ref("b", 0, 2), _ref("a", 0, 0, value=1)),
             _gate("RZ", [_ref("a", 1, 0)], _ref("c", 0, 0, value=0), angle=0.3),
-            _gate("SWAP", [_ref("a", 1, 1), _ref("c", 0, 0)]),
-            _gate("SWAP", [_ref("a", 0, 1), _ref("a", 1, 0)], _ref("b", 0, 2, value=1),
-                  _ref("c", 0, 0, value=0)),
+            *_swap(_ref("a", 1, 1), _ref("c", 0, 0)),
+            *_swap(_ref("a", 0, 1), _ref("a", 1, 0), _ref("b", 0, 2, value=1), _ref("c", 0, 0, value=0)),
             _gate("H", [_ref("b", 0, 1)], _ref("a", 1, 0, value=1)),
         ],
         "metadata": {"note": "controlled swaps"},
@@ -663,7 +669,7 @@ def _swaps():
 
 
 # SHA-256 of `simulate --shots 500 --seed 5` stdout, taken when the simulator
-# still had a SWAP primitive; the reader now spells each record as X gates
+# still had a SWAP primitive; the files now spell each swap as its three X records
 @pytest.mark.parametrize("data,digest", [
     (_swaps(), "9affe0b640857f443f9f0509e44e2c02cf8f244b0c284ab7f98ef12c16ceeaa3"),
     (_fuzz_base(), "264c3f917745b3983b7066d18c119d15dda995a6b4546f7bc2b04211681e6317"),
@@ -787,7 +793,7 @@ def contract_files(tmp_path_factory):
     wide = Circuit([("q", 1, 64)])
     files = {"good.json": circuit_to_json(build(BuildSpec("A", 3))),
              "malformed.json": '{"registers": [{"name": "q", "count": "1", "width": 1}], "gates": []}',
-             "wide.json": circuit_to_json(wide.extend([gate_h(0)])),
+             "wide.json": circuit_to_json(wide.extend([Gate("H", None, 0)])),
              "profile.json": json.dumps({"CX": 3, "mcx": {"3": 7}, "mcx_rule": "derived"}),
              "bad_profile.json": json.dumps({"mcx": {"03": 7}})}
     for name, text in files.items():

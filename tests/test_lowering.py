@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
-from qshuffle.circuit import (
-    Circuit,
-    Control,
-    Gate,
-    ctrl,
-    gate_h,
-    gate_x,
-)
+from qshuffle.circuit import Circuit, Control, Gate
 from qshuffle.lowering import (
     TOFFOLI_PHASE,
     eliminate_negative_controls,
@@ -54,46 +47,46 @@ def cmx_truth(num_qubits, m, target_bit):
 
 
 def test_uncontrolled_swap_is_three_cx():
-    seq = swap_gates(ctrl(q(0)), ctrl(q(1)), ())
+    seq = swap_gates(Control(q(0), 1), Control(q(1), 1), ())
     assert [primitive_class(g) for g in seq] == ["CX", "CX", "CX"]
 
 
 def test_single_controlled_swap():
-    seq = swap_gates(ctrl(q(0)), ctrl(q(1)), (ctrl(q(2)),))
+    seq = swap_gates(Control(q(0), 1), Control(q(1), 1), (Control(q(2), 1),))
     assert [primitive_class(g) for g in seq] == ["CX", "C2X", "CX"]
     # only the middle gate carries the original control
-    assert seq[0].controls == (ctrl(q(0)),)
+    assert seq[0].controls == (Control(q(0), 1),)
     assert set(c.qubit for c in seq[1].controls) == {1, 2}
 
 
 def test_swap_with_many_controls_keeps_outer_cx():
-    controls = tuple(ctrl(q(b)) for b in (2, 3, 4))
-    seq = swap_gates(ctrl(q(0)), ctrl(q(1)), controls)
+    controls = tuple(Control(q(b), 1) for b in (2, 3, 4))
+    seq = swap_gates(Control(q(0), 1), Control(q(1), 1), controls)
     assert [primitive_class(g) for g in seq] == ["CX", "C4X", "CX"]
 
 
 def test_swap_lowering_preserves_semantics():
     # the triple exchanges qubits 0 and 1 of every basis state where qubit 2 is 1
-    c = Circuit([("q", 1, 3)]).extend(swap_gates(ctrl(q(0)), ctrl(q(1)), (ctrl(q(2)),)))
+    c = Circuit([("q", 1, 3)]).extend(swap_gates(Control(q(0), 1), Control(q(1), 1), (Control(q(2), 1),)))
     for k in range(8):
         swapped = k ^ 0b011 if k >> 2 and (k ^ (k >> 1)) & 1 else k
         assert abs(run(c, k)[swapped] - 1.0) < 1e-12
 
 
 def test_eliminate_negative_single():
-    seq = eliminate_negative_controls(gate_x(q(0), (Control(q(1), 0),)))
+    seq = eliminate_negative_controls(Gate("X", None, q(0), (Control(q(1), 0),)))
     assert [g.primitive for g in seq] == ["X", "X", "X"]
     assert seq[1].controls == (Control(q(1), 1),)
 
 
 def test_eliminate_all_positive_unchanged():
-    gate = gate_x(q(0), (ctrl(q(1)),))
+    gate = Gate("X", None, q(0), (Control(q(1), 1),))
     assert eliminate_negative_controls(gate) == [gate]
 
 
 def test_eliminate_pattern_two_bits():
     # required value 10b on qubits (1, 2): X pair only on the 0-valued bit 1
-    gate = gate_x(q(0), (Control(q(1), 0), Control(q(2), 1)))
+    gate = Gate("X", None, q(0), (Control(q(1), 0), Control(q(2), 1)))
     seq = eliminate_negative_controls(gate)
     assert len(seq) == 3
     assert seq[0].target == seq[2].target == 1
@@ -101,7 +94,7 @@ def test_eliminate_pattern_two_bits():
 
 
 def test_eliminate_length_accounting():
-    gate = gate_x(q(0), (Control(q(1), 0), Control(q(2), 0), Control(q(3), 1)))
+    gate = Gate("X", None, q(0), (Control(q(1), 0), Control(q(2), 0), Control(q(3), 1)))
     assert len(eliminate_negative_controls(gate)) == 1 + 2 * 2
 
 
@@ -202,7 +195,7 @@ def test_mcx_rejects_small_arity_and_bad_mode():
 
 def test_lower_circuit_counting_is_identity_on_primitives():
     c = Circuit([("q", 1, 2)])
-    c.extend([gate_h(q(0)), gate_x(q(1), (ctrl(q(0)),))])
+    c.extend([Gate("H", None, q(0)), Gate("X", None, q(1), (Control(q(0), 1),))])
     lowered = lower_circuit(c, "counting")
     assert lowered.gates == c.gates
 
@@ -217,7 +210,7 @@ def test_lower_circuit_full_needs_enough_qubits():
 def test_lower_circuit_full_equivalence_with_negatives():
     # value-controlled gate with a 0 bit: full lowering inserts the X pairs
     c = Circuit([("q", 1, 5)])
-    c.extend([gate_h(q(0)), gate_h(q(1)), gate_h(q(2)), mcx_gate(3, 3, [0, 1, 2], [1, 0, 1])])
+    c.extend([*(Gate("H", None, q(b)) for b in range(3)), mcx_gate(3, 3, [0, 1, 2], [1, 0, 1])])
     # the CH fills of the uniform prep carry single negative controls
     shuffle = build(BuildSpec("A", 4))
     for circuit in (c, shuffle):
@@ -240,7 +233,7 @@ def test_lower_circuit_full_with_an_idle_qubit_in_one(m, mode):
     # works from any helper state)
     c = Circuit([("q", 1, 7)])
     controls = range(6 - m, 6)
-    c.extend([gate_x(q(0)), *(gate_h(q(b)) for b in controls), mcx_gate(m, 6, controls)])
+    c.extend([Gate("X", None, q(0)), *(Gate("H", None, q(b)) for b in controls), mcx_gate(m, 6, controls)])
     assert states_equal_up_to_phase(run(c), run(lower_circuit(c, "full", mode)), 1e-10)
 
 

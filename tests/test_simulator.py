@@ -2,7 +2,6 @@
 decoding, sampling."""
 
 import cmath
-import json
 import tracemalloc
 from math import sqrt
 
@@ -27,7 +26,7 @@ from oracles import (
 )
 from qshuffle import simulator
 from qshuffle.builders import BuildSpec, build
-from qshuffle.circuit import Circuit, Control, Gate, ctrl, gate_h, gate_ry, gate_rz, gate_x
+from qshuffle.circuit import Circuit, Control, Gate
 from qshuffle.lowering import (
     TOFFOLI_PHASE,
     eliminate_negative_controls,
@@ -37,7 +36,6 @@ from qshuffle.lowering import (
     swap_gates,
     toffoli_at,
 )
-from qshuffle.serialize import circuit_from_json
 from qshuffle.simulator import SimulationCapExceeded
 
 TOL = 1e-10
@@ -48,33 +46,33 @@ def q(bit):  # one register "q": bit b is global qubit b
 
 
 def test_apply_h_on_zero():
-    state = run(Circuit([("q", 1, 1)]).extend([gate_h(q(0))]))
+    state = run(Circuit([("q", 1, 1)]).extend([Gate("H", None, q(0))]))
     assert np.allclose(state, [1 / sqrt(2), 1 / sqrt(2)])
 
 
 def test_apply_negative_control_fires_on_zero():
     # control q1 required 0, target q0: |00> -> |01>
-    state = run(Circuit([("q", 1, 2)]).extend([gate_x(q(0), (Control(q(1), 0),))]))
+    state = run(Circuit([("q", 1, 2)]).extend([Gate("X", None, q(0), (Control(q(1), 0),))]))
     assert abs(state[0b01] - 1.0) < TOL
 
 
 def test_apply_positive_control_idle_on_zero():
-    state = run(Circuit([("q", 1, 2)]).extend([gate_x(q(0), (Control(q(1), 1),))]))
+    state = run(Circuit([("q", 1, 2)]).extend([Gate("X", None, q(0), (Control(q(1), 1),))]))
     assert abs(state[0] - 1.0) < TOL
 
 
 def test_apply_ry_pi():
-    state = run(Circuit([("q", 1, 1)]).extend([gate_ry(np.pi, q(0))]))
+    state = run(Circuit([("q", 1, 1)]).extend([Gate("RY", np.pi, q(0))]))
     assert abs(abs(state[1]) - 1.0) < TOL
 
 
 def test_apply_swap():
-    state = run(Circuit([("q", 1, 2)]).extend(swap_gates(ctrl(q(0)), ctrl(q(1)), ())), 0b01)
+    state = run(Circuit([("q", 1, 2)]).extend(swap_gates(Control(q(0), 1), Control(q(1), 1), ())), 0b01)
     assert abs(state[0b10] - 1.0) < TOL
 
 
 def test_apply_is_pure():
-    c = Circuit([("q", 1, 1)]).extend([gate_x(q(0))])
+    c = Circuit([("q", 1, 1)]).extend([Gate("X", None, q(0))])
     state = initial_state(c)
     run(c, state)
     assert state[0] == 1.0
@@ -116,6 +114,9 @@ def test_initial_state_register_values():
     (([0.5], [1.0]), r"basis indices \[0.5\] are not integers"),
     (True, "start True is not a basis index"),
     ({"data": [True, 0, 0]}, "value True does not fit register 'data'"),
+    (([0], [float("nan")]), r"start \(\[0\], \[nan\]\) is not 1-d indices and finite amplitudes"),
+    (([0], [float("inf")]), r"start \(\[0\], \[inf\]\) is not 1-d indices and finite amplitudes"),
+    (([1, [2]], [1.0, 1.0]), r"start \(\[1, \[2\]\], \[1.0, 1.0\]\) is not 1-d indices"),
 ])
 def test_bad_start_raises_value_error_naming_it(start, message):
     c = build(BuildSpec("B", 3, 1))
@@ -133,7 +134,7 @@ def test_empty_and_numpy_integer_starts_are_taken(start, indices):
 
 def test_disentangled_plus_zero():
     c = Circuit([("a", 1, 1), ("b", 1, 1)])
-    c.extend([gate_h(c.qubit("a", 0, 0))])
+    c.extend([Gate("H", None, c.qubit("a", 0, 0))])
     state = run(c)
     ok, leak = assert_register_disentangled(state, c, "b")
     assert ok and leak == 0.0
@@ -164,7 +165,7 @@ def test_branch_table_c_n2():
 
 def test_sample_deterministic_and_pure():
     c = Circuit([("q", 1, 2)])
-    c.extend([gate_x(q(1))])
+    c.extend([Gate("X", None, q(1))])
     state = run(c)
     hist = sample(state, 250, seed=5, circuit=c)
     assert hist == {(2,): 250}
@@ -184,7 +185,7 @@ def test_simulation_cap():
     c = Circuit([("q", 1, 64)])  # basis indices are int64
     with pytest.raises(SimulationCapExceeded):
         run(c)
-    top = Circuit([("q", 1, 63)]).extend([gate_x(q(62))])
+    top = Circuit([("q", 1, 63)]).extend([Gate("X", None, q(62))])
     indices, amplitudes = simulator.run(top)
     assert indices.tolist() == [1 << 62] and amplitudes.tolist() == [1.0]
 
@@ -196,7 +197,7 @@ def test_branch_cap_stops_a_wide_superposition():
     # goes through the per-gate kernel and its guard
     for flips in (0, 4):
         c = Circuit([("q", 1, 21)])
-        c.extend(g for k in range(21) for g in [gate_h(q(k))] + [gate_x(q(k))] * flips)
+        c.extend(g for k in range(21) for g in [Gate("H", None, q(k))] + [Gate("X", None, q(k))] * flips)
         tracemalloc.start()
         try:
             with pytest.raises(SimulationCapExceeded, match="branches exceed"):
@@ -222,7 +223,7 @@ def test_run_gives_the_gate_by_gate_branch_table_on_full_a5_clean():
     assert max(abs(a - b) for (_, a), (_, b) in zip(whole, per_gate)) < 1e-12
 
 
-_TOFFOLI = gate_x(q(2), (ctrl(q(0)), ctrl(q(1))))
+_TOFFOLI = Gate("X", None, q(2), (Control(q(0), 1), Control(q(1), 1)))
 _NETWORK = lower_toffoli(_TOFFOLI)
 
 
@@ -238,7 +239,7 @@ def _near_networks():
             changed.append(("control", g._replace(controls=(g.controls[0]._replace(value=0),))))
         for kind, h in changed:
             yield f"{k}-{kind}", _NETWORK[:k] + [h] + _NETWORK[k + 1:]
-    yield "cut", [gate_x(q(3))] + _NETWORK[:-1]
+    yield "cut", [Gate("X", None, q(3))] + _NETWORK[:-1]
 
 
 def _run_against_dense(gates):
@@ -262,7 +263,7 @@ def test_run_applies_an_exact_toffoli_network_as_its_toffoli_and_phase():
     assert np.allclose(run(c, 0b011), TOFFOLI_PHASE * np.eye(16)[0b111], rtol=0, atol=1e-15)
 
 
-_SWAP = list(swap_gates(ctrl(q(0)), ctrl(q(1)), (Control(q(2), 0),)))
+_SWAP = list(swap_gates(Control(q(0), 1), Control(q(1), 1), (Control(q(2), 0),)))
 
 
 def _near_swaps():
@@ -274,7 +275,7 @@ def _near_swaps():
         flipped = tuple(c._replace(value=1 - c.value) if c.qubit in (q(0), q(1)) else c for c in g.controls)
         for kind, h in (("qubit", g._replace(target=q(3))), ("control", g._replace(controls=flipped))):
             yield f"{k}-{kind}", _SWAP[:k] + [h] + _SWAP[k + 1:]
-    yield "cut", [gate_x(q(3))] + _SWAP[:-1]
+    yield "cut", [Gate("X", None, q(3))] + _SWAP[:-1]
 
 
 @pytest.mark.parametrize("gates", [pytest.param(gates, id=name) for name, gates in _near_swaps()])
@@ -321,10 +322,10 @@ def test_sampling_matches_classical_shuffle_n3():
 def test_value_controlled_gate_fires_iff_register_matches(stored, required):
     # an X value-controlled on a 3-bit register flips its target exactly on
     # the matching basis value
-    from qshuffle.circuit import gate_x as gx, value_controls
+    from qshuffle.circuit import value_controls
 
     c = Circuit([("a", 1, 3), ("t", 1, 1)])
-    c.extend([gx(c.qubit("t", 0, 0), value_controls(c.register_qubits("a"), required))])
+    c.extend([Gate("X", None, c.qubit("t", 0, 0), value_controls(c.register_qubits("a"), required))])
     state = run(c, {"a": [stored]})
     rows = branch_table(state, c)
     assert len(rows) == 1
@@ -340,7 +341,7 @@ def test_exact_multicontrol_matches_lowered_swap(basis, control_pattern):
     # lowered to elementary gates (q2, q3 idle), random basis states
     c1 = Circuit([("q", 1, 6)])
     controls = (Control(q(4), control_pattern & 1), Control(q(5), (control_pattern >> 1) & 1))
-    c1.extend(swap_gates(ctrl(q(0)), ctrl(q(1)), controls))
+    c1.extend(swap_gates(Control(q(0), 1), Control(q(1), 1), controls))
     c2 = lower_circuit(c1, "full", "borrowed")
     assert max(len(g.controls) for g in c2.gates) == 1
     assert states_equal_up_to_phase(run(c1, basis), run(c2, basis))
@@ -357,17 +358,14 @@ def swap_records(draw):
 @given(swap_records())
 @settings(max_examples=200, deadline=None)
 def test_swap_record_exchanges_bits_where_controls_hold(case):
-    # a circuit file's controlled SWAP, read as X gates, exchanges bits a and b of
-    # a basis index exactly where every control holds its value
+    # a swap_gates triple under mixed-polarity controls exchanges bits a and b
+    # of a basis index exactly where every control holds its value
     n, a, b, controls, basis = case
-    ref = lambda k, **value: {"reg": "q", "sub": 0, "bit": k, **value}
-    text = json.dumps({"registers": [{"name": "q", "count": 1, "width": n}], "gates": [
-        {"primitive": "SWAP", "angle": None, "targets": [ref(a), ref(b)],
-         "controls": [ref(k, value=v) for k, v in controls]}]})
+    triple = swap_gates(Control(a, 1), Control(b, 1), tuple(Control(k, v) for k, v in controls))
     want = basis
     if all((basis >> k) & 1 == v for k, v in controls) and (basis >> a) & 1 != (basis >> b) & 1:
         want = basis ^ (1 << a) ^ (1 << b)
-    indices, amplitudes = simulator.run(circuit_from_json(text), basis)
+    indices, amplitudes = simulator.run(Circuit([("q", 1, n)]).extend(triple), basis)
     assert indices.tolist() == [want] and amplitudes.tolist() == [1.0]
 
 
@@ -448,8 +446,8 @@ def test_gate_loop_allocates_no_state_sized_memory():
     # the scratch array exists before the first yield; what the gates still
     # allocate is numpy's fixed-size ufunc buffers, far below a quarter state
     c = Circuit([("q", 1, 18)])
-    c.extend([gate_h(q(1)), gate_x(q(7), (Control(q(9), 1),)), gate_ry(0.4, q(12))])
-    c.extend([gate_rz(0.9, q(4)), gate_x(q(3), (Control(q(2), 0),)), gate_x(q(0))])
+    c.extend([Gate("H", None, q(1)), Gate("X", None, q(7), (Control(q(9), 1),)), Gate("RY", 0.4, q(12))])
+    c.extend([Gate("RZ", 0.9, q(4)), Gate("X", None, q(3), (Control(q(2), 0),)), Gate("X", None, q(0))])
     states = dense_evolve(c)
     state = next(states)
     tracemalloc.start()
@@ -494,7 +492,7 @@ def random_circuits(draw):
         if kind == "branch":
             return [gate(qubits, ("H", "RY")), gate(qubits, ("H", "RY"))]
         if kind == "swap":
-            return list(swap_gates(ctrl(q(qubits[0])), ctrl(q(qubits[1])), controls(qubits[2:])))
+            return list(swap_gates(Control(q(qubits[0]), 1), Control(q(qubits[1]), 1), controls(qubits[2:])))
         values = draw(st.integers(0, 1)), draw(st.integers(0, 1))
         triples = [draw(st.permutations(range(n)))[:3] for _ in range(draw(st.integers(1, 2)))]
         toffolis = [Gate("X", None, q(t), (Control(q(a), values[0]), Control(q(b), values[1])))

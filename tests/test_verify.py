@@ -141,3 +141,30 @@ def test_failure_detail_names_the_smallest_index_of_equal_deviation():
     for order in ([3, 7, 1, 5], [7, 3, 5, 1]):
         state = np.array(order), np.full(4, 0.5 + 0j)
         assert verify._compare(state, model, 0.5) == (0.5, 3, 0.5 + 0j, 0.0)
+
+
+_ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the builders keep redundant gates, "
+                                                "and verify's data inputs leave top data bits constant")
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(BuildSpec("A", 5), id="A-n5", marks=_ITEM_1),
+    pytest.param(BuildSpec("B", 5, 3), id="B-n5-m3", marks=_ITEM_1),
+    pytest.param(BuildSpec("C", 5, 2), id="C-n5-m2", marks=_ITEM_1),
+])
+def test_every_gate_deletion_fails_a_model_check(monkeypatch, spec):
+    # deleting any one gate of a build must fail a model check; the checkpoints
+    # after the deleted gate move back by one
+    size = len(build_with_checkpoints(spec)[0])
+    slipped = []
+    for drop in range(size):
+        def broken(spec, drop=drop):
+            circuit, checkpoints = build_with_checkpoints(spec)
+            del circuit.gates[drop]
+            return circuit, tuple(c - (c > drop) for c in checkpoints)
+
+        monkeypatch.setattr(verify, "build_with_checkpoints", broken)
+        passed = {c.name: c.passed for c in verify.verify_spec(spec).checks}
+        if passed["branch_count"] and passed["replay_consistent"] and passed["iteration_states"]:
+            slipped.append(drop)
+    assert not slipped, f"{len(slipped)} of {size} deletions pass every model check: gates {slipped}"
