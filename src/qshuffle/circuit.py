@@ -13,7 +13,8 @@ None for X and H, and every control ``Control(qubit, value)``.
 Gates name their qubits by global index, a plain int.  ``Circuit.qubit``
 turns a (register, subregister, bit) address of three ints into its index,
 checked, where a name enters the pipeline (builders, circuit files);
-``ref_of`` turns an index back into its address for text output.  IR objects
+``ref_of`` turns one index back into its address (the JSON writer spells
+every index from a table of its own, built once per call).  IR objects
 are immutable, and a gate list may hold one ``Gate`` object many times.
 ``Circuit.extend`` is the one way gates enter a circuit: it runs ``check``
 once per distinct object per call and appends the whole batch or, if a gate
@@ -55,6 +56,16 @@ def spec_int(name: str, value, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
     return value
+
+
+def plain_int(text: str) -> int | None:
+    """The int k whose ``str(k)`` is ``text``, else None: one spelling per
+    integer, "3" or "-3", never "03", "+3", " 3", "3_0" or "٣"."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError):  # not an integer text, or over 4,300 digits
+        return None
+    return value if str(value) == text else None
 
 
 class Register(NamedTuple):

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import simulator
 from .builders import ENCODINGS, VARIANTS, BuildSpec, build
+from .circuit import plain_int
 from .lowering import lower_circuit
 from .prep import build_u, build_v
 from .resources import (CostProfile, gate_count_formula, resource_report, scaling_table, u_counts,
@@ -53,17 +54,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _seed(text: str) -> int:
-    """The ``--seed`` type: numpy refuses a negative seed, so it is a usage error."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _at_least(least: int):
+    """The type of an integer option: a plain decimal (``circuit.plain_int``)
+    of at least ``least``."""
+    def read(text: str) -> int:
+        value = plain_int(text)
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+        return value
+    return read
 
 
 def _add_spec_arguments(parser):
     parser.add_argument("--variant", required=True, choices=VARIANTS)
-    parser.add_argument("--n", required=True, type=int)
-    parser.add_argument("--m", type=int, default=None)
+    parser.add_argument("--n", required=True, type=_at_least(1))
+    parser.add_argument("--m", type=_at_least(1), default=None)
     parser.add_argument("--encoding", choices=ENCODINGS, default="binary")
 
 
@@ -119,8 +124,6 @@ def cmd_build(parser, args) -> int:
 
 
 def cmd_prep(parser, args) -> int:
-    if args.i < 1:
-        parser.error("--i must be >= 1")
     gates = u_counts(args.i)[0] if args.encoding == "binary" else v_gate_count_formula(args.i)
     if gates > MAX_GATES:
         parser.exit(EX_CAP, f"{PROG}: prep --i {args.i} has {gates} gates, "
@@ -131,8 +134,6 @@ def cmd_prep(parser, args) -> int:
 
 
 def cmd_simulate(parser, args) -> int:
-    if args.shots < 0:
-        parser.error("--shots must be >= 0")
     if args.shots > MAX_SHOTS:
         parser.exit(EX_CAP, f"{PROG}: simulate --shots {args.shots} is over the shot cap of {MAX_SHOTS}\n")
     with open(args.circuit, encoding="utf-8") as handle:
@@ -185,8 +186,6 @@ def cmd_count(parser, args) -> int:
 
 def cmd_table(parser, args) -> int:
     profile = _load_profile(parser, args.profile)
-    if args.n_max < 2:
-        parser.error("--n-max must be >= 2")
     if args.n_max - 1 > MAX_ROWS:
         parser.exit(EX_CAP, f"{PROG}: table to n={args.n_max} has {args.n_max - 1} rows, "
                             f"over the row cap of {MAX_ROWS}\n")
@@ -202,10 +201,6 @@ def cmd_table(parser, args) -> int:
 
 
 def cmd_sample(parser, args) -> int:
-    if args.n < 1:
-        parser.error("--n must be >= 1")
-    if args.shots < 0:
-        parser.error("--shots must be >= 0")
     if args.n * args.shots > MAX_SHOTS:
         parser.exit(EX_CAP, f"{PROG}: sample --n {args.n} --shots {args.shots} draws "
                             f"{args.n * args.shots} entries, over the shot cap of {MAX_SHOTS}\n")
@@ -249,19 +244,19 @@ def build_parser() -> _Parser:
     p.add_argument("--mcx", choices=("clean", "borrowed"), default="borrowed")
 
     p = _command(sub, "prep", cmd_prep, "emit a uniform superposition prep fragment")
-    p.add_argument("--i", required=True, type=int)
+    p.add_argument("--i", required=True, type=_at_least(1))
     p.add_argument("--encoding", choices=ENCODINGS, default="binary")
     p.add_argument("--format", choices=("json", "qasm"), default="json")
 
     p = _command(sub, "simulate", cmd_simulate, "simulate a circuit file, list branches")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--shots", type=int, default=0)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--shots", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
 
     p = _command(sub, "verify", cmd_verify, "simulate a build and check every invariant")
     _add_spec_arguments(p)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
 
     p = _command(sub, "count", cmd_count, "formula vs measured resource report")
     _add_spec_arguments(p)
@@ -269,15 +264,15 @@ def build_parser() -> _Parser:
 
     p = _command(sub, "table", cmd_table, "formula scaling table as CSV")
     p.add_argument("--variant", required=True, choices=VARIANTS)
-    p.add_argument("--n-max", required=True, type=int)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n-max", required=True, type=_at_least(2))
+    p.add_argument("--m", type=_at_least(1), default=None)
     p.add_argument("--encoding", choices=ENCODINGS, default="binary")
     p.add_argument("--profile", default=None)
 
     p = _command(sub, "sample", cmd_sample, "classical Fisher-Yates word samples, one JSON array per line")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--shots", type=int, default=1)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--n", required=True, type=_at_least(1))
+    p.add_argument("--shots", type=_at_least(0), default=1)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--direction", choices=("forward", "reversed"), default="reversed")
 
     for p in sub.choices.values():  # every subcommand's last option

@@ -41,7 +41,7 @@ import reprlib
 from typing import NamedTuple
 
 from .builders import BuildSpec, build
-from .circuit import Circuit, cost_class, count_primitives, spec_int
+from .circuit import Circuit, cost_class, count_primitives, plain_int, spec_int
 
 
 class _CostProfile(NamedTuple):
@@ -107,21 +107,13 @@ class CostProfile(_CostProfile):
         if "mcx" in data:
             if not isinstance(data["mcx"], dict):
                 raise ValueError("mcx must map arities to costs")
-            bad = [k for k in data["mcx"] if not _plain_decimal(k)]
+            bad = [k for k in data["mcx"] if plain_int(k) is None]
             if bad:  # one spelling per arity: "3", never "03", "+3", " 3", "3_0" or "٣"
                 raise ValueError(f"mcx keys {reprlib.repr(bad)} are not arities written as plain decimals")
             kwargs["mcx"] = {int(k): v for k, v in data["mcx"].items()}
         if "mcx_rule" in data:
             kwargs["mcx_rule"] = data["mcx_rule"]
         return cls(**kwargs)
-
-
-def _plain_decimal(key: str) -> bool:
-    """Whether ``key`` is ``str(int(key))``; ``int`` refuses over 4,300 digits."""
-    try:
-        return key.isdecimal() and key == str(int(key))
-    except ValueError:
-        return False
 
 
 def _prep_counts(i: int, p: CostProfile, binary: bool) -> tuple[int, int]:

@@ -7,21 +7,23 @@ JSON schema (field order fixed):
    "metadata": {...}}
 Angles are radians, written with full float precision so a round trip
 reproduces simulations bit-identically.  Gates hold global qubit indices; the
-writer turns each index into its reg/sub/bit text (``Circuit.ref_of``) and the
-reader each address into its index (``Circuit.qubit``, which checks it).  A
-gate record holds exactly one gate: one target, and an int ``sub`` in every
-address.  The reader makes the gate of each distinct record once, keyed on the
-angle's repr (-0.0 is not 0.0) and on int control values only
-(True == 1 == 1.0), so ``extend`` checks each once.  It reads in two steps,
-``read_registers`` (the parse and the register table) and ``read_gates``, so
-that a caller can refuse a circuit by its width before any gate is built, and
-runs each with the cyclic garbage collector paused: the parse and the gates
-make many objects and no cycle, and at A n=64 the collector's walks were 40 %
-of a load.  The text is ``json.dumps`` of that schema byte for byte, but
-written without the nested dicts: each distinct qubit and control is encoded
-once per call and its fragment reused.  Both emitters encode each distinct gate
-object once per call, angle included, found by identity (``_by_identity``), so
-a shared gate costs one lookup in C and -0.0 never gets 0.0's text.
+writer spells each index as its reg/sub/bit text and the reader turns each
+address into its index (``Circuit.qubit``, which checks it).  A gate record
+holds exactly one gate: one target, and an int ``sub`` in every address.  The
+reader makes the gate of each distinct record once, keyed on the angle's repr
+(-0.0 is not 0.0) and on int control values only (True == 1 == 1.0), so
+``extend`` checks each once.  It reads in two steps, ``read_registers`` (the
+parse and the register table) and ``read_gates``, so that a caller can refuse
+a circuit by its width before any gate is built, and runs each with the cyclic
+garbage collector paused: the parse and the gates make many objects and no
+cycle, and at A n=64 the collector's walks were 40 % of a load.  The text is
+``json.dumps`` of that schema byte for byte, but written without the nested
+dicts: each call builds the text of every qubit (a list by index) and of
+every control (a dict keyed by (qubit, value), which a ``Control`` equals)
+from the register table, and writes the primitive's name as it is, since
+``Circuit.extend`` checked it.  Both emitters encode each distinct gate
+object once per call, angle included, found by identity (``_by_identity``),
+so a shared gate costs one lookup in C and -0.0 never gets 0.0's text.
 
 The QASM emitter writes one flat qubit array plus a comment mapping register
 names to index ranges.  Single positive controls on X become cx; every other
@@ -37,25 +39,6 @@ import json
 from .circuit import Circuit, Control, Gate
 
 
-class _Texts(dict):
-    """JSON text of each qubit index, Control and primitive name of one
-    circuit, encoded on first use."""
-
-    def __init__(self, circuit: Circuit):
-        self.ref_of = circuit.ref_of
-
-    def __missing__(self, key) -> str:
-        if type(key) is int:
-            reg, sub, bit = self.ref_of(key)
-            text = f'{{"reg": {json.dumps(reg)}, "sub": {sub}, "bit": {bit}}}'
-        elif type(key) is Control:  # the qubit's text, reopened for the value
-            text = f'{self[key.qubit][:-1]}, "value": {json.dumps(key.value)}}}'
-        else:
-            text = json.dumps(key)
-        self[key] = text
-        return text
-
-
 def _by_identity(encode, objs):
     """``map(encode, objs)``, with ``encode`` run once per distinct object of
     the list ``objs``, which keeps each object alive while its id is a key."""
@@ -64,13 +47,18 @@ def _by_identity(encode, objs):
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    text = _Texts(circuit).__getitem__
+    qubit = [f'{{"reg": {reg}, "sub": {sub}, "bit": {bit}}}'  # each address, by global index
+             for r in circuit.registers for reg in [json.dumps(r.name)]
+             for sub in range(r.count) for bit in range(r.width)]
+    control = {(q, v): f'{text[:-1]}, "value": {v}}}'  # the qubit's text, reopened
+               for q, text in enumerate(qubit) for v in (0, 1)}
 
     def encode(g: Gate) -> str:
         primitive, angle, target, controls = g
-        return (f'{{"primitive": {text(primitive)}, '
+        return (f'{{"primitive": "{primitive}", '
                 f'"angle": {"null" if angle is None else json.dumps(angle)}, '  # no call for X/H
-                f'"targets": [{text(target)}], "controls": [{", ".join(map(text, controls))}]}}')
+                f'"targets": [{qubit[target]}], '
+                f'"controls": [{", ".join(map(control.__getitem__, controls))}]}}')
 
     gates = ", ".join(_by_identity(encode, circuit.gates))
     registers = [{"name": r.name, "count": r.count, "width": r.width} for r in circuit.registers]

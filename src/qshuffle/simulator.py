@@ -68,17 +68,18 @@ def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarra
     """Build the start state: None (all zeros), a basis index, an
     (indices, amplitudes) pair (copied), or a mapping register name -> list of
     per-subregister values; ValueError for any other start.  Indices and
-    values are ints or numpy integers, never bools, and amplitudes are finite.
-    ``run`` is linear in its start and does not normalise it: ``([0], [2.0])``
-    runs a state whose squared norm is 4."""
+    values are ints or numpy integers, never bools; amplitudes are finite
+    numbers, never strings or bools.  ``run`` is linear in its start and does
+    not normalise it: ``([0], [2.0])`` runs a state whose squared norm is 4."""
     n = circuit.num_qubits
     if isinstance(initial, tuple):
         try:  # a pair of anything but two flat lists fails here in numpy's or Python's words
             indices, amplitudes = initial
-            indices, amplitudes = np.asarray(indices), np.array(amplitudes, dtype=complex)
+            indices, amplitudes = np.asarray(indices), np.asarray(amplitudes)
         except (ValueError, TypeError):
             indices = amplitudes = np.zeros((0, 0))
-        if indices.ndim != 1 or indices.shape != amplitudes.shape or not np.isfinite(amplitudes).all():
+        if (indices.ndim != 1 or indices.shape != amplitudes.shape or amplitudes.dtype.kind not in "iufc"
+                or not np.isfinite(amplitudes).all()):  # kind: numbers, no str, bytes, bool or object
             raise ValueError(f"start {initial!r} is not 1-d indices and finite amplitudes of one length")
         if indices.size and indices.dtype.kind not in "iu":  # float, bool or object
             raise ValueError(f"basis indices {initial[0]!r} are not integers")
@@ -86,7 +87,7 @@ def initial_state(circuit: Circuit, initial=None) -> tuple[np.ndarray, np.ndarra
             raise ValueError(f"basis index out of range for {n} qubits")
         if len(np.unique(indices)) != len(indices):
             raise ValueError("repeated basis index")
-        return indices.astype(np.int64), amplitudes
+        return indices.astype(np.int64), amplitudes.astype(complex)
     index = 0
     if isinstance(initial, (int, np.integer)) and type(initial) is not bool:
         if not 0 <= initial < (1 << n):

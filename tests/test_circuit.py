@@ -11,6 +11,7 @@ from qshuffle.circuit import (
     Control,
     Gate,
     count_primitives,
+    plain_int,
     value_controls,
 )
 from qshuffle.lowering import swap_gates
@@ -24,6 +25,20 @@ def test_global_numbering_order():
     assert c.qubit("p", 0, 0) == 0
     assert c.qubit("p", 1, 0) == 1
     assert c.qubit("a", 0, 0) == 2
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@given(st.integers())
+def test_plain_int_reads_exactly_str_of_an_int(k):
+    text = str(k)
+    sign, digits = text[:k < 0], text[k < 0:]
+    assert plain_int(text) == k
+    odd = ["+" + text, " " + text, text + " ", f"{sign}0{digits}", f"{sign}{digits[0]}_{digits[1:]}",
+           text[:-1] + text[-1].translate(_ARABIC_INDIC)]  # one non-ASCII digit
+    assert [plain_int(t) for t in odd] == [None] * len(odd)
+    assert plain_int("-0") is plain_int("1" * 5000) is plain_int("") is None  # 5000 digits: over int()'s limit
 
 
 def test_numbering_counts_qubits():

@@ -272,7 +272,7 @@ def test_sample_rejects_negative_shots(capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert lines[0].startswith("usage: qshuffle sample ")  # the subcommand's usage, not the root's
-    assert lines[-1] == "qshuffle sample: error: --shots must be >= 0"
+    assert lines[-1] == "qshuffle sample: error: argument --shots: must be an integer >= 0, got '-5'"
 
 
 @pytest.mark.parametrize("argv", [
@@ -291,6 +291,28 @@ def test_usage_errors_name_the_subcommand(capsys, argv):
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith(f"usage: qshuffle {argv[0]} ")
     assert lines[-1].startswith(f"qshuffle {argv[0]}: error: ")
+
+
+# spellings of an integer that int() reads but an integer option refuses: it takes only str(k)
+_ODD_INTS = ("1_0", "+3", " 3", "03", "\u0663")
+
+
+@pytest.mark.parametrize("argv", [
+    *[(*command, text) for command in (("sample", "--n"), ("build", "--variant", "A", "--n"),
+                                       ("simulate", "--circuit", "c.json", "--shots"))
+      for text in _ODD_INTS],
+    *[("sample", "--n", "3", "--seed", text) for text in ("03", "\u0663")],  # the rest were refused already
+], ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]!r}")
+def test_integer_options_refuse_odd_spellings(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 64
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and lines[0].startswith(f"usage: qshuffle {argv[0]} ")
+    least = 0 if argv[-2] in ("--shots", "--seed") else 1
+    assert lines[-1] == (f"qshuffle {argv[0]}: error: argument {argv[-2]}: "
+                         f"must be an integer >= {least}, got {argv[-1]!r}")
 
 
 def test_build_over_the_size_cap_exits_2_before_building(capsys):
@@ -572,7 +594,7 @@ def test_simulate_bad_input_exit_codes(tmp_path, capsys, text, shots, code):
     if code == 74:
         assert message.count("\n") == 1 and message.startswith("cannot read circuit")
     else:
-        assert "--shots must be >= 0" in message
+        assert "argument --shots: must be an integer >= 0, got '-5'" in message
 
 
 def test_io_error_exit_74(capsys):
@@ -813,12 +835,13 @@ def _one_in(k: int):
 def _value(data, command, action, drawn, files):
     if action.choices is not None:
         pools = tuple(action.choices), (), ("bogus",)
-    elif action.type is int:
+    elif (command, action.dest) in _SIZES:
         pools = _SIZES[command, action.dest](drawn)
+        pools = (*pools[:2], (*pools[2], *_ODD_INTS))
     elif action.type is float:
         pools = ("1e-10", "0.5"), (), ("0", "-1", "nan", "inf", "x")
     elif action.dest == "seed":
-        pools = ("0", "7"), (), ("-1", "1.5")
+        pools = ("0", "7"), (), ("-1", "1.5", *_ODD_INTS)
     else:
         return data.draw(st.sampled_from(files[action.dest]))
     pool = data.draw(st.sampled_from([p for p in (*pools[:1] * 6, *pools[1:]) if p]))
@@ -845,7 +868,7 @@ def _draw_argv(data, files):
         if data.draw(_left_out(action, drawn)):
             continue
         value = _value(data, command, action, drawn, files)
-        drawn[action.dest] = int(value) if action.type is int and value != "x" else value
+        drawn[action.dest] = value
         argv += [action.option_strings[-1], value]
     return argv, drawn
 
@@ -954,7 +977,8 @@ def test_shared_parser_leaks_no_state(tmp_path, monkeypatch):
     assert shared[2][1] != shared[3][1]  # the profile's costs, then unit costs
     assert [code for code, _, _ in shared] == [0, 0, 0, 0, 64, 0, 64, 0, 0]
     assert shared[4][2].splitlines()[-1].startswith("qshuffle build: error: ")
-    assert shared[6][2].splitlines()[-1] == "qshuffle simulate: error: --shots must be >= 0"
+    assert shared[6][2].splitlines()[-1] == ("qshuffle simulate: error: "
+                                             "argument --shots: must be an integer >= 0, got '-5'")
     assert shared[7] == shared[8] and shared[7][1].startswith("usage: qshuffle ")
 
 

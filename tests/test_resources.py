@@ -115,6 +115,12 @@ def test_profile_from_dict():
     assert p.mcx_cost(4) == 4 * 2 * (6 * 39 + 7 + 2)
 
 
+@pytest.mark.parametrize("key", [3, 3.0, None, (3,), b"3", "03"], ids=repr)
+def test_profile_from_dict_refuses_an_arity_not_written_as_str_of_it(key):
+    with pytest.raises(ValueError, match="are not arities written as plain decimals"):
+        CostProfile.from_dict({"mcx": {key: 5}})
+
+
 def test_cost_profile_linearity():
     doubled = CostProfile(x=2, h=2, ry=2, rz=2, cx=2, ch=2, cry=2, mcx_rule="unit",
                           mcx={m: 2 for m in range(2, 12)})

@@ -117,6 +117,9 @@ def test_initial_state_register_values():
     (([0], [float("nan")]), r"start \(\[0\], \[nan\]\) is not 1-d indices and finite amplitudes"),
     (([0], [float("inf")]), r"start \(\[0\], \[inf\]\) is not 1-d indices and finite amplitudes"),
     (([1, [2]], [1.0, 1.0]), r"start \(\[1, \[2\]\], \[1.0, 1.0\]\) is not 1-d indices"),
+    (([0], ["1"]), r"start \(\[0\], \['1'\]\) is not 1-d indices and finite amplitudes"),
+    (([0], [True]), r"start \(\[0\], \[True\]\) is not 1-d indices and finite amplitudes"),
+    (([0], [b"1"]), r"start \(\[0\], \[b'1'\]\) is not 1-d indices and finite amplitudes"),
 ])
 def test_bad_start_raises_value_error_naming_it(start, message):
     c = build(BuildSpec("B", 3, 1))
