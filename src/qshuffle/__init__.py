@@ -22,17 +22,16 @@ from .lowering import (
     lower_mcx,
     lower_toffoli,
 )
-from .prep import build_u, build_v, u_gates, v_gates
+from .prep import build_prep, u_gates, v_gates
 from .resources import (
     CostProfile,
     ResourceReport,
     cycle_count_formula,
     gate_count_formula,
+    prep_counts,
     qubit_count_formula,
     resource_report,
     scaling_table,
-    u_counts,
-    v_gate_count_formula,
 )
 from .serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
 from .simulator import SimulationCapExceeded, branch_table, run, sample

@@ -40,10 +40,9 @@ from typing import NamedTuple
 
 from .circuit import Circuit, Control, Gate, Register, spec_int, value_controls
 from .lowering import swap_gates
-from .prep import u_gates, v_gates
+from .prep import ENCODINGS, u_gates, v_gates
 
 VARIANTS = ("A", "At", "B", "Bt", "C")
-ENCODINGS = ("binary", "onehot")
 
 DATA, PERM, ANC = "data", "perm", "anc"
 

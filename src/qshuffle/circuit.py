@@ -12,13 +12,12 @@ None for X and H, and every control ``Control(qubit, value)``.
 
 Gates name their qubits by global index, a plain int.  ``Circuit.qubit``
 turns a (register, subregister, bit) address of three ints into its index,
-checked, where a name enters the pipeline (builders, circuit files);
-``ref_of`` turns one index back into its address (the JSON writer spells
-every index from a table of its own, built once per call).  IR objects
+checked, where a name enters the pipeline (builders, circuit files); the
+JSON writer spells each index back from its own per-call table.  IR objects
 are immutable, and a gate list may hold one ``Gate`` object many times.
 ``Circuit.extend`` is the one way gates enter a circuit: it runs ``check``
-once per distinct object per call and appends the whole batch or, if a gate
-fails, none of it.
+(a ``Gate`` with a tuple of ``Control``, nothing else) once per distinct
+object per call and appends the whole batch or, if a gate fails, none of it.
 
 Every record type of the package is a named tuple: ``Gate``, ``Control`` and
 ``Register`` here, ``BuildSpec``, ``CostProfile``, ``ResourceReport``, ``Check``
@@ -139,15 +138,6 @@ class Circuit:
             raise ValueError(f"bit {bit!r} not an int in range for {reg} (width {r.width})")
         return offset + sub * r.width + bit
 
-    def ref_of(self, index: int) -> tuple[str, int, int]:
-        """The (register, subregister, bit) address of a global index: the inverse of ``qubit``."""
-        if not 0 <= index < self.num_qubits:
-            raise ValueError(f"qubit index {index} out of range")
-        for name, (offset, r) in self._layout.items():
-            if index < offset + r.count * r.width:
-                return (name, *divmod(index - offset, r.width))
-        raise AssertionError("unreachable")
-
     def register_qubits(self, name: str) -> list[int]:
         reg = self.register(name)
         base = self._layout[name][0]
@@ -159,9 +149,11 @@ class Circuit:
 
     def check(self, gate: Gate) -> None:
         """Raise ValueError unless ``gate`` is a well-formed primitive on this
-        circuit's qubits: primitive, angle, control values, then each qubit
-        (controls first) by type and range, then overlap.  No operand is hashed
-        before its type is checked."""
+        circuit's qubits: its type and its controls' types, primitive, angle,
+        control values, then each qubit (controls first) by type and range,
+        then overlap.  No operand is hashed before its type is checked."""
+        if type(gate) is not Gate or type(gate.controls) is not tuple:
+            raise ValueError(f"not a Gate with a tuple of controls: {gate!r}")
         primitive, angle, target, controls = gate
         if primitive not in PRIMITIVES:
             raise ValueError(f"unknown primitive {primitive!r}")
@@ -175,6 +167,8 @@ class Circuit:
             if not finite:
                 raise ValueError(f"rotation angle must be a finite real number, got {angle!r}")
         for c in controls:
+            if type(c) is not Control:
+                raise ValueError(f"control {c!r} is not a Control")
             if type(c.value) is not int or c.value not in (0, 1):
                 raise ValueError(f"control value must be the int 0 or 1, got {c.value!r}")
         touched = [c.qubit for c in controls]

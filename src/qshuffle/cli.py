@@ -29,12 +29,11 @@ import sys
 import numpy as np
 
 from . import simulator
-from .builders import ENCODINGS, VARIANTS, BuildSpec, build
+from .builders import VARIANTS, BuildSpec, build
 from .circuit import plain_int
 from .lowering import lower_circuit
-from .prep import build_u, build_v
-from .resources import (CostProfile, gate_count_formula, resource_report, scaling_table, u_counts,
-                        v_gate_count_formula)
+from .prep import ENCODINGS, build_prep
+from .resources import CostProfile, gate_count_formula, prep_counts, resource_report, scaling_table
 from .serialize import circuit_to_json, circuit_to_qasm, read_gates, read_registers
 from .simulator import SimulationCapExceeded
 from .verify import DEFAULT_SEED, DEFAULT_TOL, verify_spec
@@ -124,11 +123,11 @@ def cmd_build(parser, args) -> int:
 
 
 def cmd_prep(parser, args) -> int:
-    gates = u_counts(args.i)[0] if args.encoding == "binary" else v_gate_count_formula(args.i)
+    gates = prep_counts(args.i, args.encoding)[0]
     if gates > MAX_GATES:
         parser.exit(EX_CAP, f"{PROG}: prep --i {args.i} has {gates} gates, "
                             f"over the size cap of {MAX_GATES}\n")
-    circuit = build_u(args.i) if args.encoding == "binary" else build_v(args.i)
+    circuit = build_prep(args.i, args.encoding)
     _emit_circuit(circuit, args.format, args.out)
     return EX_OK
 
@@ -190,8 +189,7 @@ def cmd_table(parser, args) -> int:
         parser.exit(EX_CAP, f"{PROG}: table to n={args.n_max} has {args.n_max - 1} rows, "
                             f"over the row cap of {MAX_ROWS}\n")
     try:
-        rows = scaling_table(args.variant, range(2, args.n_max + 1), args.encoding,
-                             args.m, profile)
+        rows = scaling_table(args.variant, range(2, args.n_max + 1), args.m, args.encoding, profile)
     except ValueError as exc:
         parser.error(str(exc))
     lines = ["n,qubits,gates,cycles"]

@@ -25,6 +25,9 @@ gates with control arity <= 1: RY on qubit 0 splits off the all-zero
 branch, then each step k rotates qubit k controlled on qubit k-1 (the
 qubit carrying the remaining mass), fixes the weight-one string e_{k-1},
 and a CX relocates the remaining mass from e_{k-1}+e_k to e_k.
+
+``build_prep(i, encoding)`` puts either encoding's gate list (``ENCODINGS``
+names them) on a register ``q`` of its own; ``resources.prep_counts`` counts it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from __future__ import annotations
 from math import acos, sqrt
 
 from .circuit import Circuit, Control, Gate, spec_int
+
+ENCODINGS = ("binary", "onehot")
 
 
 def u_gates(i: int, qubits) -> list[Gate]:
@@ -69,15 +74,14 @@ def v_gates(i: int, qubits) -> list[Gate]:
     return gates
 
 
-def build_u(i: int) -> Circuit:
-    """Binary uniform prep as a standalone circuit on one register."""
+def build_prep(i: int, encoding: str = "binary") -> Circuit:
+    """The uniform prep over 0..i in ``encoding`` as a standalone circuit on one register."""
     i = spec_int("i", i, 1)
-    circuit = Circuit([("q", 1, i.bit_length())], {"prep": "u", "i": i, "encoding": "binary"})
-    return circuit.extend(u_gates(i, circuit.register_qubits("q")))
-
-
-def build_v(i: int) -> Circuit:
-    """One-hot uniform prep as a standalone circuit on one register."""
-    i = spec_int("i", i, 1)
-    circuit = Circuit([("q", 1, i)], {"prep": "v", "i": i, "encoding": "onehot"})
-    return circuit.extend(v_gates(i, circuit.register_qubits("q")))
+    if encoding == "binary":
+        name, width, gate_list = "u", i.bit_length(), u_gates
+    elif encoding == "onehot":
+        name, width, gate_list = "v", i, v_gates
+    else:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    circuit = Circuit([("q", 1, width)], {"prep": name, "i": i, "encoding": encoding})
+    return circuit.extend(gate_list(i, circuit.register_qubits("q")))

@@ -14,7 +14,9 @@ serialise iterations and subroutines (only the permutation-register
 initialisation and, for entangling variants, the per-iteration
 preparations parallelise), so the measured weighted depth never exceeds
 them.  ``resource_report`` puts the formulas beside the circuit's qubit
-count, ``count_primitives`` and ``weighted_depth``.
+count, ``count_primitives`` and ``weighted_depth``; ``prep_counts`` gives one
+prep's (gates, cycles).  Count entries take (variant, n or n values, m,
+encoding, profile) in that order.
 
 Notation: b(i) = bitlen(i) ancilla bits carry iteration i's draw,
 hamming(k) counts set bits (the X-cascade writing or clearing |k>), and
@@ -42,6 +44,7 @@ from typing import NamedTuple
 
 from .builders import BuildSpec, build
 from .circuit import Circuit, cost_class, count_primitives, plain_int, spec_int
+from .prep import ENCODINGS
 
 
 class _CostProfile(NamedTuple):
@@ -129,14 +132,12 @@ def _prep_counts(i: int, p: CostProfile, binary: bool) -> tuple[int, int]:
     return s0 * p.h + rest, min(1, s0) * p.h + rest
 
 
-def u_counts(i: int, profile: CostProfile | None = None) -> tuple[int, int]:
-    """(gates, cycles) of the binary uniform prep over 0..i; its H prefix is one layer."""
-    return _prep_counts(spec_int("i", i, 1), profile or CostProfile(), True)
-
-
-def v_gate_count_formula(i: int, profile: CostProfile | None = None) -> int:
-    """Gate count of the one-hot uniform prep: 1 RY plus (CRY, CX) per extra state."""
-    return _prep_counts(spec_int("i", i, 1), profile or CostProfile(), False)[0]
+def prep_counts(i: int, encoding: str = "binary", profile: CostProfile | None = None) -> tuple[int, int]:
+    """(gates, cycles) of ``prep.build_prep(i, encoding)``."""
+    i = spec_int("i", i, 1)
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    return _prep_counts(i, profile or CostProfile(), encoding == "binary")
 
 
 def _sweep(variant: str, n_values, m: int | None, encoding: str,
@@ -254,7 +255,7 @@ def resource_report(spec: BuildSpec, profile: CostProfile | None = None,
                           circuit.num_qubits, count_primitives(circuit, p), weighted_depth(circuit, p))
 
 
-def scaling_table(variant: str, n_values, encoding: str = "binary", m: int | None = None,
+def scaling_table(variant: str, n_values, m: int | None = None, encoding: str = "binary",
                   profile: CostProfile | None = None) -> list[tuple[int, int, int, int]]:
     """Rows (n, qubits, gates, cycles) from the formulas alone, ascending in n.
 

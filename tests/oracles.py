@@ -9,12 +9,13 @@ so tests that read dense vectors keep exercising the shipping simulator.  The
 remaining helpers read dense vectors, decode draw records, replay, sample
 and extend words the classical way (``replay_reversed_fisher_yates``,
 ``sample_fisher_yates``, ``lemma1_extend``), build classical and gate
-fixtures, encode and read circuit text the simple way
-(``circuit_to_dict``, ``circuit_from_qasm``), build circuits the old way
-(``build_via_swap_gates``), name gate classes (``primitive_multiset``),
-sum the cost formulas iteration by iteration (``sweep_rows``) or take the
-weighted depth gate by gate through ``Circuit.gate_qubits``
-(``weighted_depth``); none has a caller outside the tests.
+fixtures, spell an index as its address and encode and read circuit text
+the simple way (``ref_of``, ``circuit_to_dict``, ``circuit_from_qasm``),
+build circuits the old way (``build_via_swap_gates``), name gate classes
+(``primitive_multiset``), sum the cost formulas iteration by iteration
+(``sweep_rows``) or take the weighted depth gate by gate through
+``Circuit.gate_qubits`` (``weighted_depth``); none has a caller outside the
+tests.
 
 Amplitude indexing: bit g of a basis-state index is global qubit g (qubit 0
 is the least significant bit), matching the circuit's register numbering.
@@ -313,12 +314,24 @@ def word_of_permutation(sigma) -> tuple[int, ...]:
     return tuple(word)
 
 
+def ref_of(circuit: Circuit, index: int) -> tuple[str, int, int]:
+    """The (register, subregister, bit) address of a global index, by a scan
+    over ``circuit.registers``: the inverse of ``Circuit.qubit``."""
+    offset = 0
+    for r in circuit.registers:
+        size = r.count * r.width
+        if 0 <= index - offset < size:
+            return (r.name, *divmod(index - offset, r.width))
+        offset += size
+    raise ValueError(f"qubit index {index} out of range")
+
+
 def circuit_to_dict(circuit: Circuit) -> dict:
     """The circuit JSON schema as nested dicts: ``json.dumps`` of it is the
     reference text ``serialize.circuit_to_json`` must write byte for byte."""
 
     def address(q):
-        reg, sub, bit = circuit.ref_of(q)
+        reg, sub, bit = ref_of(circuit, q)
         return {"reg": reg, "sub": sub, "bit": bit}
 
     return {

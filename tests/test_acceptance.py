@@ -16,8 +16,8 @@ from scipy.stats import chi2
 from qshuffle.builders import BuildSpec, build, build_with_checkpoints
 from qshuffle.circuit import Circuit, Control, Gate
 from qshuffle.lowering import lower_circuit, lower_mcx, lower_toffoli
-from qshuffle.prep import build_u
-from qshuffle.resources import CostProfile, resource_report, u_counts, weighted_depth
+from qshuffle.prep import build_prep
+from qshuffle.resources import CostProfile, prep_counts, resource_report, weighted_depth
 from oracles import (
     assert_register_disentangled,
     branch_table,
@@ -128,13 +128,13 @@ def test_criterion_04_exact_formula_equality():
 def test_criterion_05_uniform_prep_counts_and_states():
     ok = True
     for i in range(1, 65):
-        circuit = build_u(i)
-        ok &= sum(primitive_multiset(circuit).values()) == u_counts(i)[0]
+        circuit = build_prep(i)
+        ok &= sum(primitive_multiset(circuit).values()) == prep_counts(i)[0]
         if (i + 1) & i == 0:
             ok &= primitive_multiset(circuit) == {"H": (i + 1).bit_length() - 1}
             ok &= weighted_depth(circuit, CostProfile()) == 1
     for i in range(1, 32):
-        state = run(build_u(i))
+        state = run(build_prep(i))
         want = np.zeros(len(state))
         want[: i + 1] = 1 / sqrt(i + 1)
         ok &= np.max(np.abs(state - want)) < AMP_TOL

@@ -6,9 +6,10 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
-from qshuffle.builders import (ENCODINGS, VARIANTS, BuildSpec, build, build_with_checkpoints, init_identity_word,
+from qshuffle.builders import (VARIANTS, BuildSpec, build, build_with_checkpoints, init_identity_word,
                                register_layout)
 from qshuffle.circuit import Circuit
+from qshuffle.prep import ENCODINGS
 from qshuffle.resources import CostProfile, weighted_depth
 from oracles import (assert_register_disentangled, branch_table, build_via_swap_gates, decode_draws,
                      evolve, marginal_probabilities, primitive_multiset, replay_reversed_fisher_yates, run)

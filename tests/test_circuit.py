@@ -16,7 +16,7 @@ from qshuffle.circuit import (
 )
 from qshuffle.lowering import swap_gates
 from qshuffle.resources import CostProfile, weighted_depth
-from oracles import emit_value_controlled, primitive_class, primitive_multiset
+from oracles import emit_value_controlled, primitive_class, primitive_multiset, ref_of
 
 
 def test_global_numbering_order():
@@ -65,7 +65,10 @@ def test_numbering_is_pure_function_of_table():
 def test_ref_of_inverts_qubit_index():
     c = Circuit([("d", 2, 3), ("a", 1, 2)])
     for q in range(c.num_qubits):
-        assert c.qubit(*c.ref_of(q)) == q
+        assert c.qubit(*ref_of(c, q)) == q
+    for q in (-1, c.num_qubits):
+        with pytest.raises(ValueError, match="out of range"):
+            ref_of(c, q)
 
 
 def test_append_x():
@@ -230,7 +233,7 @@ def test_primitive_multiset():
 def test_qubit_checks_each_address():
     c = Circuit([("d", 2, 3), ("a", 1, 2)])
     assert c.qubit("d", 1, 2) == 5 and c.qubit("a", 0, 1) == 7
-    assert [c.ref_of(q) for q in range(c.num_qubits)] == [
+    assert [ref_of(c, q) for q in range(c.num_qubits)] == [
         ("d", 0, 0), ("d", 0, 1), ("d", 0, 2), ("d", 1, 0), ("d", 1, 1), ("d", 1, 2), ("a", 0, 0), ("a", 0, 1)]
     # True == 1 == 1.0 and they hash alike: none of them may stand for subregister or bit 1,
     # nor None for subregister 0
@@ -314,6 +317,19 @@ def test_check_reports_the_first_fault_in_a_fixed_order():
         with pytest.raises(ValueError, match=message):
             c.extend([gate])
     assert c.gates == []
+
+
+def test_check_refuses_what_is_not_a_gate_of_controls():
+    # each equals a well-formed gate field for field, so only a type check tells them apart
+    c = Circuit([("a", 1, 2)]).extend([Gate("H", None, 1)])
+    for bad, message in [(("X", None, 0, ()), "not a Gate"),
+                         (Gate("X", None, 0, ((1, 1),)), "is not a Control"),
+                         (Gate("X", None, 0, [Control(1, 1)]), "not a Gate with a tuple of controls")]:
+        with pytest.raises(ValueError, match=message):
+            c.extend([bad])
+        with pytest.raises(ValueError, match=message):
+            c.extend([Gate("X", None, 0), bad])
+    assert c.gates == [Gate("H", None, 1)]
 
 
 def test_ir_values_are_immutable_named_tuples():

@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 from qshuffle import cli, resources, simulator, verify
 from qshuffle.cli import main
 from qshuffle.verify import verify_spec
-from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build, build_with_checkpoints
+from qshuffle.builders import VARIANTS, BuildSpec, build, build_with_checkpoints
 from qshuffle.circuit import Circuit, Gate
+from qshuffle.prep import ENCODINGS
 from qshuffle.serialize import circuit_from_json, circuit_to_json
 from oracles import branch_table, run, sample_fisher_yates
 from qshuffle.simulator import SimulationCapExceeded
@@ -440,6 +441,22 @@ def test_prep_commands(capsys):
     assert len(data["gates"]) == 4
     assert run_cli("prep", "--i", "3", "--encoding", "onehot", "--format", "qasm") == 0
     assert "ry(" in capsys.readouterr().out
+
+
+# SHA-256 of the file ``prep`` writes, per i, encoding and format, as it wrote
+# them while each encoding had a builder of its own.  Rewrite them only for a
+# deliberate change of the output.
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_prep_output_matches_the_golden_digests(encoding, tmp_path):
+    golden = json.loads(Path(__file__).with_name("golden_digests.json").read_text())
+    want = {k: v for k, v in golden.items() if k.startswith("prep ") and f" {encoding} " in k}
+    got = {}
+    for i in (1, 2, 3, 4, 5, 7, 12, 64, 1000):
+        for fmt in ("json", "qasm"):
+            out = tmp_path / f"{i}.{fmt}"
+            assert run_cli("prep", "--i", str(i), "--encoding", encoding, "--format", fmt, "--out", str(out)) == 0
+            got[f"prep i{i} {encoding} {fmt}"] = sha256(out.read_bytes()).hexdigest()
+    assert want == got
 
 
 def test_usage_errors_exit_64(capsys):

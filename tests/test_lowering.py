@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
+from qshuffle.builders import VARIANTS, BuildSpec, build
 from qshuffle.circuit import Circuit, Control, Gate
 from qshuffle.lowering import (
     TOFFOLI_PHASE,
@@ -18,6 +18,7 @@ from qshuffle.lowering import (
     lower_toffoli,
     swap_gates,
 )
+from qshuffle.prep import ENCODINGS
 from oracles import dense_run, primitive_class, primitive_multiset, run, states_equal_up_to_phase
 
 

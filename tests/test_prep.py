@@ -5,8 +5,9 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from qshuffle.prep import build_u, build_v, u_gates, v_gates
-from qshuffle.resources import CostProfile, u_counts, v_gate_count_formula, weighted_depth
+from qshuffle.circuit import count_primitives
+from qshuffle.prep import ENCODINGS, build_prep, u_gates, v_gates
+from qshuffle.resources import CostProfile, prep_counts, weighted_depth
 from oracles import primitive_multiset, run
 
 TOL = 1e-10
@@ -52,7 +53,7 @@ def sparse_state(gates, width: int) -> dict:
 
 @pytest.mark.parametrize("i", range(1, 32))
 def test_u_state_is_uniform_over_first_states(i):
-    state = run(build_u(i))
+    state = run(build_prep(i))
     want = np.zeros(len(state))
     want[: i + 1] = 1 / sqrt(i + 1)
     assert np.max(np.abs(state - want)) < TOL
@@ -61,22 +62,22 @@ def test_u_state_is_uniform_over_first_states(i):
 
 
 def test_u_i1_is_single_h():
-    c = build_u(1)
+    c = build_prep(1)
     assert [g.primitive for g in c.gates] == ["H"]
     state = run(c)
     assert np.allclose(state, [1 / sqrt(2), 1 / sqrt(2)])
 
 
 def test_u_i3_is_two_h():
-    c = build_u(3)
+    c = build_prep(3)
     assert primitive_multiset(c) == {"H": 2}
     assert np.allclose(run(c), np.full(4, 0.5))
 
 
 def test_u_i4_multiset():
     # i + 1 = 5 = 101b: no H prefix, one RY, one CRY, two CH
-    assert primitive_multiset(build_u(4)) == {"RY": 1, "CRY": 1, "CH": 2}
-    state = run(build_u(4))
+    assert primitive_multiset(build_prep(4)) == {"RY": 1, "CRY": 1, "CH": 2}
+    state = run(build_prep(4))
     assert np.max(np.abs(state[:5] - 1 / sqrt(5))) < TOL
     assert np.max(np.abs(state[5:])) < TOL
 
@@ -85,39 +86,39 @@ def test_u_i4_multiset():
 def test_u_multiset_matches_closed_form(i):
     # rebuild the expected multiset from the bit positions of i+1
     m = i + 1
-    ms = primitive_multiset(build_u(i))
+    ms = primitive_multiset(build_prep(i))
     if m & (m - 1) == 0:
         assert ms == {"H": i.bit_length()}
-        assert weighted_depth(build_u(i), CostProfile()) == 1
+        assert weighted_depth(build_prep(i), CostProfile()) == 1
         return
     s = [b for b in range(m.bit_length()) if (m >> b) & 1]
     expected = {"RY": 1, "CRY": len(s) - 1, "CH": s[-1] - s[0]}
     if s[0]:
         expected["H"] = s[0]
     assert ms == {k: v for k, v in expected.items() if v}
-    assert sum(ms.values()) == u_counts(i)[0]
-    assert weighted_depth(build_u(i), CostProfile()) <= u_counts(i)[1]
+    assert sum(ms.values()) == prep_counts(i)[0]
+    assert weighted_depth(build_prep(i), CostProfile()) <= prep_counts(i)[1]
 
 
 def test_u_rejects_nonpositive():
     with pytest.raises(ValueError):
-        build_u(0)
+        build_prep(0)
 
 
 def test_v_i1_single_ry_acts_like_h():
-    c = build_v(1)
+    c = build_prep(1, "onehot")
     assert [g.primitive for g in c.gates] == ["RY"]
     assert np.allclose(run(c), [1 / sqrt(2), 1 / sqrt(2)])
 
 
 def test_v_i2_support():
-    state = run(build_v(2))
+    state = run(build_prep(2, "onehot"))
     want = np.array([1, 1, 1, 0]) / sqrt(3)
     assert np.max(np.abs(state - want)) < TOL
 
 
 def test_v_i4_support_on_low_weight_strings():
-    state = run(build_v(4))
+    state = run(build_prep(4, "onehot"))
     want = np.zeros(16)
     want[0] = 1 / sqrt(5)
     for k in range(4):
@@ -127,7 +128,7 @@ def test_v_i4_support_on_low_weight_strings():
 
 @pytest.mark.parametrize("i", range(1, 13))
 def test_v_state_dense(i):
-    state = run(build_v(i))
+    state = run(build_prep(i, "onehot"))
     want = np.zeros(1 << i)
     want[0] = 1 / sqrt(i + 1)
     for k in range(i):
@@ -147,19 +148,20 @@ def test_v_state_sparse_oracle(i):
 @pytest.mark.parametrize("i", range(1, 32))
 def test_v_linear_size_and_depth(i):
     # 2i - 1 gates in a serial chain: both counts stay below 2i
-    c = build_v(i)
+    c = build_prep(i, "onehot")
     assert len(c.gates) == 2 * i - 1 <= 2 * i
     assert weighted_depth(c, CostProfile()) == 2 * i - 1
 
 
 def test_v_rejects_nonpositive():
     with pytest.raises(ValueError):
-        build_v(0)
+        build_prep(0, "onehot")
 
 
+# keyed by the paper's fragment: U is the binary prep, V the one-hot one
 _PREP_CALLS = {"u_gates": lambda i: u_gates(i, range(8)), "v_gates": lambda i: v_gates(i, range(8)),
-               "build_u": build_u, "build_v": build_v,
-               "u_counts": u_counts, "v_gate_count_formula": v_gate_count_formula}
+               "build_u": build_prep, "build_v": lambda i: build_prep(i, "onehot"),
+               "u_counts": prep_counts, "v_gate_count_formula": lambda i: prep_counts(i, "onehot")}
 
 
 @pytest.mark.parametrize("name", _PREP_CALLS)
@@ -173,15 +175,32 @@ def test_every_prep_refuses_nonsense_i(name, i, message):
 
 
 def test_prep_takes_any_integer_type():
-    assert u_counts(np.int64(5)) == u_counts(5)
-    assert v_gate_count_formula(np.int64(3)) == v_gate_count_formula(3)
-    assert build_u(np.int64(5)).gates == build_u(5).gates
-    assert build_v(np.int64(3)).gates == build_v(3).gates
+    for encoding in ENCODINGS:
+        assert prep_counts(np.int64(5), encoding) == prep_counts(5, encoding)
+        assert build_prep(np.int64(5), encoding).gates == build_prep(5, encoding).gates
+
+
+@pytest.mark.parametrize("call", [build_prep, prep_counts])
+@pytest.mark.parametrize("encoding", ["unary", "Binary", None])
+def test_prep_entries_refuse_an_unknown_encoding(call, encoding):
+    with pytest.raises(ValueError, match="unknown encoding"):
+        call(3, encoding)
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_prep_counts_match_the_built_prep(encoding):
+    profile = CostProfile(h=2, ry=3, cx=5, ch=7, cry=11)
+    for i in range(1, 65):
+        c = build_prep(i, encoding)
+        assert c.metadata == {"prep": "u" if encoding == "binary" else "v", "i": i, "encoding": encoding}
+        gates, cycles = prep_counts(i, encoding, profile)
+        assert count_primitives(c, profile) == gates
+        assert weighted_depth(c, profile) <= cycles
 
 
 @pytest.mark.parametrize("i", range(1, 16))
 def test_u_sparse_oracle_agrees_with_dense(i):
-    dense = run(build_u(i))
+    dense = run(build_prep(i))
     sparse = sparse_state(u_gates(i, range(i.bit_length())), i.bit_length())
     rebuilt = np.zeros(len(dense), dtype=complex)
     for k, v in sparse.items():

@@ -7,13 +7,13 @@ import qshuffle
 
 PUBLIC = [
     "BuildSpec", "Circuit", "Control", "CostProfile", "Gate", "Register",
-    "ResourceReport", "SimulationCapExceeded", "branch_table", "build", "build_u", "build_v",
+    "ResourceReport", "SimulationCapExceeded", "branch_table", "build", "build_prep",
     "build_with_checkpoints", "circuit_from_json", "circuit_to_json", "circuit_to_qasm",
     "count_primitives", "cycle_count_formula", "eliminate_negative_controls",
     "gate_count_formula", "init_identity_word", "lower_circuit", "lower_mcx",
-    "lower_toffoli", "qubit_count_formula",
+    "lower_toffoli", "prep_counts", "qubit_count_formula",
     "resource_report", "run", "sample", "scaling_table",
-    "u_counts", "u_gates", "v_gate_count_formula", "v_gates",
+    "u_gates", "v_gates",
     "value_controls",
 ]
 

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
+from qshuffle.builders import VARIANTS, BuildSpec, build
 from qshuffle.circuit import PRIMITIVES, ROTATIONS, Circuit, Control, Gate, count_primitives
+from qshuffle.prep import ENCODINGS
 from qshuffle.resources import (
     CostProfile,
     cycle_count_formula,
     gate_count_formula,
+    prep_counts,
     qubit_count_formula,
     resource_report,
     scaling_table,
-    u_counts,
-    v_gate_count_formula,
     weighted_depth,
 )
 from oracles import sweep_rows
@@ -57,23 +57,23 @@ def test_cycle_formula_examples():
 
 
 def test_u_formula_examples():
-    assert u_counts(3) == (2, 1)
-    assert u_counts(4)[0] == 4
-    assert u_counts(1) == (1, 1)
+    assert prep_counts(3) == (2, 1)
+    assert prep_counts(4)[0] == 4
+    assert prep_counts(1) == (1, 1)
 
 
 def test_u_formula_weighted():
     profile = CostProfile(h=2, ry=3, cry=5, ch=7)
     # i = 5 -> M = 6 = 110b: s = (1, 2), one H prefix, 1 RY, 1 CRY, 1 CH
     # cycle form replaces the H prefix with min(1, s0) layers
-    assert u_counts(5, profile) == (2 + 3 + 5 + 7, 2 + 3 + 5 + 7)
+    assert prep_counts(5, "binary", profile) == (2 + 3 + 5 + 7, 2 + 3 + 5 + 7)
     # i = 11 -> M = 12 = 1100b: s = (2, 3): prefix 2 H but a single H layer
-    assert u_counts(11, profile) == (2 * 2 + 3 + 5 + 7, 2 + 3 + 5 + 7)
+    assert prep_counts(11, "binary", profile) == (2 * 2 + 3 + 5 + 7, 2 + 3 + 5 + 7)
 
 
 def test_v_formula():
-    assert v_gate_count_formula(1) == 1
-    assert v_gate_count_formula(4) == 1 + 3 * 2
+    assert prep_counts(1, "onehot") == (1, 1)
+    assert prep_counts(4, "onehot") == (1 + 3 * 2, 1 + 3 * 2)
 
 
 def test_mcx_derived_rule():
@@ -166,7 +166,7 @@ def test_scaling_table_monotone():
 @pytest.mark.parametrize("encoding", ["binary", "onehot"])
 def test_scaling_table_matches_direct_formulas(encoding):
     for variant, m in (("A", None), ("At", None), ("Bt", 1), ("C", 2)):
-        rows = scaling_table(variant, [2, 3, 5, 9, 33, 100], encoding, m)
+        rows = scaling_table(variant, [2, 3, 5, 9, 33, 100], m, encoding)
         for n, qubits, gates, cycles in rows:
             assert qubits == qubit_count_formula(variant, n, m, encoding)
             assert gates == gate_count_formula(variant, n, m, encoding)
@@ -237,7 +237,7 @@ def test_formulas_match_measured_over_random_profiles(profile, n, m):
             assert r.qubits_formula == r.qubits_measured, spec
             assert r.depth_measured <= r.cycles_formula, spec
             row = (n, r.qubits_formula, r.gates_formula, r.cycles_formula)
-            assert scaling_table(variant, [n], encoding, spec.m, profile) == [row], spec
+            assert scaling_table(variant, [n], spec.m, encoding, profile) == [row], spec
 
 
 @pytest.mark.parametrize("encoding", ENCODINGS)
@@ -247,7 +247,7 @@ def test_formulas_match_measured_over_random_profiles(profile, n, m):
        m=st.integers(min_value=1, max_value=8))
 def test_scaling_table_equals_the_per_iteration_oracle(variant, encoding, profile, n_values, m):
     m = m if variant in ("B", "Bt", "C") else None
-    assert scaling_table(variant, n_values, encoding, m, profile) == sweep_rows(variant, n_values, m, encoding, profile)
+    assert scaling_table(variant, n_values, m, encoding, profile) == sweep_rows(variant, n_values, m, encoding, profile)
 
 
 _MOST_CONTROLS = {"X": 4, "H": 1, "RY": 1, "RZ": 0}  # the counting alphabet's classes

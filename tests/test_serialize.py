@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 
 from qshuffle import simulator
-from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build
+from qshuffle.builders import VARIANTS, BuildSpec, build
 from qshuffle.circuit import Circuit, Control, Gate, Register
 from qshuffle.lowering import lower_circuit
+from qshuffle.prep import ENCODINGS
 from qshuffle.serialize import circuit_from_json, circuit_to_json, circuit_to_qasm
 from oracles import circuit_from_qasm, circuit_to_dict, run
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshuffle import simulator, verify
-from qshuffle.builders import ENCODINGS, VARIANTS, BuildSpec, build_with_checkpoints
+from qshuffle.builders import VARIANTS, BuildSpec, build_with_checkpoints
+from qshuffle.prep import ENCODINGS
 from oracles import draw_sequences, replay_reversed_fisher_yates
 
 
